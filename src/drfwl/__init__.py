@@ -20,7 +20,7 @@ from .counting import (
     node_walks,
     supported_motifs,
 )
-from .errors import CapabilityError
+from .errors import CapabilityError, InvariantError
 from .graph import (
     Graph,
     GraphFormatError,
@@ -65,6 +65,7 @@ __all__ = [
     "Coloring",
     "Graph",
     "GraphFormatError",
+    "InvariantError",
     "KHopSets",
     "MotifSpec",
     "NodeCounts",

@@ -6,6 +6,7 @@ graphs), ``gen`` (graph files, including the paired-cycle separation
 family), ``bench`` (tuple-index size and per-iteration timing).
 
 Exit codes: 0 success, 2 malformed input, 3 capability or size limit.
+An InvariantError is a bug, not bad input: it propagates (exit 1).
 JSON output is a stability contract; the text format is for humans.
 """
 from __future__ import annotations
@@ -14,7 +15,6 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import counting, oracle, refine
@@ -28,7 +28,6 @@ from .graph import (
     gen_random_regular,
     parse_edge_list,
 )
-from .parallel import resolve_threads
 from .tuples import build_index
 
 EXIT_OK = 0
@@ -36,20 +35,14 @@ EXIT_PARSE = 2
 EXIT_CAPABILITY = 3
 
 
-@dataclass
-class RunConfig:
-    """Parsed command-line options for one invocation."""
+def resolve_threads(threads: int | None = None) -> int:
+    """Worker count of a run, which is always 1.
 
-    command: str
-    inputs: list[str] = field(default_factory=list)
-    d: int = 2
-    method: str = "drfwl"
-    mask: list[tuple[int, int, int]] | None = None
-    motifs: list[str] | None = None
-    output: str | None = None
-    threads: int = 1
-    seed: int = 0
-    fmt: str = "json"
+    Every pass runs in order on the calling thread.  ``--threads`` and
+    ``DRFWL_THREADS`` are still accepted for compatibility; they have no
+    effect, and results are identical for every value.
+    """
+    return 1
 
 
 def _load_graph(path: str) -> Graph:
@@ -99,82 +92,81 @@ def _parse_motifs(spec: str | None, allow_clique: bool) -> list[str] | None:
     return names
 
 
-def cmd_count(cfg: RunConfig) -> int:
-    g = _load_graph(cfg.inputs[0])
-    motifs = cfg.motifs or list(counting.supported_motifs(cfg.d))
-    if "cycle7" in motifs and cfg.d < 3:
+def _emit_report(report: dict, fmt: str, output: str | None) -> None:
+    """Write a count report as JSON or as one text line per substructure."""
+    if fmt == "json":
+        _emit(json.dumps(report, indent=2) + "\n", output)
+        return
+    lines = [f"graph: n={report['n']}"]
+    for name, entry in report["substructures"].items():
+        lines.append(f"{name}: graph_level={entry['graph_level']} per_node={entry['per_node']}")
+    _emit("\n".join(lines) + "\n", output)
+
+
+def cmd_count(ns: argparse.Namespace) -> int:
+    motifs = _parse_motifs(ns.motifs, allow_clique=False)
+    threads = resolve_threads(ns.threads)
+    if ns.d < 1:
+        raise GraphFormatError("--d must be >= 1")
+    g = _load_graph(ns.input)
+    motifs = motifs or list(counting.supported_motifs(ns.d))
+    if "cycle7" in motifs and ns.d < 3:
         raise CapabilityError("cycle7 requires --d 3 or higher")
-    idx = build_index(g, cfg.d)
-    counts = counting.compute_node_counts(idx, threads=cfg.threads)
-    report = counting.counts_to_report(counts, tuple(motifs))
-    if cfg.fmt == "json":
-        _emit(json.dumps(report, indent=2) + "\n", cfg.output)
-    else:
-        lines = [f"graph: n={report['n']}"]
-        for name, entry in report["substructures"].items():
-            lines.append(f"{name}: graph_level={entry['graph_level']} per_node={entry['per_node']}")
-        _emit("\n".join(lines) + "\n", cfg.output)
+    idx = build_index(g, ns.d)
+    counts = counting.compute_node_counts(idx, threads=threads)
+    _emit_report(counting.counts_to_report(counts, tuple(motifs)), ns.fmt, ns.output)
     return EXIT_OK
 
 
-def cmd_oracle(cfg: RunConfig) -> int:
-    g = _load_graph(cfg.inputs[0])
-    motifs = cfg.motifs or list(counting.supported_motifs(3))
+def cmd_oracle(ns: argparse.Namespace) -> int:
+    motifs = _parse_motifs(ns.motifs, allow_clique=True)
+    g = _load_graph(ns.input)
     subs = {}
-    for name in motifs:
-        per_node = oracle.oracle_node_counts(g, name)
+    for name in motifs or counting.supported_motifs(3):
         subs[name] = {
-            "per_node": per_node,
+            "per_node": oracle.oracle_node_counts(g, name),
             "graph_level": oracle.oracle_graph_count(g, name),
         }
-    report = {"n": g.n, "substructures": subs}
-    if cfg.fmt == "json":
-        _emit(json.dumps(report, indent=2) + "\n", cfg.output)
-    else:
-        lines = [f"graph: n={g.n}"]
-        for name, entry in subs.items():
-            lines.append(f"{name}: graph_level={entry['graph_level']} per_node={entry['per_node']}")
-        _emit("\n".join(lines) + "\n", cfg.output)
+    _emit_report({"n": g.n, "substructures": subs}, ns.fmt, ns.output)
     return EXIT_OK
 
 
-def cmd_distinguish(cfg: RunConfig) -> int:
-    g1 = _load_graph(cfg.inputs[0])
-    g2 = _load_graph(cfg.inputs[1])
-    verdict = refine.refine_pair(
-        g1, g2, cfg.method, d=cfg.d, mask=cfg.mask, threads=cfg.threads
-    )
-    word = "DISTINGUISHED" if verdict.distinguished else "INDISTINGUISHABLE"
-    if cfg.fmt == "json":
+def cmd_distinguish(ns: argparse.Namespace) -> int:
+    mask = _parse_mask(ns.mask)
+    threads = resolve_threads(ns.threads)
+    g1 = _load_graph(ns.input1)
+    g2 = _load_graph(ns.input2)
+    verdict = refine.refine_pair(g1, g2, ns.method, d=ns.d, mask=mask, threads=threads)
+    if ns.fmt == "json":
         payload = {
-            "method": cfg.method,
+            "method": ns.method,
             "d": verdict.d,
             "distinguished": verdict.distinguished,
             "iterations": verdict.iterations,
         }
-        _emit(json.dumps(payload, indent=2) + "\n", cfg.output)
+        _emit(json.dumps(payload, indent=2) + "\n", ns.output)
     else:
-        _emit(f"{word} method={cfg.method} d={verdict.d} iterations={verdict.iterations}\n", cfg.output)
+        word = "DISTINGUISHED" if verdict.distinguished else "INDISTINGUISHABLE"
+        _emit(f"{word} method={ns.method} d={verdict.d} iterations={verdict.iterations}\n", ns.output)
     return EXIT_OK
 
 
-def cmd_gen(cfg: RunConfig) -> int:
-    kind = cfg.inputs[0]
-    args = cfg.inputs[1:]
+def cmd_gen(ns: argparse.Namespace) -> int:
+    kind, args = ns.kind, ns.args
     if kind == "cycle":
         g = gen_cycle(int(args[0]))
-        _emit(g.to_edge_list(), cfg.output)
+        _emit(g.to_edge_list(), ns.output)
     elif kind == "er":
-        g = gen_erdos_renyi(int(args[0]), float(args[1]), cfg.seed)
-        _emit(g.to_edge_list(), cfg.output)
+        g = gen_erdos_renyi(int(args[0]), float(args[1]), ns.seed)
+        _emit(g.to_edge_list(), ns.output)
     elif kind == "regular":
-        g = gen_random_regular(int(args[0]), int(args[1]), cfg.seed)
-        _emit(g.to_edge_list(), cfg.output)
+        g = gen_random_regular(int(args[0]), int(args[1]), ns.seed)
+        _emit(g.to_edge_list(), ns.output)
     elif kind == "separation":
-        k = 3 * cfg.d + 1
+        k = 3 * ns.d + 1
         double = gen_disjoint_union([gen_cycle(k), gen_cycle(k)])
         single = gen_cycle(2 * k)
-        prefix = cfg.output or f"separation-d{cfg.d}"
+        prefix = ns.output or f"separation-d{ns.d}"
         p1 = Path(f"{prefix}-two-c{k}.el")
         p2 = Path(f"{prefix}-c{2 * k}.el")
         p1.write_text(double.to_edge_list(), encoding="utf-8")
@@ -185,22 +177,25 @@ def cmd_gen(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_bench(cfg: RunConfig, sizes: list[int], degrees: list[int]) -> int:
+def cmd_bench(ns: argparse.Namespace) -> int:
+    threads = resolve_threads(ns.threads)
+    sizes = [int(x) for x in ns.sizes.split(",") if x]
+    degrees = [int(x) for x in ns.degrees.split(",") if x]
     rows = ["n,deg,tuple_count,build_ms,iter_ms"]
     for r in degrees:
         for n in sizes:
-            g = gen_random_regular(n, r, cfg.seed)
+            g = gen_random_regular(n, r, ns.seed)
             t0 = time.perf_counter()
-            idx = build_index(g, cfg.d)
+            idx = build_index(g, ns.d)
             build_ms = (time.perf_counter() - t0) * 1000.0
             t0 = time.perf_counter()
-            coloring = refine.drfwl_refine(g, cfg.d, threads=cfg.threads)
+            coloring = refine.drfwl_refine(g, ns.d, threads=threads)
             refine_ms = (time.perf_counter() - t0) * 1000.0
             iter_ms = refine_ms / max(1, coloring.iterations)
             rows.append(
                 f"{n},{r},{idx.tuple_count},{build_ms:.3f},{iter_ms:.3f}"
             )
-    _emit("\n".join(rows) + "\n", cfg.output)
+    _emit("\n".join(rows) + "\n", ns.output)
     return EXIT_OK
 
 
@@ -215,20 +210,28 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("json", "text"), default="json", dest="fmt")
         p.add_argument("--output", default=None)
         if threads:
-            p.add_argument("--threads", type=int, default=None)
+            p.add_argument(
+                "--threads",
+                type=int,
+                default=None,
+                help="accepted for compatibility; no effect, runs are serial",
+            )
 
     p = sub.add_parser("count", help="closed-form substructure counts")
+    p.set_defaults(run=cmd_count)
     p.add_argument("input")
     p.add_argument("--d", type=int, default=2)
     p.add_argument("--motifs", default=None)
     common(p)
 
     p = sub.add_parser("oracle", help="brute-force substructure counts")
+    p.set_defaults(run=cmd_oracle)
     p.add_argument("input")
     p.add_argument("--motifs", default=None)
     common(p)
 
     p = sub.add_parser("distinguish", help="compare two graphs under a refinement")
+    p.set_defaults(run=cmd_distinguish)
     p.add_argument("input1")
     p.add_argument("input2")
     p.add_argument("--method", choices=refine.METHODS, default="drfwl")
@@ -237,6 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
 
     p = sub.add_parser("gen", help="generate edge-list files")
+    p.set_defaults(run=cmd_gen)
     p.add_argument("kind", choices=("cycle", "er", "regular", "separation"))
     p.add_argument("args", nargs="*")
     p.add_argument("--d", type=int, default=2)
@@ -245,6 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("json", "text"), default="text", dest="fmt")
 
     p = sub.add_parser("bench", help="tuple count and timing on regular graphs")
+    p.set_defaults(run=cmd_bench)
     p.add_argument("--sizes", default="1000,2000,4000")
     p.add_argument("--degrees", default="4")
     p.add_argument("--d", type=int, default=2)
@@ -255,74 +260,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    ns = parser.parse_args(argv)
+    ns = build_parser().parse_args(argv)
     try:
-        if ns.command == "count":
-            cfg = RunConfig(
-                command="count",
-                inputs=[ns.input],
-                d=ns.d,
-                motifs=_parse_motifs(ns.motifs, allow_clique=False),
-                output=ns.output,
-                threads=resolve_threads(ns.threads),
-                fmt=ns.fmt,
-            )
-            if cfg.d < 1:
-                raise GraphFormatError("--d must be >= 1")
-            return cmd_count(cfg)
-        if ns.command == "oracle":
-            cfg = RunConfig(
-                command="oracle",
-                inputs=[ns.input],
-                motifs=_parse_motifs(ns.motifs, allow_clique=True),
-                output=ns.output,
-                threads=resolve_threads(ns.threads),
-                fmt=ns.fmt,
-            )
-            return cmd_oracle(cfg)
-        if ns.command == "distinguish":
-            cfg = RunConfig(
-                command="distinguish",
-                inputs=[ns.input1, ns.input2],
-                d=ns.d,
-                method=ns.method,
-                mask=_parse_mask(ns.mask),
-                output=ns.output,
-                threads=resolve_threads(ns.threads),
-                fmt=ns.fmt,
-            )
-            return cmd_distinguish(cfg)
-        if ns.command == "gen":
-            cfg = RunConfig(
-                command="gen",
-                inputs=[ns.kind, *ns.args],
-                d=ns.d,
-                seed=ns.seed,
-                output=ns.output,
-                fmt=ns.fmt,
-            )
-            return cmd_gen(cfg)
-        if ns.command == "bench":
-            cfg = RunConfig(
-                command="bench",
-                d=ns.d,
-                seed=ns.seed,
-                output=ns.output,
-                threads=resolve_threads(ns.threads),
-                fmt=ns.fmt,
-            )
-            sizes = [int(x) for x in ns.sizes.split(",") if x]
-            degrees = [int(x) for x in ns.degrees.split(",") if x]
-            return cmd_bench(cfg, sizes, degrees)
-        parser.error(f"unknown command {ns.command!r}")
+        return ns.run(ns)
     except (GraphFormatError, ValueError, IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except CapabilityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAPABILITY
-    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -3,7 +3,7 @@
 The pipeline runs a fixed sequence of sparse passes.  Each pass is a pure
 map over the indexed pairs that reads only earlier passes, so a wrong
 count localizes to one formula.  Everything is exact 64-bit-safe integer
-arithmetic; divisions are asserted exact.
+arithmetic; an inexact division raises InvariantError.
 
 Pairwise quantities (for pairs (u, v) at distance 1..2, plus the noted
 distance-3 extensions when the index was built with d >= 3):
@@ -25,9 +25,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import CapabilityError
+from .errors import CapabilityError, InvariantError
 from .graph import Graph
-from .parallel import parallel_map
 from .tuples import TupleIndex, intersect
 
 COUNT_MOTIFS_D2 = (
@@ -61,7 +60,8 @@ GRAPH_LEVEL_FACTOR.update({f"path{k}": 2 for k in range(2, 5)})
 
 
 def _exact_half(x: int) -> int:
-    assert x % 2 == 0, f"expected an even aggregate, got {x}"
+    if x % 2:
+        raise InvariantError(f"expected an even aggregate, got {x}")
     return x // 2
 
 
@@ -91,11 +91,7 @@ class PairStats:
         return 0 if t is None else array[t]
 
 
-def _map_pairs(idx: TupleIndex, fn, threads: int) -> list[int]:
-    return parallel_map(fn, range(idx.tuple_count), threads)
-
-
-def pairwise_p2(idx: TupleIndex, threads: int = 1) -> list[int]:
+def pairwise_p2(idx: TupleIndex) -> list[int]:
     """P2(u, v) = |N1(u) & N1(v)| for every indexed pair."""
     pairs = idx.pairs
 
@@ -105,7 +101,7 @@ def pairwise_p2(idx: TupleIndex, threads: int = 1) -> list[int]:
             return 0
         return len(intersect(idx, u, v, 1, 1))
 
-    return _map_pairs(idx, one, threads)
+    return [one(t) for t in range(idx.tuple_count)]
 
 
 def node_triangles(idx: TupleIndex, p2: list[int]) -> list[int]:
@@ -119,7 +115,7 @@ def node_triangles(idx: TupleIndex, p2: list[int]) -> list[int]:
     return out
 
 
-def pairwise_w3(idx: TupleIndex, p2: list[int], threads: int = 1) -> list[int]:
+def pairwise_w3(idx: TupleIndex, p2: list[int]) -> list[int]:
     """3-walk counts from the one-sided neighbor sums, averaged exactly."""
     g = idx.graph
     pairs = idx.pairs
@@ -141,10 +137,10 @@ def pairwise_w3(idx: TupleIndex, p2: list[int], threads: int = 1) -> list[int]:
             acc += deg[u] + deg[v]
         return _exact_half(acc)
 
-    return _map_pairs(idx, one, threads)
+    return [one(t) for t in range(idx.tuple_count)]
 
 
-def pairwise_p3(idx: TupleIndex, w3: list[int], threads: int = 1) -> list[int]:
+def pairwise_p3(idx: TupleIndex, w3: list[int]) -> list[int]:
     """3-paths: strip the degree-many backtracking walks on adjacent pairs."""
     g = idx.graph
     pairs = idx.pairs
@@ -158,10 +154,10 @@ def pairwise_p3(idx: TupleIndex, w3: list[int], threads: int = 1) -> list[int]:
             return w3[t] - (deg[u] + deg[v] - 1)
         return w3[t]  # distance >= 2: every 3-walk is already a path
 
-    return _map_pairs(idx, one, threads)
+    return [one(t) for t in range(idx.tuple_count)]
 
 
-def pairwise_p22(idx: TupleIndex, p2: list[int], threads: int = 1) -> list[int]:
+def pairwise_p22(idx: TupleIndex, p2: list[int]) -> list[int]:
     """Sum over middle nodes y (distinct from u, v) of P2(u,y) * P2(y,v)."""
     pairs = idx.pairs
     pid = idx.pair_id
@@ -177,7 +173,7 @@ def pairwise_p22(idx: TupleIndex, p2: list[int], threads: int = 1) -> list[int]:
                     acc += p2[pid[(u, w)]] * p2[pid[(w, v)]]
         return acc
 
-    return _map_pairs(idx, one, threads)
+    return [one(t) for t in range(idx.tuple_count)]
 
 
 def pairwise_p4(
@@ -185,7 +181,6 @@ def pairwise_p4(
     p2: list[int],
     p22: list[int],
     c3: list[int],
-    threads: int = 1,
 ) -> list[int]:
     """4-paths from the middle-split walks minus the coalescence terms."""
     g = idx.graph
@@ -203,10 +198,10 @@ def pairwise_p4(
             acc -= 2 * c3[u] + 2 * c3[v] - 3 * p2[t]
         return acc
 
-    return _map_pairs(idx, one, threads)
+    return [one(t) for t in range(idx.tuple_count)]
 
 
-def pairwise_w4(idx: TupleIndex, p2: list[int], p22: list[int], threads: int = 1) -> list[int]:
+def pairwise_w4(idx: TupleIndex, p2: list[int], p22: list[int]) -> list[int]:
     """4-walks: middle-split walks plus the walks whose midpoint is u or v."""
     g = idx.graph
     pairs = idx.pairs
@@ -218,11 +213,11 @@ def pairwise_w4(idx: TupleIndex, p2: list[int], p22: list[int], threads: int = 1
             return 0
         return p22[t] + (deg[u] + deg[v]) * p2[t]
 
-    return _map_pairs(idx, one, threads)
+    return [one(t) for t in range(idx.tuple_count)]
 
 
 def _pairwise_motifs(
-    idx: TupleIndex, p2: list[int], threads: int = 1
+    idx: TupleIndex, p2: list[int]
 ) -> tuple[list[int], list[int], list[int], list[int]]:
     """T, CC1, CC2 and CCX in a single pass over the common neighborhoods."""
     g = idx.graph
@@ -251,7 +246,7 @@ def _pairwise_motifs(
             cc2 = 0
         return (tail, cc1, cc2, ccx)
 
-    rows = _map_pairs(idx, one, threads)
+    rows = [one(t) for t in range(idx.tuple_count)]
     t_arr = [r[0] for r in rows]
     cc1_arr = [r[1] for r in rows]
     cc2_arr = [r[2] for r in rows]
@@ -267,7 +262,6 @@ def _pairwise_split_cycles(
     t_arr: list[int],
     cc1: list[int],
     ccx: list[int],
-    threads: int = 1,
 ) -> tuple[list[int], list[int]]:
     """C23 and C24: the path-product counts minus every coalescence."""
     pairs = idx.pairs
@@ -300,7 +294,7 @@ def _pairwise_split_cycles(
         c24 = p2uv * p4[t] - num_b - num_c - num_d
         return (c23, c24)
 
-    rows = _map_pairs(idx, one, threads)
+    rows = [one(t) for t in range(idx.tuple_count)]
     return [r[0] for r in rows], [r[1] for r in rows]
 
 
@@ -310,7 +304,6 @@ def _pairwise_tr(
     p3: list[int],
     t_arr: list[int],
     ccx: list[int],
-    threads: int = 1,
 ) -> tuple[list[int], list[int]]:
     """TR1 (apex / shared-edge pairs) and TR2 (shared-edge / corner pairs)."""
     pairs = idx.pairs
@@ -332,22 +325,25 @@ def _pairwise_tr(
         )
         return (tr1, tr2)
 
-    rows = _map_pairs(idx, one, threads)
+    rows = [one(t) for t in range(idx.tuple_count)]
     return [r[0] for r in rows], [r[1] for r in rows]
 
 
 def compute_pair_stats(idx: TupleIndex, threads: int = 1) -> PairStats:
-    """Run every pairwise pass in dependency order."""
-    p2 = pairwise_p2(idx, threads)
+    """Run every pairwise pass in dependency order.
+
+    ``threads`` has no effect; results are identical for every value.
+    """
+    p2 = pairwise_p2(idx)
     c3 = node_triangles(idx, p2)
-    w3 = pairwise_w3(idx, p2, threads)
-    p3 = pairwise_p3(idx, w3, threads)
-    p22 = pairwise_p22(idx, p2, threads)
-    p4 = pairwise_p4(idx, p2, p22, c3, threads)
-    w4 = pairwise_w4(idx, p2, p22, threads)
-    t_arr, cc1, cc2, ccx = _pairwise_motifs(idx, p2, threads)
-    c23, c24 = _pairwise_split_cycles(idx, p2, p3, p4, t_arr, cc1, ccx, threads)
-    tr1, tr2 = _pairwise_tr(idx, p2, p3, t_arr, ccx, threads)
+    w3 = pairwise_w3(idx, p2)
+    p3 = pairwise_p3(idx, w3)
+    p22 = pairwise_p22(idx, p2)
+    p4 = pairwise_p4(idx, p2, p22, c3)
+    w4 = pairwise_w4(idx, p2, p22)
+    t_arr, cc1, cc2, ccx = _pairwise_motifs(idx, p2)
+    c23, c24 = _pairwise_split_cycles(idx, p2, p3, p4, t_arr, cc1, ccx)
+    tr1, tr2 = _pairwise_tr(idx, p2, p3, t_arr, ccx)
     return PairStats(
         index=idx,
         p2=p2,
@@ -575,11 +571,14 @@ def _node_cycle7(idx: TupleIndex, s: PairStats, nc: "NodeCounts") -> list[int]:
 def compute_node_counts(
     idx: TupleIndex, stats: PairStats | None = None, threads: int = 1
 ) -> NodeCounts:
-    """Node-level counts for the full catalog supported at the index's d."""
+    """Node-level counts for the full catalog supported at the index's d.
+
+    ``threads`` has no effect; results are identical for every value.
+    """
     g = idx.graph
     n = g.n
     if stats is None:
-        stats = compute_pair_stats(idx, threads)
+        stats = compute_pair_stats(idx)
     pid = idx.pair_id
     deg = g.degrees()
 
@@ -630,7 +629,8 @@ def compute_node_counts(
     cc2_direct = [
         sum(stats.cc2[pid[(u, v)]] for v in g.adjacency[u]) for u in range(n)
     ]
-    assert cc2_node == cc2_direct, "chordal-cycle aggregation routes disagree"
+    if cc2_node != cc2_direct:
+        raise InvariantError("chordal-cycle aggregation routes disagree")
 
     tr1_node = [
         _exact_half(sum(stats.tr1[pid[(u, v)]] for v in g.adjacency[u]))
@@ -639,7 +639,8 @@ def compute_node_counts(
     tr2_node = [
         sum(stats.tr1[pid[(v, u)]] for v in g.adjacency[u]) for u in range(n)
     ]
-    assert tr2_node == tr2_alt, "triangle-rectangle aggregation routes disagree"
+    if tr2_node != tr2_alt:
+        raise InvariantError("triangle-rectangle aggregation routes disagree")
 
     w3_node = node_walks(g, 3)
     w4_node = node_walks(g, 4)
@@ -677,7 +678,8 @@ def graph_level(counts: NodeCounts, name: str) -> int:
     per_node = counts.by_name(name)
     factor = GRAPH_LEVEL_FACTOR[name]
     total = sum(per_node)
-    assert total % factor == 0, f"{name}: node total {total} not divisible by {factor}"
+    if total % factor:
+        raise InvariantError(f"{name}: node total {total} not divisible by {factor}")
     return total // factor
 
 

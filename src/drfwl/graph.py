@@ -242,27 +242,6 @@ def diameter(g: Graph) -> int:
     return best
 
 
-def connected_components(g: Graph) -> list[list[int]]:
-    """Connected components as sorted node lists, ordered by smallest node."""
-    seen = [False] * g.n
-    comps: list[list[int]] = []
-    for s in range(g.n):
-        if seen[s]:
-            continue
-        seen[s] = True
-        comp = [s]
-        stack = [s]
-        while stack:
-            u = stack.pop()
-            for w in g.adjacency[u]:
-                if not seen[w]:
-                    seen[w] = True
-                    comp.append(w)
-                    stack.append(w)
-        comps.append(sorted(comp))
-    return comps
-
-
 def gen_cycle(n: int) -> Graph:
     """Cycle graph C_n (n >= 3)."""
     if n < 3:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import CapabilityError
+from .errors import CapabilityError, InvariantError
 from .graph import Graph
 
 ORACLE_NODE_CAP = 512
@@ -375,7 +375,8 @@ def oracle_graph_count(g: Graph, spec: MotifSpec | str) -> int:
         "clique4": 4,
     }[name]
     total = sum(per_node)
-    assert total % factor == 0
+    if total % factor:
+        raise InvariantError(f"{name}: node total {total} not divisible by {factor}")
     return total // factor
 
 

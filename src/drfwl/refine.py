@@ -15,16 +15,18 @@ yields the verdict.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence, TypeVar
 
-from .errors import CapabilityError
+from .errors import CapabilityError, InvariantError
 from .graph import Graph
-from .parallel import parallel_map
 from .tuples import TupleIndex, build_index, intersect
 
 FWL2_DENSE_CAP = 256
 
 METHODS = ("wl1", "fwl2", "drfwl")
+
+T = TypeVar("T")
+R = TypeVar("R")
 
 
 @dataclass(frozen=True)
@@ -68,8 +70,17 @@ def _compress(keys: list) -> tuple[list[int], int]:
     return [rank[k] for k in keys], len(distinct)
 
 
+def parallel_map(fn: Callable[[T], R], items: Sequence[T], threads: int = 1) -> list[R]:
+    """Ordered map on the calling thread; ``threads`` has no effect.
+
+    Round keys go through this named function so that the benchmark probe
+    (perfbench/probe.py) can time them by wrapping it.
+    """
+    return [fn(x) for x in items]
+
+
 def _refine_to_stability(
-    init_keys: list, key_fn, threads: int
+    init_keys: list, key_fn
 ) -> tuple[list[int], int, tuple[int, ...]]:
     """Iterate key_fn until the partition stops refining.
 
@@ -84,23 +95,21 @@ def _refine_to_stability(
     history = [classes]
     iterations = 0
     for _ in range(total + 1):
-        keys = parallel_map(lambda t: key_fn(t, colors), range(total), threads)
+        keys = parallel_map(lambda t: key_fn(t, colors), range(total))
         new_colors, new_classes = _compress(keys)
         iterations += 1
         history.append(new_classes)
         if new_classes == classes:
             return new_colors, iterations, tuple(history)
         colors, classes = new_colors, new_classes
-    raise AssertionError("refinement exceeded its iteration cap")
+    raise InvariantError("refinement exceeded its iteration cap")
 
 
 # ---------------------------------------------------------------------------
 # lockstep refinements over one or more graphs
 
 
-def _wl1_multi(
-    graphs: Sequence[Graph], threads: int
-) -> tuple[list[list[int]], int, tuple[int, ...]]:
+def _wl1_multi(graphs: Sequence[Graph]) -> tuple[list[list[int]], int, tuple[int, ...]]:
     offsets = []
     total = 0
     for g in graphs:
@@ -116,13 +125,13 @@ def _wl1_multi(
         v = local[t]
         return (colors[t], tuple(sorted(colors[off + w] for w in g.adjacency[v])))
 
-    colors, iterations, history = _refine_to_stability([0] * total, key_fn, threads)
+    colors, iterations, history = _refine_to_stability([0] * total, key_fn)
     out = [colors[offsets[gi] : offsets[gi] + g.n] for gi, g in enumerate(graphs)]
     return out, iterations, history
 
 
 def _fwl2_multi(
-    graphs: Sequence[Graph], threads: int, dense_cap: int
+    graphs: Sequence[Graph], dense_cap: int
 ) -> tuple[list[list[int]], int, tuple[int, ...]]:
     for g in graphs:
         if g.n > dense_cap:
@@ -157,7 +166,7 @@ def _fwl2_multi(
             tuple(sorted((colors[off + w * n + v], colors[row_u + w]) for w in range(n))),
         )
 
-    colors, iterations, history = _refine_to_stability(init, key_fn, threads)
+    colors, iterations, history = _refine_to_stability(init, key_fn)
     out = [
         colors[offsets[gi] : offsets[gi] + g.n * g.n] for gi, g in enumerate(graphs)
     ]
@@ -217,12 +226,9 @@ def _drfwl_multi(
     graphs: Sequence[Graph],
     d: int,
     mask: Iterable[tuple[int, int, int]] | None,
-    threads: int,
-    indexes: Sequence[TupleIndex] | None = None,
 ) -> tuple[list[list[int]], int, tuple[int, ...]]:
     masked = _validate_mask(mask, d)
-    if indexes is None:
-        indexes = [build_index(g, d) for g in graphs]
+    indexes = [build_index(g, d) for g in graphs]
     offsets = []
     total = 0
     for idx in indexes:
@@ -242,7 +248,7 @@ def _drfwl_multi(
             ),
         )
 
-    colors, iterations, history = _refine_to_stability(init, key_fn, threads)
+    colors, iterations, history = _refine_to_stability(init, key_fn)
     out = [
         colors[offsets[gi] : offsets[gi] + idx.tuple_count]
         for gi, idx in enumerate(indexes)
@@ -255,14 +261,20 @@ def _drfwl_multi(
 
 
 def wl1_refine(g: Graph, threads: int = 1) -> Coloring:
-    """Classic node color refinement from a uniform initial color."""
-    per_graph, iterations, history = _wl1_multi([g], threads)
+    """Classic node color refinement from a uniform initial color.
+
+    ``threads`` has no effect; results are identical for every value.
+    """
+    per_graph, iterations, history = _wl1_multi([g])
     return Coloring("wl1", None, tuple(per_graph[0]), iterations, history)
 
 
 def fwl2_refine(g: Graph, threads: int = 1, dense_cap: int = FWL2_DENSE_CAP) -> Coloring:
-    """Dense folklore 2-tuple refinement; atomic-type initial colors."""
-    per_graph, iterations, history = _fwl2_multi([g], threads, dense_cap)
+    """Dense folklore 2-tuple refinement; atomic-type initial colors.
+
+    ``threads`` has no effect; results are identical for every value.
+    """
+    per_graph, iterations, history = _fwl2_multi([g], dense_cap)
     return Coloring("fwl2", None, tuple(per_graph[0]), iterations, history)
 
 
@@ -277,11 +289,12 @@ def drfwl_refine(
     Tuple (u, v) starts from color d(u, v) and each round aggregates, for
     every admissible channel (i, j), the multiset of color pairs
     (color(w, v), color(u, w)) over w in N_i(u) & N_j(v).  Channels listed
-    in ``mask`` (as (i, j, k) triples) contribute nothing.
+    in ``mask`` (as (i, j, k) triples) contribute nothing.  ``threads``
+    has no effect; results are identical for every value.
     """
     if d < 1:
         raise ValueError("d must be >= 1")
-    per_graph, iterations, history = _drfwl_multi([g], d, mask, threads)
+    per_graph, iterations, history = _drfwl_multi([g], d, mask)
     return Coloring("drfwl", d, tuple(per_graph[0]), iterations, history)
 
 
@@ -322,15 +335,18 @@ def refine_pair(
     threads: int = 1,
     dense_cap: int = FWL2_DENSE_CAP,
 ) -> PairVerdict:
-    """Lockstep refinement of two graphs; compares per-graph multisets."""
+    """Lockstep refinement of two graphs; compares per-graph multisets.
+
+    ``threads`` has no effect; results are identical for every value.
+    """
     if method == "wl1":
-        per_graph, iterations, _ = _wl1_multi([g1, g2], threads)
+        per_graph, iterations, _ = _wl1_multi([g1, g2])
         d_out: int | None = None
     elif method == "fwl2":
-        per_graph, iterations, _ = _fwl2_multi([g1, g2], threads, dense_cap)
+        per_graph, iterations, _ = _fwl2_multi([g1, g2], dense_cap)
         d_out = None
     elif method == "drfwl":
-        per_graph, iterations, _ = _drfwl_multi([g1, g2], d, mask, threads)
+        per_graph, iterations, _ = _drfwl_multi([g1, g2], d, mask)
         d_out = d
     else:
         raise ValueError(f"unknown method {method!r}")

@@ -40,15 +40,6 @@ class TupleIndex:
         """N_k(u); k=0 is the singleton (u,)."""
         return self.shells[u].at(k)
 
-    def pairs_at(self, *distances: int) -> list[tuple[int, int, int]]:
-        """Ordered (u, v, tuple id) for pairs whose distance is in ``distances``."""
-        want = set(distances)
-        return [
-            (u, v, t)
-            for t, (u, v, k) in enumerate(self.pairs)
-            if k in want
-        ]
-
     def space_bound(self) -> int:
         """The n * (1 + sum_k degmax^k) ceiling on the tuple count."""
         degmax = self.graph.max_degree()

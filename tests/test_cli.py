@@ -97,6 +97,63 @@ class TestCount:
         assert out1 == out2
 
 
+
+class TestSerialRuntime:
+    """Runs are serial: no worker pool, and the thread knobs change nothing."""
+
+    @staticmethod
+    def _env(**extra: str) -> dict:
+        env = dict(os.environ)
+        env.pop("DRFWL_THREADS", None)
+        env["PYTHONPATH"] = SRC_DIR + os.pathsep + env.get("PYTHONPATH", "")
+        env.update(extra)
+        return env
+
+    def test_default_count_starts_no_pool(self, petersen_file):
+        script = (
+            "import json, sys, threading\n"
+            "from drfwl.cli import main\n"
+            f"code = main(['count', {petersen_file!r}])\n"
+            "json.dump({'code': code,"
+            " 'futures': 'concurrent.futures' in sys.modules,"
+            " 'threads': threading.active_count()}, sys.stderr)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=self._env()
+        )
+        assert proc.returncode == 0, proc.stderr
+        state = json.loads(proc.stderr)
+        assert state == {"code": 0, "futures": False, "threads": 1}
+
+    def test_thread_knobs_accepted_and_ignored(self, petersen_file):
+        def stdout(*args: str, **env: str) -> str:
+            proc = subprocess.run(
+                [sys.executable, "-m", "drfwl", "count", *args, petersen_file],
+                capture_output=True,
+                text=True,
+                env=self._env(**env),
+            )
+            assert proc.returncode == 0, proc.stderr
+            return proc.stdout
+
+        plain = stdout()
+        assert json.loads(plain)["n"] == 10
+        assert stdout("--threads", "0") == plain
+        assert stdout("--threads", "7") == plain
+        assert stdout(DRFWL_THREADS="abc") == plain
+
+    def test_invariant_failure_is_not_malformed_input(self, petersen_file, monkeypatch):
+        from drfwl import counting
+        from drfwl.errors import InvariantError
+
+        def broken(*args, **kwargs):
+            raise InvariantError("aggregation routes disagree")
+
+        monkeypatch.setattr(counting, "compute_node_counts", broken)
+        with pytest.raises(InvariantError):
+            main(["count", petersen_file])
+
+
 class TestOracle:
     def test_clique4_allowed(self, tmp_path):
         p = tmp_path / "k4.el"

@@ -1,5 +1,10 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 
@@ -9,13 +14,14 @@ from drfwl.counting import (
     GRAPH_LEVEL_FACTOR,
     compute_node_counts,
     compute_pair_stats,
+    _exact_half,
     counts_to_report,
     graph_level,
     node_walks,
     pairwise_p2,
     supported_motifs,
 )
-from drfwl.errors import CapabilityError
+from drfwl.errors import CapabilityError, InvariantError
 from drfwl.graph import (
     gen_complete,
     gen_cycle,
@@ -235,3 +241,29 @@ class TestReport:
         )
         assert list(report["substructures"]) == ["cycle3", "cycle6"]
         assert report["substructures"]["cycle6"]["graph_level"] == 1
+
+
+class TestInvariants:
+    def test_odd_aggregate_raises(self):
+        assert _exact_half(4) == 2
+        with pytest.raises(InvariantError, match="even aggregate"):
+            _exact_half(3)
+
+    def test_checks_survive_optimize_flag(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        script = (
+            "from drfwl.counting import _exact_half\n"
+            "from drfwl.errors import InvariantError\n"
+            "assert False, 'asserts are live'\n"
+            "try:\n"
+            "    _exact_half(3)\n"
+            "except InvariantError:\n"
+            "    print('raised')\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "raised\n"
