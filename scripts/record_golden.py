@@ -1,0 +1,165 @@
+#!/usr/bin/env python3
+"""Record the golden corpus that tests/test_golden.py diffs against.
+
+Writes, under tests/golden/:
+
+* ``graphs/<name>.el`` — the edge lists (random 3-, 4- and 5-regular
+  graphs, an Erdős–Rényi graph with isolated nodes, the d=2 separation
+  pair and a disjoint union of two graphs);
+* ``certificates.txt`` — one ``<graph> <variant> <certificate>`` line per
+  graph and refinement variant (wl1; drfwl at d=1, 2, 3; drfwl at d=2 with
+  mask 2,2,2);
+* ``colorings.txt`` — for the same graphs and variants, the iteration
+  count, the per-round class counts and the SHA-256 of the colour ids in
+  unit order.  A certificate is only a histogram, so on an asymmetric
+  graph (every unit its own class) it cannot see a relabelled colouring;
+  these lines can;
+* ``outputs/<name>.json`` — the exact stdout of ``count --d 2``,
+  ``count --d 3`` on every graph and ``distinguish`` on every pair;
+* ``manifest.json`` — the CLI arguments behind each output file.
+
+The corpus pins colour ids and reports byte for byte, so an optimisation
+that changes either shows up as a diff.  Re-record only on purpose (a
+versioned output change), never to make a failing test pass:
+
+    python3 scripts/record_golden.py
+"""
+from __future__ import annotations
+
+import hashlib
+import io
+import json
+import sys
+from contextlib import redirect_stdout
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+
+from drfwl.cli import main as cli_main  # noqa: E402
+from drfwl.graph import (  # noqa: E402
+    Graph,
+    gen_cycle,
+    gen_disjoint_union,
+    gen_erdos_renyi,
+    gen_petersen,
+    gen_random_regular,
+    parse_edge_list,
+)
+from drfwl.refine import certificate, drfwl_refine, wl1_refine  # noqa: E402
+
+GOLDEN = ROOT / "tests" / "golden"
+
+
+def _er_with_isolated() -> Graph:
+    g = gen_erdos_renyi(60, 0.04, 4)
+    if min(g.degrees()) != 0:
+        raise SystemExit("the Erdős–Rényi golden graph must have isolated nodes")
+    return g
+
+
+GRAPHS = {
+    "regular3-n60": lambda: gen_random_regular(60, 3, 1),
+    "regular4-n50": lambda: gen_random_regular(50, 4, 2),
+    "regular4-n50-b": lambda: gen_random_regular(50, 4, 6),
+    "regular5-n40": lambda: gen_random_regular(40, 5, 3),
+    "er-n60-isolated": _er_with_isolated,
+    "sep-d2-two-c7": lambda: gen_disjoint_union([gen_cycle(7), gen_cycle(7)]),
+    "sep-d2-c14": lambda: gen_cycle(14),
+    "union-petersen-regular3": lambda: gen_disjoint_union(
+        [gen_petersen(), gen_random_regular(20, 3, 5)]
+    ),
+}
+
+# variant -> refinement method, d and mask
+VARIANTS = {
+    "wl1": {"method": "wl1", "d": None, "mask": None},
+    "drfwl-d1": {"method": "drfwl", "d": 1, "mask": None},
+    "drfwl-d2": {"method": "drfwl", "d": 2, "mask": None},
+    "drfwl-d3": {"method": "drfwl", "d": 3, "mask": None},
+    "drfwl-d2-mask222": {"method": "drfwl", "d": 2, "mask": [[2, 2, 2]]},
+}
+
+PAIRS = {
+    "separation-d2": ("sep-d2-two-c7", "sep-d2-c14"),
+    "regular4-n50": ("regular4-n50", "regular4-n50-b"),
+}
+
+
+def refine(g: Graph, method: str, d: int | None, mask: list | None):
+    """The stable colouring of one variant (tests/test_golden.py mirrors this)."""
+    if method == "wl1":
+        return wl1_refine(g)
+    return drfwl_refine(g, d, mask=[tuple(t) for t in mask] if mask else None)
+
+
+def _flags(method: str, d: int | None, mask: list | None) -> list[str]:
+    flags = ["--method", method]
+    if d is not None:
+        flags += ["--d", str(d)]
+    if mask:
+        flags += ["--mask", " ".join(",".join(map(str, t)) for t in mask)]
+    return flags
+
+
+def coloring_line(col) -> str:
+    """``<iterations> <class counts> <sha256 of the colour ids>``."""
+    ids = ",".join(map(str, col.colors)).encode("ascii")
+    counts = ",".join(map(str, col.class_counts))
+    return f"{col.iterations} {counts} {hashlib.sha256(ids).hexdigest()}"
+
+
+def _graph_path(name: str) -> str:
+    return f"graphs/{name}.el"
+
+
+def _stdout_of(argv: list[str]) -> str:
+    """The CLI's stdout for argv, with paths relative to the golden dir."""
+    resolved = [str(GOLDEN / a) if a.startswith("graphs/") else a for a in argv]
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        code = cli_main(resolved)
+    if code != 0:
+        raise SystemExit(f"drfwl {' '.join(argv)} exited {code}")
+    return buf.getvalue()
+
+
+def main() -> int:
+    (GOLDEN / "graphs").mkdir(parents=True, exist_ok=True)
+    (GOLDEN / "outputs").mkdir(parents=True, exist_ok=True)
+    graphs = {}
+    for name, make in GRAPHS.items():
+        g = make()
+        text = g.to_edge_list()
+        (GOLDEN / _graph_path(name)).write_text(text, encoding="utf-8")
+        graphs[name] = parse_edge_list(text)
+
+    cert_lines, coloring_lines = [], []
+    for name, g in graphs.items():
+        for variant, spec in VARIANTS.items():
+            col = refine(g, **spec)
+            cert_lines.append(f"{name} {variant} {certificate(col).serialize()}")
+            coloring_lines.append(f"{name} {variant} {coloring_line(col)}")
+    (GOLDEN / "certificates.txt").write_text("\n".join(cert_lines) + "\n", encoding="utf-8")
+    (GOLDEN / "colorings.txt").write_text("\n".join(coloring_lines) + "\n", encoding="utf-8")
+
+    outputs = {}
+    for name in graphs:
+        for d in (2, 3):
+            outputs[f"count-{name}-d{d}"] = ["count", "--d", str(d), _graph_path(name)]
+    for pair, (a, b) in PAIRS.items():
+        for variant, spec in VARIANTS.items():
+            outputs[f"distinguish-{pair}-{variant}"] = [
+                "distinguish", *_flags(**spec), _graph_path(a), _graph_path(b)
+            ]
+    for key, argv in outputs.items():
+        (GOLDEN / "outputs" / f"{key}.json").write_text(_stdout_of(argv), encoding="utf-8")
+
+    manifest = {"graphs": sorted(graphs), "variants": VARIANTS, "outputs": outputs}
+    (GOLDEN / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
+    print(f"wrote {len(graphs)} graphs, {len(cert_lines)} certificates, {len(outputs)} outputs")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

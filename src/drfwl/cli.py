@@ -6,7 +6,9 @@ graphs), ``gen`` (graph files, including the paired-cycle separation
 family), ``bench`` (tuple-index size and per-iteration timing).
 
 Exit codes: 0 success, 2 malformed input, 3 capability or size limit.
-An InvariantError is a bug, not bad input: it propagates (exit 1).
+Only a GraphFormatError means malformed input; the subcommands raise it
+for every user error they detect.  Any other exception, InvariantError
+included, is a bug, not bad input: it propagates (exit 1).
 JSON output is a stability contract; the text format is for humans.
 """
 from __future__ import annotations
@@ -16,6 +18,7 @@ import json
 import sys
 import time
 from pathlib import Path
+from typing import Sequence
 
 from . import counting, oracle, refine
 from .errors import CapabilityError
@@ -106,8 +109,8 @@ def _emit_report(report: dict, fmt: str, output: str | None) -> None:
 def cmd_count(ns: argparse.Namespace) -> int:
     motifs = _parse_motifs(ns.motifs, allow_clique=False)
     threads = resolve_threads(ns.threads)
-    if ns.d < 1:
-        raise GraphFormatError("--d must be >= 1")
+    if ns.d < 2:
+        raise GraphFormatError("count needs --d 2 or higher")
     g = _load_graph(ns.input)
     motifs = motifs or list(counting.supported_motifs(ns.d))
     if "cycle7" in motifs and ns.d < 3:
@@ -133,6 +136,13 @@ def cmd_oracle(ns: argparse.Namespace) -> int:
 
 def cmd_distinguish(ns: argparse.Namespace) -> int:
     mask = _parse_mask(ns.mask)
+    if ns.method == "drfwl":
+        if ns.d < 1:
+            raise GraphFormatError("--d must be >= 1")
+        try:
+            refine._validate_mask(mask, ns.d)
+        except ValueError as exc:
+            raise GraphFormatError(str(exc)) from None
     threads = resolve_threads(ns.threads)
     g1 = _load_graph(ns.input1)
     g2 = _load_graph(ns.input2)
@@ -151,18 +161,32 @@ def cmd_distinguish(ns: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+# generator and the types of its positional arguments; the seed comes last
+GENERATORS = {
+    "cycle": (lambda n, seed: gen_cycle(n), (int,)),
+    "er": (gen_erdos_renyi, (int, float)),
+    "regular": (gen_random_regular, (int, int)),
+}
+
+
+def _generate(kind: str, args: Sequence, seed: int) -> Graph:
+    """The ``gen cycle|er|regular`` graph; bad arguments are malformed input."""
+    make, types = GENERATORS[kind]
+    if len(args) < len(types):
+        raise GraphFormatError(f"gen {kind} takes {len(types)} argument(s), got {len(args)}")
+    try:
+        return make(*(cast(a) for cast, a in zip(types, args)), seed)
+    except ValueError as exc:  # a non-numeric argument or the generator's own check
+        raise GraphFormatError(f"gen {kind}: {exc}") from None
+
+
 def cmd_gen(ns: argparse.Namespace) -> int:
-    kind, args = ns.kind, ns.args
-    if kind == "cycle":
-        g = gen_cycle(int(args[0]))
-        _emit(g.to_edge_list(), ns.output)
-    elif kind == "er":
-        g = gen_erdos_renyi(int(args[0]), float(args[1]), ns.seed)
-        _emit(g.to_edge_list(), ns.output)
-    elif kind == "regular":
-        g = gen_random_regular(int(args[0]), int(args[1]), ns.seed)
-        _emit(g.to_edge_list(), ns.output)
+    kind = ns.kind
+    if kind in GENERATORS:
+        _emit(_generate(kind, ns.args, ns.seed).to_edge_list(), ns.output)
     elif kind == "separation":
+        if ns.d < 1:
+            raise GraphFormatError("--d must be >= 1")
         k = 3 * ns.d + 1
         double = gen_disjoint_union([gen_cycle(k), gen_cycle(k)])
         single = gen_cycle(2 * k)
@@ -177,14 +201,23 @@ def cmd_gen(ns: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _int_list(flag: str, spec: str) -> list[int]:
+    try:
+        return [int(x) for x in spec.split(",") if x]
+    except ValueError:
+        raise GraphFormatError(f"{flag} must be comma-separated integers, got {spec!r}") from None
+
+
 def cmd_bench(ns: argparse.Namespace) -> int:
     threads = resolve_threads(ns.threads)
-    sizes = [int(x) for x in ns.sizes.split(",") if x]
-    degrees = [int(x) for x in ns.degrees.split(",") if x]
+    sizes = _int_list("--sizes", ns.sizes)
+    degrees = _int_list("--degrees", ns.degrees)
+    if ns.d < 1:
+        raise GraphFormatError("--d must be >= 1")
     rows = ["n,deg,tuple_count,build_ms,iter_ms"]
     for r in degrees:
         for n in sizes:
-            g = gen_random_regular(n, r, ns.seed)
+            g = _generate("regular", (n, r), ns.seed)
             t0 = time.perf_counter()
             idx = build_index(g, ns.d)
             build_ms = (time.perf_counter() - t0) * 1000.0
@@ -263,7 +296,7 @@ def main(argv: list[str] | None = None) -> int:
     ns = build_parser().parse_args(argv)
     try:
         return ns.run(ns)
-    except (GraphFormatError, ValueError, IndexError) as exc:
+    except GraphFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except CapabilityError as exc:

@@ -334,6 +334,8 @@ def compute_pair_stats(idx: TupleIndex, threads: int = 1) -> PairStats:
 
     ``threads`` has no effect; results are identical for every value.
     """
+    if idx.d < 2:
+        raise ValueError(f"closed-form counts need an index with d >= 2, got d={idx.d}")
     p2 = pairwise_p2(idx)
     c3 = node_triangles(idx, p2)
     w3 = pairwise_w3(idx, p2)

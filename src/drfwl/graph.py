@@ -139,7 +139,10 @@ def parse_edge_list(text: str | bytes) -> Graph:
     non-integer tokens are rejected with their line number.
     """
     if isinstance(text, bytes):
-        text = text.decode("utf-8")
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise GraphFormatError(f"input is not UTF-8 text: {exc}") from None
     forced_n = 0
     seen_header = False
     seen_edges = False

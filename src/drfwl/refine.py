@@ -1,10 +1,25 @@
 """Color refinement: WL(1), dense FWL(2), and the distance-restricted test.
 
 All three refinements realize injective hashing literally: each round
-builds the full composite key per unit, sorts the distinct keys, and
+gives every unit an exact composite key, sorts the distinct keys, and
 assigns dense ranks.  There is no probabilistic hashing, so two units get
 equal colors iff their keys are equal, and certificates are portable
 across runs and platforms.
+
+WL(1) and FWL(2) build each unit's key with a per-unit function.  The
+distance-restricted test reads a flat witness table instead, built once:
+for every tuple (u, v) and admissible channel (i, j), in that order, the
+witnesses w in N_i(u) & N_j(v) contribute ``a = id(w, v)`` and
+``b = id(u, w)``, and an end marker closes the channel.  A round encodes
+every witness as ``color[a] * T + color[b]`` (T = number of units) and
+every end marker as -1 in one C-level pass, sorts the channels that have
+two or more witnesses, and cuts the codes into one flat tuple per unit.
+Because ``0 <= color < T``, the encoding is a strictly increasing
+bijection on color pairs, and -1 is below every code, so a channel's codes
+followed by -1 order exactly like the tuple of sorted (color[a], color[b])
+pairs they stand for (a channel that is a prefix of another reaches -1
+first).  A unit's key (color, codes) therefore orders like the nested key
+(color, (channel tuple, ...)), and the ranks do not change.
 
 Cross-graph comparison runs the refinements on both graphs in lockstep
 with a shared key-to-rank table (equivalent, for the node and
@@ -14,8 +29,11 @@ yields the verdict.
 """
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence, TypeVar
+from itertools import islice, repeat
+from operator import add
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .errors import CapabilityError, InvariantError
 from .graph import Graph
@@ -80,13 +98,15 @@ def parallel_map(fn: Callable[[T], R], items: Sequence[T], threads: int = 1) -> 
 
 
 def _refine_to_stability(
-    init_keys: list, key_fn
+    init_keys: list, round_key_fn: Callable[[list[int]], Callable[[int], tuple]]
 ) -> tuple[list[int], int, tuple[int, ...]]:
-    """Iterate key_fn until the partition stops refining.
+    """Iterate rounds until the partition stops refining.
 
-    key_fn(unit, colors) must produce a comparable key whose first
-    component is colors[unit], which guarantees each round refines the
-    previous partition; stability within #units rounds follows.
+    Each round, round_key_fn(colors) returns the round's key function,
+    which parallel_map applies to every unit in order.  key_fn(unit) must
+    produce a comparable key whose first component is colors[unit], which
+    guarantees each round refines the previous partition; stability within
+    #units rounds follows.
     """
     total = len(init_keys)
     if total == 0:
@@ -95,7 +115,7 @@ def _refine_to_stability(
     history = [classes]
     iterations = 0
     for _ in range(total + 1):
-        keys = parallel_map(lambda t: key_fn(t, colors), range(total))
+        keys = parallel_map(round_key_fn(colors), range(total))
         new_colors, new_classes = _compress(keys)
         iterations += 1
         history.append(new_classes)
@@ -120,12 +140,15 @@ def _wl1_multi(graphs: Sequence[Graph]) -> tuple[list[list[int]], int, tuple[int
     ]
     local = [v for g in graphs for v in range(g.n)]
 
-    def key_fn(t: int, colors: list[int]):
-        g, off = owner[t]
-        v = local[t]
-        return (colors[t], tuple(sorted(colors[off + w] for w in g.adjacency[v])))
+    def round_key_fn(colors: list[int]):
+        def key_fn(t: int):
+            g, off = owner[t]
+            v = local[t]
+            return (colors[t], tuple(sorted(colors[off + w] for w in g.adjacency[v])))
 
-    colors, iterations, history = _refine_to_stability([0] * total, key_fn)
+        return key_fn
+
+    colors, iterations, history = _refine_to_stability([0] * total, round_key_fn)
     out = [colors[offsets[gi] : offsets[gi] + g.n] for gi, g in enumerate(graphs)]
     return out, iterations, history
 
@@ -157,16 +180,19 @@ def _fwl2_multi(
                 else:
                     init.append(2)
 
-    def key_fn(t: int, colors: list[int]):
-        g, off, u, v = meta[t]
-        n = g.n
-        row_u = off + u * n
-        return (
-            colors[t],
-            tuple(sorted((colors[off + w * n + v], colors[row_u + w]) for w in range(n))),
-        )
+    def round_key_fn(colors: list[int]):
+        def key_fn(t: int):
+            g, off, u, v = meta[t]
+            n = g.n
+            row_u = off + u * n
+            return (
+                colors[t],
+                tuple(sorted((colors[off + w * n + v], colors[row_u + w]) for w in range(n))),
+            )
 
-    colors, iterations, history = _refine_to_stability(init, key_fn)
+        return key_fn
+
+    colors, iterations, history = _refine_to_stability(init, round_key_fn)
     out = [
         colors[offsets[gi] : offsets[gi] + g.n * g.n] for gi, g in enumerate(graphs)
     ]
@@ -197,29 +223,80 @@ def _validate_mask(mask: Iterable[tuple[int, int, int]] | None, d: int) -> froze
     return frozenset(out)
 
 
-def _drfwl_blocks(
-    idx: TupleIndex, offset: int, masked: frozenset
-) -> list[list[tuple[tuple[int, int], ...]]]:
-    """Per tuple, per admissible (i, j) channel, the (id(w,v), id(u,w))
-    index pairs that feed its multiset.  Fixed once; reused each round."""
-    d = idx.d
-    pid = idx.pair_id
-    blocks: list[list[tuple[tuple[int, int], ...]]] = []
-    channels_for_k = [
-        [(i, j) for i in range(d + 1) for j in range(d + 1) if abs(i - j) <= k <= i + j]
-        for k in range(d + 1)
-    ]
-    for u, v, k in idx.pairs:
-        per_pair = []
-        for i, j in channels_for_k[k]:
-            if (i, j, k) in masked:
-                continue
-            ws = intersect(idx, u, v, i, j)
-            per_pair.append(
-                tuple((offset + pid[(w, v)], offset + pid[(u, w)]) for w in ws)
-            )
-        blocks.append(per_pair)
-    return blocks
+@dataclass(frozen=True)
+class _WitnessTable:
+    """The fixed inputs of every d-DRFWL(2) round, as flat int arrays.
+
+    Entry p (unit after unit, channel after channel) reads the colors of
+    units ``a[p]`` and ``b[p]``: ``id(w, v)`` and ``id(u, w)`` for a
+    witness w, or T and T for the end marker after each channel.
+    ``lengths[t]`` is the number of entries of unit t, and ``multi``
+    lists the [start, end) entry ranges, flattened, of the channels with
+    two or more witnesses, the only ones to sort.
+    """
+
+    a: array
+    b: array
+    lengths: array
+    multi: array
+
+    def round_key_fn(self, colors: list[int]) -> Callable[[int], tuple]:
+        """Key function of one round, for units drawn in order 0, 1, ...
+
+        Unit t's key is (colors[t], codes): per channel, the sorted codes
+        colors[a] * T + colors[b] of its witnesses, then the end marker -1.
+        """
+        codes = self._codes(colors)
+        return lambda t: (colors[t], next(codes))
+
+    def _codes(self, colors: list[int]) -> Iterator[tuple]:
+        # A generator, so that the bulk passes run when parallel_map asks
+        # for the first key.
+        total = len(colors)
+        high = [c * total for c in colors]
+        high.append(-1)
+        low = colors + [0]
+        codes = list(map(add, map(high.__getitem__, self.a), map(low.__getitem__, self.b)))
+        bounds = iter(self.multi)
+        for start, end in zip(bounds, bounds):
+            codes[start:end] = sorted(codes[start:end])
+        yield from map(tuple, map(islice, repeat(iter(codes)), self.lengths))
+
+
+def _drfwl_blocks(indexes: Sequence[TupleIndex], masked: frozenset) -> _WitnessTable:
+    """The witness table of the graphs' tuples, numbered one graph after
+    another.  Fixed once; read by every round."""
+    end = sum(idx.tuple_count for idx in indexes)  # the end marker's slot
+    a, b, lengths, multi = array("q"), array("q"), array("q"), array("q")
+    offset = 0
+    for idx in indexes:
+        d = idx.d
+        rows: list[dict[int, int]] = [{} for _ in range(idx.graph.n)]  # rows[u][v] = id(u, v)
+        for t, (u, v, _) in enumerate(idx.pairs, start=offset):
+            rows[u][v] = t
+        channels_for_k = [
+            [
+                (i, j)
+                for i in range(d + 1)
+                for j in range(d + 1)
+                if abs(i - j) <= k <= i + j and (i, j, k) not in masked
+            ]
+            for k in range(d + 1)
+        ]
+        for u, v, k in idx.pairs:
+            start = len(a)
+            row_u = rows[u]
+            for i, j in channels_for_k[k]:
+                ws = intersect(idx, u, v, i, j)
+                if len(ws) > 1:
+                    multi.extend((len(a), len(a) + len(ws)))
+                a.extend([rows[w][v] for w in ws])
+                b.extend(map(row_u.__getitem__, ws))
+                a.append(end)
+                b.append(end)
+            lengths.append(len(a) - start)
+        offset += idx.tuple_count
+    return _WitnessTable(a, b, lengths, multi)
 
 
 def _drfwl_multi(
@@ -229,30 +306,16 @@ def _drfwl_multi(
 ) -> tuple[list[list[int]], int, tuple[int, ...]]:
     masked = _validate_mask(mask, d)
     indexes = [build_index(g, d) for g in graphs]
-    offsets = []
-    total = 0
-    for idx in indexes:
-        offsets.append(total)
-        total += idx.tuple_count
     init = [k for idx in indexes for (_, _, k) in idx.pairs]
-    blocks: list[list[tuple[tuple[int, int], ...]]] = []
-    for gi, idx in enumerate(indexes):
-        blocks.extend(_drfwl_blocks(idx, offsets[gi], masked))
-
-    def key_fn(t: int, colors: list[int]):
-        return (
-            colors[t],
-            tuple(
-                tuple(sorted((colors[a], colors[b]) for a, b in block))
-                for block in blocks[t]
-            ),
-        )
-
-    colors, iterations, history = _refine_to_stability(init, key_fn)
-    out = [
-        colors[offsets[gi] : offsets[gi] + idx.tuple_count]
-        for gi, idx in enumerate(indexes)
-    ]
+    sizes = [idx.tuple_count for idx in indexes]
+    table = _drfwl_blocks(indexes, masked)
+    del indexes  # the rounds read only the table; freeing the indexes lowers peak memory
+    colors, iterations, history = _refine_to_stability(init, table.round_key_fn)
+    out = []
+    start = 0
+    for size in sizes:
+        out.append(colors[start : start + size])
+        start += size
     return out, iterations, history
 
 

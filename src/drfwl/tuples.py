@@ -18,12 +18,14 @@ class TupleIndex:
 
     Tuple ids are assigned in (u, k, v) lexicographic order, so id 0..n-1
     are the diagonal pairs (u, u).  ``pairs[t]`` is (u, v, k); ``pair_id``
-    maps (u, v) back to t.  ``shells[u]`` holds N_1(u)..N_d(u).
+    maps (u, v) back to t.  ``shells[u]`` holds N_1(u)..N_d(u), and
+    ``shell_sets[u][k]`` is N_k(u) as a frozenset for k = 0..d.
     """
 
     graph: Graph
     d: int
     shells: tuple[KHopSets, ...]
+    shell_sets: tuple[tuple[frozenset[int], ...], ...]
     pairs: tuple[tuple[int, int, int], ...]
     pair_id: dict[tuple[int, int], int]
 
@@ -51,6 +53,7 @@ def build_index(g: Graph, d: int) -> TupleIndex:
     if d < 1:
         raise ValueError("d must be >= 1")
     shells = tuple(khop(g, v, d) for v in range(g.n))
+    shell_sets = tuple(tuple(frozenset(s.at(k)) for k in range(d + 1)) for s in shells)
     pairs: list[tuple[int, int, int]] = []
     pair_id: dict[tuple[int, int], int] = {}
     for u in range(g.n):
@@ -58,26 +61,16 @@ def build_index(g: Graph, d: int) -> TupleIndex:
             for v in shells[u].at(k):
                 pair_id[(u, v)] = len(pairs)
                 pairs.append((u, v, k))
-    return TupleIndex(graph=g, d=d, shells=shells, pairs=tuple(pairs), pair_id=pair_id)
+    return TupleIndex(
+        graph=g, d=d, shells=shells, shell_sets=shell_sets, pairs=tuple(pairs), pair_id=pair_id
+    )
 
 
 def intersect(idx: TupleIndex, u: int, v: int, i: int, j: int) -> list[int]:
-    """Sorted merge-intersection of N_i(u) and N_j(v); N_0(x) = {x}."""
-    a = idx.shell(u, i)
-    b = idx.shell(v, j)
-    if len(b) < len(a):
-        a, b = b, a
-    out: list[int] = []
-    ia = ib = 0
-    la, lb = len(a), len(b)
-    while ia < la and ib < lb:
-        x, y = a[ia], b[ib]
-        if x == y:
-            out.append(x)
-            ia += 1
-            ib += 1
-        elif x < y:
-            ia += 1
-        else:
-            ib += 1
-    return out
+    """N_i(u) & N_j(v) as a new ascending list; N_0(x) = {x}.
+
+    A frozenset intersection of the two shells that ``build_index`` keeps
+    (it walks the smaller set), then a sort of the common nodes, which are
+    few.
+    """
+    return sorted(idx.shell_sets[u][i] & idx.shell_sets[v][j])

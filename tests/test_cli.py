@@ -154,6 +154,69 @@ class TestSerialRuntime:
             main(["count", petersen_file])
 
 
+class TestErrorMapping:
+    """Exit 2 means malformed input; a bug anywhere else is never exit 2."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["distinguish", "--d", "0"],
+            ["distinguish", "--mask", "3,0,0"],
+            ["distinguish", "--d", "1", "--mask", "2,2,2"],
+        ],
+    )
+    def test_distinguish_user_errors_exit_2(self, argv, c6_file, capsys):
+        assert main([*argv, c6_file, c6_file]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["cycle"],
+            ["er", "30"],
+            ["regular", "10"],
+            ["cycle", "six"],
+            ["er", "30", "dense"],
+            ["regular", "10", "4.5"],
+            ["cycle", "2"],
+            ["regular", "5", "3"],
+            ["separation", "--d", "0"],
+        ],
+    )
+    def test_gen_user_errors_exit_2(self, args, tmp_path, capsys):
+        assert main(["gen", *args, "--out", str(tmp_path / "g")]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_bench_bad_sizes_exit_2(self, capsys):
+        assert main(["bench", "--sizes", "10,x"]) == 2
+        assert main(["bench", "--sizes", "10", "--d", "0"]) == 2
+        assert "error: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("d", ["0", "1"])
+    def test_count_below_d2_exit_2(self, d, c6_file, capsys):
+        assert main(["count", "--d", d, c6_file]) == 2
+        assert "--d 2" in capsys.readouterr().err
+
+    def test_non_utf8_input_exit_2(self, tmp_path):
+        bad = tmp_path / "bad.el"
+        bad.write_bytes(b"0 1\n\xff\xfe 2\n")
+        assert main(["count", str(bad)]) == 2
+
+    @pytest.mark.parametrize("error", [IndexError, ValueError, KeyError])
+    def test_internal_error_propagates(self, error, petersen_file, monkeypatch):
+        from drfwl import counting, refine
+
+        def broken(*args, **kwargs):
+            raise error("bug inside a pass")
+
+        monkeypatch.setattr(counting, "pairwise_p2", broken)
+        with pytest.raises(error):
+            main(["count", petersen_file])
+        monkeypatch.setattr(refine, "_drfwl_blocks", broken)
+        with pytest.raises(error):
+            main(["distinguish", petersen_file, petersen_file])
+
+
 class TestOracle:
     def test_clique4_allowed(self, tmp_path):
         p = tmp_path / "k4.el"

@@ -174,6 +174,11 @@ class TestNodeCounts:
         with pytest.raises(CapabilityError):
             nc.by_name("cycle7")
 
+    def test_d1_index_is_refused(self):
+        # the closed forms read N_2 shells; a d=1 index has none
+        with pytest.raises(ValueError, match="d >= 2"):
+            compute_node_counts(build_index(gen_cycle(7), 1))
+
     def test_clique4_never_closed_form(self):
         nc = compute_node_counts(build_index(gen_complete(5), 3))
         with pytest.raises(CapabilityError):

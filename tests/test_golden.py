@@ -1,0 +1,67 @@
+"""Byte-for-byte diff against the golden corpus in tests/golden/.
+
+The corpus was recorded by scripts/record_golden.py.  These tests only
+read it; a mismatch means an output changed, which is a bug unless the
+change is versioned on purpose.
+"""
+from __future__ import annotations
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from drfwl.cli import main
+from drfwl.graph import parse_edge_list
+from drfwl.refine import certificate, drfwl_refine, wl1_refine
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+MANIFEST = json.loads((GOLDEN / "manifest.json").read_text(encoding="utf-8"))
+
+
+def _lines(name: str) -> dict[tuple[str, str], str]:
+    out = {}
+    for line in (GOLDEN / name).read_text(encoding="utf-8").splitlines():
+        graph, variant, rest = line.split(" ", 2)
+        out[(graph, variant)] = rest
+    return out
+
+
+def _refine(graph: str, variant: str):
+    g = parse_edge_list((GOLDEN / "graphs" / f"{graph}.el").read_bytes())
+    spec = MANIFEST["variants"][variant]
+    if spec["method"] == "wl1":
+        return wl1_refine(g)
+    mask = [tuple(t) for t in spec["mask"]] if spec["mask"] else None
+    return drfwl_refine(g, spec["d"], mask=mask)
+
+
+CERTIFICATES = _lines("certificates.txt")
+COLORINGS = _lines("colorings.txt")
+
+
+def test_corpus_is_complete():
+    expected = {(g, v) for g in MANIFEST["graphs"] for v in MANIFEST["variants"]}
+    assert set(CERTIFICATES) == set(COLORINGS) == expected
+    assert len(MANIFEST["graphs"]) >= 6
+    for key in MANIFEST["outputs"]:
+        assert (GOLDEN / "outputs" / f"{key}.json").is_file()
+
+
+@pytest.mark.parametrize("graph,variant", sorted(CERTIFICATES))
+def test_certificate_and_coloring(graph, variant):
+    col = _refine(graph, variant)
+    assert certificate(col).serialize() == CERTIFICATES[(graph, variant)]
+    ids = ",".join(map(str, col.colors)).encode("ascii")
+    counts = ",".join(map(str, col.class_counts))
+    line = f"{col.iterations} {counts} {hashlib.sha256(ids).hexdigest()}"
+    assert line == COLORINGS[(graph, variant)]
+
+
+@pytest.mark.parametrize("key", sorted(MANIFEST["outputs"]))
+def test_cli_output(key, tmp_path):
+    argv = [str(GOLDEN / a) if a.startswith("graphs/") else a for a in MANIFEST["outputs"][key]]
+    out = tmp_path / "out.json"
+    assert main([*argv, "--output", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / "outputs" / f"{key}.json").read_bytes()

@@ -1,0 +1,98 @@
+"""The runtime refinement and intersection agree with tests/reference.py.
+
+The witness-table d-DRFWL(2) must reproduce the nested-key reference
+exactly: same colour ids, same number of rounds, same class count per
+round, for single graphs and for lockstep pairs, with and without masks.
+"""
+from __future__ import annotations
+
+from collections import Counter
+
+import hypothesis.strategies as st
+from hypothesis import given, settings
+
+import reference
+from conftest import small_graphs
+from drfwl.graph import Graph, gen_disjoint_union, gen_random_regular
+from drfwl.refine import _drfwl_multi, admissible_triples, drfwl_refine, refine_pair
+from drfwl.tuples import build_index, intersect
+
+DEPTHS = st.integers(min_value=1, max_value=3)
+
+
+@st.composite
+def graphs(draw, max_n: int = 8) -> Graph:
+    """Small graphs, also empty, disconnected or with isolated nodes."""
+    kind = draw(st.sampled_from(("plain", "empty", "disconnected", "isolated")))
+    if kind == "empty":
+        return Graph.from_edges(0, [])
+    g = draw(small_graphs(max_n=max_n))
+    if kind == "disconnected":
+        return gen_disjoint_union([g, draw(small_graphs(max_n=max_n))])
+    if kind == "isolated":
+        return Graph.from_edges(g.n + draw(st.integers(1, 3)), g.edges())
+    return g
+
+
+@st.composite
+def masks(draw, d: int):
+    """None or a random set of valid (i, j, k) triples for d."""
+    if draw(st.booleans()):
+        return None
+    return sorted(draw(st.sets(st.sampled_from(admissible_triples(d)))))
+
+
+def _check_single(g: Graph, d: int, mask) -> None:
+    col = drfwl_refine(g, d, mask=mask)
+    (colors,), iterations, history = reference.drfwl_multi([g], d, mask)
+    assert list(col.colors) == colors
+    assert col.iterations == iterations
+    assert col.class_counts == history
+
+
+def _check_pair(g1: Graph, g2: Graph, d: int, mask) -> None:
+    expected = reference.drfwl_multi([g1, g2], d, mask)
+    assert _drfwl_multi([g1, g2], d, mask) == expected
+    verdict = refine_pair(g1, g2, "drfwl", d=d, mask=mask)
+    (ca, cb), iterations, _ = expected
+    assert verdict.iterations == iterations
+    assert verdict.histogram_a == tuple(sorted(Counter(ca).items()))
+    assert verdict.histogram_b == tuple(sorted(Counter(cb).items()))
+
+
+@settings(max_examples=60, deadline=None)
+@given(graphs(), DEPTHS)
+def test_drfwl_refine_matches_reference(g, d):
+    _check_single(g, d, None)
+
+
+@settings(max_examples=40, deadline=None)
+@given(graphs(), graphs(), DEPTHS)
+def test_refine_pair_matches_reference(g1, g2, d):
+    _check_pair(g1, g2, d, None)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), graphs(), graphs(), DEPTHS)
+def test_masked_refinement_matches_reference(data, g1, g2, d):
+    mask = data.draw(masks(d))
+    _check_single(g1, d, mask)
+    _check_pair(g1, g2, d, mask)
+
+
+def test_benchmark_shaped_pair_matches_reference():
+    # two random 4-regular graphs on 150 nodes at d=2, as in the benchmark
+    g1 = gen_random_regular(150, 4, 11)
+    g2 = gen_random_regular(150, 4, 12)
+    _check_pair(g1, g2, 2, None)
+
+
+@settings(max_examples=60, deadline=None)
+@given(graphs(), DEPTHS)
+def test_intersect_matches_merge_loop(g, d):
+    idx = build_index(g, d)
+    for u in range(g.n):
+        for v in range(g.n):
+            for i in range(d + 1):
+                for j in range(d + 1):
+                    assert intersect(idx, u, v, i, j) == reference.intersect(idx, u, v, i, j)
