@@ -15,7 +15,9 @@ Writes, under tests/golden/:
   graph (every unit its own class) it cannot see a relabelled colouring;
   these lines can;
 * ``outputs/<name>.json`` — the exact stdout of ``count --d 2``,
-  ``count --d 3`` on every graph and ``distinguish`` on every pair;
+  ``count --d 3`` and ``count --d 4`` on every graph (d=4 reaches the
+  distance-3 and distance-4 branches of the W3 and P22 passes) and
+  ``distinguish`` on every pair;
 * ``manifest.json`` — the CLI arguments behind each output file.
 
 The corpus pins colour ids and reports byte for byte, so an optimisation
@@ -145,7 +147,7 @@ def main() -> int:
 
     outputs = {}
     for name in graphs:
-        for d in (2, 3):
+        for d in (2, 3, 4):
             outputs[f"count-{name}-d{d}"] = ["count", "--d", str(d), _graph_path(name)]
     for pair, (a, b) in PAIRS.items():
         for variant, spec in VARIANTS.items():

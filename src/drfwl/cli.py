@@ -136,9 +136,11 @@ def cmd_oracle(ns: argparse.Namespace) -> int:
 
 def cmd_distinguish(ns: argparse.Namespace) -> int:
     mask = _parse_mask(ns.mask)
+    if ns.d < 1:
+        raise GraphFormatError("--d must be >= 1")
+    if mask and ns.method != "drfwl":
+        raise GraphFormatError(f"--mask applies to --method drfwl only, not {ns.method}")
     if ns.method == "drfwl":
-        if ns.d < 1:
-            raise GraphFormatError("--d must be >= 1")
         try:
             refine._validate_mask(mask, ns.d)
         except ValueError as exc:
@@ -172,7 +174,7 @@ GENERATORS = {
 def _generate(kind: str, args: Sequence, seed: int) -> Graph:
     """The ``gen cycle|er|regular`` graph; bad arguments are malformed input."""
     make, types = GENERATORS[kind]
-    if len(args) < len(types):
+    if len(args) != len(types):
         raise GraphFormatError(f"gen {kind} takes {len(types)} argument(s), got {len(args)}")
     try:
         return make(*(cast(a) for cast, a in zip(types, args)), seed)
@@ -185,6 +187,8 @@ def cmd_gen(ns: argparse.Namespace) -> int:
     if kind in GENERATORS:
         _emit(_generate(kind, ns.args, ns.seed).to_edge_list(), ns.output)
     elif kind == "separation":
+        if ns.args:
+            raise GraphFormatError(f"gen separation takes no arguments, got {len(ns.args)}")
         if ns.d < 1:
             raise GraphFormatError("--d must be >= 1")
         k = 3 * ns.d + 1

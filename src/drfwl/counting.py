@@ -1,9 +1,24 @@
 """Closed-form substructure counting over the distance-restricted index.
 
-The pipeline runs a fixed sequence of sparse passes.  Each pass is a pure
-map over the indexed pairs that reads only earlier passes, so a wrong
-count localizes to one formula.  Everything is exact 64-bit-safe integer
+The pipeline runs a fixed sequence of sparse passes.  Each pass fills one
+slot per indexed pair and reads only earlier passes, so a wrong count
+localizes to one formula.  Everything is exact 64-bit-safe integer
 arithmetic; an inexact division raises InvariantError.
+
+The passes read three inputs, none of which re-intersects a shell:
+
+* ``rows[u][v]``, the index's per-node id map, for every id lookup;
+* a common-neighbour table (``CommonNeighbours``), built once per
+  ``compute_pair_stats`` with one ``intersect`` call per tuple at
+  distance 1 or 2: N1(u) & N1(v) in CSR form, each witness w with
+  id(u, w) and id(w, v).  P2 is its segment lengths.  P4, the motifs,
+  split cycles, TR and the cycle-7 terms read its segments, their linear
+  sums as bulk segment sums over gathered columns; only CCX and cycle-7
+  family b loop over witnesses;
+* walks over the wide channels (1,2), (2,1) and (2,2), which are never
+  stored: W3, P22 and the cycle-7 families a, c, d, f, g, h, i, k walk
+  u -> w -> v through the shells and keep v when ``rows[u]`` has it, adding
+  into per-tuple or per-node accumulators.
 
 Pairwise quantities (for pairs (u, v) at distance 1..2, plus the noted
 distance-3 extensions when the index was built with d >= 3):
@@ -23,7 +38,11 @@ distance-3 extensions when the index was built with d >= 3):
 """
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
+from itertools import accumulate, islice, repeat
+from operator import mul, sub
+from typing import Iterable
 
 from .errors import CapabilityError, InvariantError
 from .graph import Graph
@@ -65,11 +84,60 @@ def _exact_half(x: int) -> int:
     return x // 2
 
 
+@dataclass(frozen=True)
+class CommonNeighbours:
+    """N1(u) & N1(v) of every tuple at distance 1 or 2, in CSR form.
+
+    Tuple t's witnesses are entries start[t] .. start[t+1]-1 (none for a
+    tuple at any other distance); entry p holds the witness ``w[p]``,
+    ``uw[p] = id(u, w)`` and ``wv[p] = id(w, v)``.  ``rev[t]`` is the id
+    of the reversed tuple (v, u).
+    """
+
+    start: array
+    w: list[int]
+    uw: list[int]
+    wv: list[int]
+    rev: list[int]
+
+    def sums(self, values: Iterable[int]) -> list[int]:
+        """Per tuple, the sum of ``values`` (one per entry) over its witnesses."""
+        cum = list(accumulate(values, initial=0))
+        ends = list(map(cum.__getitem__, self.start))
+        return list(map(sub, islice(ends, 1, None), ends))
+
+
+def common_neighbours(idx: TupleIndex) -> CommonNeighbours:
+    """The table, with one ``intersect`` call per tuple at distance 1 or 2."""
+    rows = idx.rows
+    start, ws, uw, wv, rev = array("q", [0]), [], [], [], []
+    for u, v, k in idx.pairs:
+        if 0 < k < 3:
+            common = intersect(idx, u, v, 1, 1)
+            ws += common
+            uw += map(rows[u].__getitem__, common)
+            wv += [rows[w][v] for w in common]
+        start.append(len(ws))
+        rev.append(rows[v][u])
+    return CommonNeighbours(start, ws, uw, wv, rev)
+
+
+def _near(idx: TupleIndex) -> list[tuple[int, tuple[int, ...]]]:
+    """Per node x: the id of (x, y) for the first y at distance 1, and the
+    nodes y at distance 1 or 2, whose tuples (x, y) follow in id order."""
+    return [
+        (row[x] + 1, shell.at(1) + shell.at(2))
+        for x, (row, shell) in enumerate(zip(idx.rows, idx.shells))
+    ]
+
+
 @dataclass
 class PairStats:
-    """Per-pair statistics, one slot per TupleIndex tuple id."""
+    """Per-pair statistics, one slot per TupleIndex tuple id, and the
+    common-neighbour table they were computed from."""
 
     index: TupleIndex
+    common: CommonNeighbours
     p2: list[int]
     w3: list[int]
     p3: list[int]
@@ -87,175 +155,132 @@ class PairStats:
 
     def pair_value(self, array: list[int], u: int, v: int) -> int:
         """array value at pair (u, v); 0 when the pair is out of range."""
-        t = self.index.pair_id.get((u, v))
+        t = self.index.rows[u].get(v)
         return 0 if t is None else array[t]
 
 
-def pairwise_p2(idx: TupleIndex) -> list[int]:
-    """P2(u, v) = |N1(u) & N1(v)| for every indexed pair."""
-    pairs = idx.pairs
-
-    def one(t: int) -> int:
-        u, v, k = pairs[t]
-        if k == 0:
-            return 0
-        return len(intersect(idx, u, v, 1, 1))
-
-    return [one(t) for t in range(idx.tuple_count)]
+def pairwise_p2(idx: TupleIndex, cn: CommonNeighbours | None = None) -> list[int]:
+    """P2(u, v) = |N1(u) & N1(v)| for every indexed pair: segment lengths."""
+    start = (cn or common_neighbours(idx)).start
+    return list(map(sub, islice(start, 1, None), start))
 
 
 def node_triangles(idx: TupleIndex, p2: list[int]) -> list[int]:
     """C3(u): each triangle at u is seen once per incident triangle edge."""
-    g = idx.graph
-    pid = idx.pair_id
-    out = []
-    for u in range(g.n):
-        acc = sum(p2[pid[(u, v)]] for v in g.adjacency[u])
-        out.append(_exact_half(acc))
-    return out
+    return [
+        _exact_half(sum(p2[row[u] + 1 : row[u] + 1 + len(nbrs)]))
+        for u, (row, nbrs) in enumerate(zip(idx.rows, idx.graph.adjacency))
+    ]
+
+
+def _walk(
+    idx: TupleIndex,
+    near: list[tuple[int, tuple[int, ...]]],
+    weights: Iterable[tuple[int, int, int]],
+    p2: list[int],
+) -> list[int]:
+    """Per tuple (u, v), the sum of c * P2(y, v) over the (u, y, c) in
+    ``weights`` and the v at distance 1 or 2 from y.
+
+    The walk keeps v when (u, v) is in the index: v = u and the v beyond
+    distance d land on (u, u), which is reset to 0 at the end.
+    """
+    rows = idx.rows
+    acc = [0] * idx.tuple_count
+    for u, y, c in weights:
+        first, ys = near[y]
+        row = rows[u]
+        for t, x in zip(map(row.get, ys, repeat(row[u])), p2[first : first + len(ys)]):
+            acc[t] += c * x
+    for u, row in enumerate(rows):
+        acc[row[u]] = 0
+    return acc
 
 
 def pairwise_w3(idx: TupleIndex, p2: list[int]) -> list[int]:
-    """3-walk counts from the one-sided neighbor sums, averaged exactly."""
+    """3-walks u->v: the sum of 2-walks w->v over the neighbours w of u,
+    which is P2(w, v) for w != v and deg(v) for w = v."""
     g = idx.graph
-    pairs = idx.pairs
-    pid = idx.pair_id
     deg = g.degrees()
-
-    def one(t: int) -> int:
-        u, v, k = pairs[t]
-        if k == 0 or k > 3:
-            return 0
-        acc = 0
-        for w in intersect(idx, u, v, 1, 1):
-            acc += p2[pid[(u, w)]] + p2[pid[(w, v)]]
-        for w in intersect(idx, u, v, 1, 2):
-            acc += p2[pid[(w, v)]]
-        for w in intersect(idx, u, v, 2, 1):
-            acc += p2[pid[(u, w)]]
-        if k == 1:
-            acc += deg[u] + deg[v]
-        return _exact_half(acc)
-
-    return [one(t) for t in range(idx.tuple_count)]
+    weights = ((u, w, 1) for u, nbrs in enumerate(g.adjacency) for w in nbrs)
+    acc = _walk(idx, _near(idx), weights, p2)
+    return [x + deg[v] if k == 1 else x for x, (_, v, k) in zip(acc, idx.pairs)]
 
 
 def pairwise_p3(idx: TupleIndex, w3: list[int]) -> list[int]:
-    """3-paths: strip the degree-many backtracking walks on adjacent pairs."""
-    g = idx.graph
-    pairs = idx.pairs
-    deg = g.degrees()
+    """3-paths: strip the degree-many backtracking walks on adjacent pairs.
 
-    def one(t: int) -> int:
-        u, v, k = pairs[t]
-        if k == 0:
-            return 0
-        if k == 1:
-            return w3[t] - (deg[u] + deg[v] - 1)
-        return w3[t]  # distance >= 2: every 3-walk is already a path
-
-    return [one(t) for t in range(idx.tuple_count)]
+    At distance >= 2 every 3-walk is already a path (and W3(u, u) = 0).
+    """
+    deg = idx.graph.degrees()
+    return [x - deg[u] - deg[v] + 1 if k == 1 else x for x, (u, v, k) in zip(w3, idx.pairs)]
 
 
 def pairwise_p22(idx: TupleIndex, p2: list[int]) -> list[int]:
-    """Sum over middle nodes y (distinct from u, v) of P2(u,y) * P2(y,v)."""
-    pairs = idx.pairs
-    pid = idx.pair_id
+    """Sum over middle nodes y (distinct from u, v) of P2(u,y) * P2(y,v).
 
-    def one(t: int) -> int:
-        u, v, k = pairs[t]
-        if k == 0:
-            return 0
-        acc = 0
-        for i in (1, 2):
-            for j in (1, 2):
-                for w in intersect(idx, u, v, i, j):
-                    acc += p2[pid[(u, w)]] * p2[pid[(w, v)]]
-        return acc
-
-    return [one(t) for t in range(idx.tuple_count)]
+    y runs over the nodes at distance 1 or 2 from u with P2(u, y) > 0.
+    """
+    near = _near(idx)
+    weights = (
+        (u, y, c)
+        for u, (first, ys) in enumerate(near)
+        for y, c in zip(ys, p2[first : first + len(ys)])
+        if c
+    )
+    return _walk(idx, near, weights, p2)
 
 
 def pairwise_p4(
     idx: TupleIndex,
+    cn: CommonNeighbours,
     p2: list[int],
     p22: list[int],
     c3: list[int],
 ) -> list[int]:
     """4-paths from the middle-split walks minus the coalescence terms."""
-    g = idx.graph
-    pairs = idx.pairs
-    deg = g.degrees()
-
-    def one(t: int) -> int:
-        u, v, k = pairs[t]
-        if k == 0:
-            return 0
-        acc = p22[t]
-        if k <= 2:
-            acc -= sum(deg[x] - 2 for x in intersect(idx, u, v, 1, 1))
-        if k == 1:
-            acc -= 2 * c3[u] + 2 * c3[v] - 3 * p2[t]
-        return acc
-
-    return [one(t) for t in range(idx.tuple_count)]
+    deg = idx.graph.degrees()
+    # sum of deg(x) - 2 over the common neighbours x of u and v
+    coalesced = map(sub, cn.sums(map(deg.__getitem__, cn.w)), map(mul, p2, repeat(2)))
+    return [
+        a - b - (2 * c3[u] + 2 * c3[v] - 3 * x if k == 1 else 0)
+        for a, b, x, (u, v, k) in zip(p22, coalesced, p2, idx.pairs)
+    ]
 
 
 def pairwise_w4(idx: TupleIndex, p2: list[int], p22: list[int]) -> list[int]:
-    """4-walks: middle-split walks plus the walks whose midpoint is u or v."""
-    g = idx.graph
-    pairs = idx.pairs
-    deg = g.degrees()
-
-    def one(t: int) -> int:
-        u, v, k = pairs[t]
-        if k == 0:
-            return 0
-        return p22[t] + (deg[u] + deg[v]) * p2[t]
-
-    return [one(t) for t in range(idx.tuple_count)]
+    """4-walks: middle-split walks plus the walks whose midpoint is u or v
+    (both terms are 0 on the diagonal)."""
+    deg = idx.graph.degrees()
+    return [a + (deg[u] + deg[v]) * x for a, x, (u, v, _) in zip(p22, p2, idx.pairs)]
 
 
 def _pairwise_motifs(
-    idx: TupleIndex, p2: list[int]
+    idx: TupleIndex, cn: CommonNeighbours, p2: list[int]
 ) -> tuple[list[int], list[int], list[int], list[int]]:
-    """T, CC1, CC2 and CCX in a single pass over the common neighborhoods."""
-    g = idx.graph
-    pairs = idx.pairs
-    pid = idx.pair_id
-    nbr = g.neighbor_sets()
-
-    def one(t: int) -> tuple[int, int, int, int]:
-        u, v, k = pairs[t]
-        if k == 0 or k > 2:
-            return (0, 0, 0, 0)
-        common = intersect(idx, u, v, 1, 1)
-        tail = sum(p2[pid[(w, v)]] for w in common)
-        ccx = 0
-        for a_pos, w in enumerate(common):
-            nw = nbr[w]
-            for x in common[a_pos + 1 :]:
-                if x in nw:
-                    ccx += 1
-        if k == 1:
-            tail -= p2[t]
-            cc1 = sum(p2[pid[(u, w)]] - 1 for w in common)
-            cc2 = p2[t] * (p2[t] - 1) // 2
-        else:
-            cc1 = 0
-            cc2 = 0
-        return (tail, cc1, cc2, ccx)
-
-    rows = [one(t) for t in range(idx.tuple_count)]
-    t_arr = [r[0] for r in rows]
-    cc1_arr = [r[1] for r in rows]
-    cc2_arr = [r[2] for r in rows]
-    ccx_arr = [r[3] for r in rows]
-    return t_arr, cc1_arr, cc2_arr, ccx_arr
+    """T, CC1, CC2 and CCX from the common-neighbour segments."""
+    nbr = idx.graph.neighbor_sets()
+    ks = [k for _, _, k in idx.pairs]
+    tail = cn.sums(map(p2.__getitem__, cn.wv))
+    sum_uw = cn.sums(map(p2.__getitem__, cn.uw))
+    t_arr = [a - x if k == 1 else a for a, x, k in zip(tail, p2, ks)]
+    cc1 = [a - x if k == 1 else 0 for a, x, k in zip(sum_uw, p2, ks)]
+    cc2 = [x * (x - 1) // 2 if k == 1 else 0 for x, k in zip(p2, ks)]
+    # adjacent pairs among the common neighbours, for tuples with two or more
+    ccx = [0] * idx.tuple_count
+    start, ws = cn.start, cn.w
+    for t, x in enumerate(p2):
+        if x > 1:
+            common = ws[start[t] : start[t + 1]]
+            ccx[t] = sum(
+                1 for i, w in enumerate(common) for y in common[i + 1 :] if y in nbr[w]
+            )
+    return t_arr, cc1, cc2, ccx
 
 
 def _pairwise_split_cycles(
     idx: TupleIndex,
+    cn: CommonNeighbours,
     p2: list[int],
     p3: list[int],
     p4: list[int],
@@ -263,106 +288,80 @@ def _pairwise_split_cycles(
     cc1: list[int],
     ccx: list[int],
 ) -> tuple[list[int], list[int]]:
-    """C23 and C24: the path-product counts minus every coalescence."""
-    pairs = idx.pairs
-    pid = idx.pair_id
+    """C23 and C24: the path-product counts minus every coalescence.
 
-    def one(t: int) -> tuple[int, int]:
-        u, v, k = pairs[t]
-        if k == 0 or k > 2:
-            return (0, 0)
-        p2uv = p2[t]
-        c23 = p2uv * p3[t] - t_arr[t] - t_arr[pid[(v, u)]]
-        common = intersect(idx, u, v, 1, 1)
-        # corrections shared by the three degenerate families of C24
-        sum_p3_xv = sum(p3[pid[(x, v)]] for x in common)
-        sum_p3_ux = sum(p3[pid[(u, x)]] for x in common)
-        sum_p2_ux_minus1 = sum(p2[pid[(u, x)]] - 1 for x in common)
-        sum_p2_xv_minus1 = sum(p2[pid[(x, v)]] - 1 for x in common)
-        sum_prod = sum(p2[pid[(u, x)]] * p2[pid[(x, v)]] for x in common)
-        pair_sq = p2uv * (p2uv - 1)
-        adj = 1 if k == 1 else 0
-        num_b = sum_p3_xv - pair_sq - adj * sum_p2_ux_minus1
-        num_d = sum_p3_ux - pair_sq - adj * sum_p2_xv_minus1
-        # the merged-endpoint family is a chordal cycle with u, v off the
-        # chord; each occurrence appears twice (the chord ends swap roles)
-        num_c = (
-            sum_prod
-            - adj * (sum_p2_ux_minus1 + cc1[pid[(v, u)]] + p2uv)
-            - 2 * ccx[t]
-        )
-        c24 = p2uv * p4[t] - num_b - num_c - num_d
-        return (c23, c24)
+    C24 subtracts three degenerate families from P2 * P4; over the common
+    neighbours x of u and v (m = P2(u, v) of them, adj = [u ~ v]):
 
-    rows = [one(t) for t in range(idx.tuple_count)]
-    return [r[0] for r in rows], [r[1] for r in rows]
+      num_b = sum P3(x,v) - m(m-1) - adj * CC1(u,v)
+      num_d = sum P3(u,x) - m(m-1) - adj * T(u,v)
+      num_c = sum P2(u,x) P2(x,v) - adj * (CC1(u,v) + m + CC1(v,u)) - 2 CCX(u,v)
+
+    (on adjacent pairs, CC1(u,v) = sum (P2(u,x) - 1) and T(u,v) = sum
+    (P2(x,v) - 1)).  num_c is a chordal cycle with u, v off the chord;
+    each occurrence appears twice, as the chord ends swap roles.  The three
+    sums over x are one segment sum.
+    """
+    ks = [k for _, _, k in idx.pairs]
+    linear = cn.sums(p3[a] + p3[b] + p2[a] * p2[b] for a, b in zip(cn.uw, cn.wv))
+    c23 = [
+        m * x - a - t_arr[r] if 0 < k < 3 else 0
+        for m, x, a, r, k in zip(p2, p3, t_arr, cn.rev, ks)
+    ]
+    # C24 = m * P4 - (num_b + num_c + num_d)
+    c24 = [
+        m * x - lin + 2 * m * (m - 1) + 2 * c
+        + (2 * cc1[t] + t_arr[t] + m + cc1[r] if k == 1 else 0)
+        if 0 < k < 3 else 0
+        for t, (m, x, lin, c, r, k) in enumerate(zip(p2, p4, linear, ccx, cn.rev, ks))
+    ]
+    return c23, c24
 
 
 def _pairwise_tr(
     idx: TupleIndex,
+    cn: CommonNeighbours,
     p2: list[int],
     p3: list[int],
     t_arr: list[int],
+    cc1: list[int],
     ccx: list[int],
 ) -> tuple[list[int], list[int]]:
     """TR1 (apex / shared-edge pairs) and TR2 (shared-edge / corner pairs)."""
-    pairs = idx.pairs
-    pid = idx.pair_id
-
-    def one(t: int) -> tuple[int, int]:
-        u, v, k = pairs[t]
-        if k == 0 or k > 2:
-            return (0, 0)
-        p2uv = p2[t]
-        tr2 = t_arr[pid[(v, u)]] * (p2uv - 1) - 2 * ccx[t]
-        if k != 1:
-            return (0, tr2)
-        common = intersect(idx, u, v, 1, 1)
-        tr1 = (
-            sum(p3[pid[(z, v)]] for z in common)
-            - sum(p2[pid[(u, z)]] - 1 for z in common)
-            - p2uv * (p2uv - 1)
-        )
-        return (tr1, tr2)
-
-    rows = [one(t) for t in range(idx.tuple_count)]
-    return [r[0] for r in rows], [r[1] for r in rows]
+    ks = [k for _, _, k in idx.pairs]
+    tr2 = [
+        tail_vu * (x - 1) - 2 * c if 0 < k < 3 else 0
+        for tail_vu, x, c, k in zip(map(t_arr.__getitem__, cn.rev), p2, ccx, ks)
+    ]
+    # TR1 = sum over the common neighbours z of P3(z, v) - (P2(u, z) - 1),
+    # less m(m - 1); the second sum is CC1(u, v)
+    tr1 = [
+        a - b - x * (x - 1) if k == 1 else 0
+        for a, b, x, k in zip(cn.sums(map(p3.__getitem__, cn.wv)), cc1, p2, ks)
+    ]
+    return tr1, tr2
 
 
 def compute_pair_stats(idx: TupleIndex, threads: int = 1) -> PairStats:
-    """Run every pairwise pass in dependency order.
+    """Build the common-neighbour table, then run every pairwise pass in
+    dependency order.
 
     ``threads`` has no effect; results are identical for every value.
     """
     if idx.d < 2:
         raise ValueError(f"closed-form counts need an index with d >= 2, got d={idx.d}")
-    p2 = pairwise_p2(idx)
+    cn = common_neighbours(idx)
+    p2 = pairwise_p2(idx, cn)
     c3 = node_triangles(idx, p2)
     w3 = pairwise_w3(idx, p2)
     p3 = pairwise_p3(idx, w3)
     p22 = pairwise_p22(idx, p2)
-    p4 = pairwise_p4(idx, p2, p22, c3)
+    p4 = pairwise_p4(idx, cn, p2, p22, c3)
     w4 = pairwise_w4(idx, p2, p22)
-    t_arr, cc1, cc2, ccx = _pairwise_motifs(idx, p2)
-    c23, c24 = _pairwise_split_cycles(idx, p2, p3, p4, t_arr, cc1, ccx)
-    tr1, tr2 = _pairwise_tr(idx, p2, p3, t_arr, ccx)
-    return PairStats(
-        index=idx,
-        p2=p2,
-        w3=w3,
-        p3=p3,
-        p22=p22,
-        p4=p4,
-        w4=w4,
-        t=t_arr,
-        cc1=cc1,
-        cc2=cc2,
-        ccx=ccx,
-        tr1=tr1,
-        tr2=tr2,
-        c23=c23,
-        c24=c24,
-    )
+    t_arr, cc1, cc2, ccx = _pairwise_motifs(idx, cn, p2)
+    c23, c24 = _pairwise_split_cycles(idx, cn, p2, p3, p4, t_arr, cc1, ccx)
+    tr1, tr2 = _pairwise_tr(idx, cn, p2, p3, t_arr, cc1, ccx)
+    return PairStats(idx, cn, p2, w3, p3, p22, p4, w4, t_arr, cc1, cc2, ccx, tr1, tr2, c23, c24)
 
 
 def node_walks(g: Graph, k: int) -> list[int]:
@@ -428,111 +427,115 @@ def cycle7_correction_terms(
       g: p=x,q=y  h: p=x,q=z  i: p=y,q=x  j: p=z,q=x  k: p=y,q=z  l: p=z,q=y
 
     Seven families reduce to aggregated node-level quantities; the other
-    five (b, c, g, i, k) are summed pair by pair with explicit
-    coalescence terms.  C7(u) is half of (product sum minus all twelve).
+    five (b, c, g, i, k) are summed over witnesses or walked triples
+    (u, w, v) with explicit coalescence terms.  C7(u) is half of (product
+    sum minus all twelve).
     """
     g = idx.graph
     n = g.n
-    pid = idx.pair_id
-    p2, p3, p4 = s.p2, s.p3, s.p4
+    rows, pairs = idx.rows, idx.pairs
+    cn = s.common
+    start, ws, uw_ids, wv_ids = cn.start, cn.w, cn.uw, cn.wv
+    p2, p3, p4, c23, t_arr = s.p2, s.p3, s.p4, s.c23, s.t
     nbr = g.neighbor_sets()
+    near = _near(idx)
+    # node u's tuples are the ids first[u] .. first[u+1]-1; witnessed[u] and
+    # adjacent[u] are the entry ranges of their witnesses, and of those of
+    # its tuples at distance 1
+    first = [row[u] for u, row in enumerate(rows)] + [idx.tuple_count]
+    witnessed = list(zip(map(start.__getitem__, first), map(start.__getitem__, first[1:])))
+    adjacent = [(start[a + 1], start[a + 1 + len(nbrs)]) for a, nbrs in zip(first, g.adjacency)]
 
-    def p2_at(a: int, b: int) -> int:
-        t = pid.get((a, b))
-        return 0 if t is None else p2[t]
+    def squares(ids: list[int]) -> int:
+        return sum(x * (x - 1) for x in map(p2.__getitem__, ids))
 
-    prod34 = [0] * n  # sum over v of P3(u,v) * P4(u,v), distances 1..3
-    sum_a = [0] * n
+    # sum over v of P3(u,v) * P4(u,v), distances 1..3 (P3(u,u) = 0)
+    prod34 = [sum(map(mul, p3[a:b], p4[a:b])) for a, b in zip(first, first[1:])]
+    sum_e = [
+        sum(map(mul, map(p3.__getitem__, uw_ids[a:b]), map(p2.__getitem__, wv_ids[a:b])))
+        for a, b in witnessed
+    ]
+    # adjacent v: sums of P2(u,w)(P2(u,w)-1) and P2(w,v)(P2(w,v)-1) over common w
+    acc_uw = [squares(uw_ids[a:b]) for a, b in adjacent]
+    acc_wv = [squares(wv_ids[a:b]) for a, b in adjacent]
+
+    # family (b): both paths leave u for the same first vertex w; count
+    # 3-paths w->v that avoid u and the pendant a exactly
     sum_b = [0] * n
-    sum_c = [0] * n
-    sum_d = [0] * n
-    sum_e = [0] * n
-    sum_f = [0] * n
-    sum_g = [0] * n
-    sum_h = [0] * n
-    sum_i = [0] * n
-    sum_k = [0] * n
-    acc_uw = [0] * n  # adjacent v: sum of P2(u,w)(P2(u,w)-1) over common w
-    acc_wv = [0] * n  # adjacent v: sum of P2(w,v)(P2(w,v)-1) over common w
-
-    for t, (u, v, k) in enumerate(idx.pairs):
-        if k == 0:
+    for t, (u, v, k) in enumerate(pairs):
+        if not p2[t]:
             continue
-        prod34[u] += p3[t] * p4[t]
-        adj = 1 if k == 1 else 0
+        adj = k == 1
         nbrv = nbr[v]
-        common = intersect(idx, u, v, 1, 1)
-        if k <= 2:
-            for w in common:
-                tw_uw = pid[(u, w)]
-                tw_wv = pid[(w, v)]
-                p2uw = p2[tw_uw]
-                p2wv = p2[tw_wv]
-                sum_a[u] += s.c23[tw_wv]
-                sum_d[u] += p2uw * p2wv * (p2uw - 1)
-                sum_e[u] += p3[tw_uw] * p2wv
-                sum_f[u] += s.c23[tw_uw]
-                sum_h[u] += s.t[tw_uw]
-                if k == 1:
-                    acc_uw[u] += p2uw * (p2uw - 1)
-                    acc_wv[u] += p2wv * (p2wv - 1)
-                # family (b): both paths leave u for the same first vertex;
-                # count 3-paths w->v that avoid u and the pendant a exactly
-                base = (
-                    p3[tw_wv]
-                    - (p2[t] - 1)
-                    - adj * (p2uw - 1)
-                    + adj
-                )
-                for a in intersect(idx, u, w, 1, 1):
-                    if a == v:
-                        continue
-                    a_adj_v = 1 if a in nbrv else 0
-                    sum_b[u] += (
-                        base
-                        - (p2_at(a, v) - 1)
-                        - a_adj_v * (p2[pid[(a, w)]] - 1)
-                        + a_adj_v
-                    )
-        # the same channels reached through one distance-2 hop
-        for w in intersect(idx, u, v, 1, 2):
-            sum_a[u] += s.c23[pid[(w, v)]]
-        for w in intersect(idx, u, v, 2, 1):
-            tw_uw = pid[(u, w)]
-            sum_d[u] += p2[tw_uw] * p2[pid[(w, v)]] * (p2[tw_uw] - 1)
-            sum_f[u] += s.c23[tw_uw]
-            sum_h[u] += s.t[tw_uw]
-        # family (c): paths share the 3-path's first interior vertex s,
-        # which sits in the middle of the 4-path
-        common_set = set(common)
-        for sv in g.adjacency[u]:
-            if sv == v:
-                continue
-            p2sv = p2_at(sv, v)
-            beta = p2sv - adj
-            if beta <= 0:
-                continue
-            s_adj_v = 1 if sv in nbrv else 0
-            xi = p2[pid[(u, sv)]] - adj * s_adj_v
-            triple = sum(1 for w in common_set if w in nbr[sv])
-            sum_c[u] += xi * beta * (beta - 1) - 2 * (beta - 1) * triple
-        # families (g), (i), (k): the two paths share the middle edge of
-        # the 3-path (g, k) or traverse it in opposite directions (i)
-        nbru = nbr[u]
-        for a in g.adjacency[u]:
-            if a == v:
-                continue
-            a_adj_v = 1 if a in nbrv else 0
-            p2ua = p2[pid[(u, a)]]
-            p2av = p2_at(a, v)
-            for b in intersect(idx, a, v, 1, 1):
-                if b == u:
+        acc = 0
+        for p in range(start[t], start[t + 1]):
+            tuw = uw_ids[p]
+            base = p3[wv_ids[p]] - (p2[t] - 1) - adj * (p2[tuw] - 1) + adj
+            for q in range(start[tuw], start[tuw + 1]):  # a in N1(u) & N1(w)
+                a = ws[q]
+                if a == v:
                     continue
-                b_adj_u = 1 if b in nbru else 0
-                sum_g[u] += p2_at(b, v) - adj * b_adj_u - a_adj_v
-                sum_k[u] += p2ua - adj * a_adj_v - b_adj_u
-                if b_adj_u:
-                    sum_i[u] += p2av - adj - 1
+                a_adj_v = a in nbrv
+                tav = rows[a].get(v)
+                p2av = 0 if tav is None else p2[tav]
+                acc += base - (p2av - 1) - a_adj_v * (p2[wv_ids[q]] - 1) + a_adj_v
+        sum_b[u] += acc
+
+    sum_a, sum_c, sum_g, sum_i, sum_k = [0] * n, [0] * n, [0] * n, [0] * n, [0] * n
+    # walk u -> w in N1(u) -> v at distance 1 or 2 from w, by middle node w;
+    # only the v with P2(w, v) > 0 add anything
+    for w, (lo, vs) in enumerate(near):
+        hi = lo + len(vs)
+        live = [(v, t, x) for v, t, x in zip(vs, range(lo, hi), p2[lo:hi]) if x]
+        nbrw = nbr[w]
+        for u in g.adjacency[w]:
+            row_u = rows[u]
+            nbru = nbr[u]
+            tuw = row_u[w]
+            p2uw = p2[tuw]
+            tri = ws[start[tuw] : start[tuw + 1]]  # N1(u) & N1(w)
+            acc_a = acc_c = acc_g = acc_i = acc_k = 0
+            for v, twv, p2wv in live:
+                t = row_u.get(v)
+                if t is None or v == u:
+                    continue
+                acc_a += c23[twv]
+                adj = v in nbru
+                w_adj_v = v in nbrw
+                # |N1(u) & N1(v) & N1(w)|, read off the common neighbours of u, w
+                triple = len(nbr[v].intersection(tri)) if tri else 0
+                beta = p2wv - adj  # the nodes b in N1(w) & N1(v) other than u
+                # family (c): the 3-path's first interior vertex w sits in
+                # the middle of the 4-path
+                if beta > 0:
+                    acc_c += (p2uw - adj * w_adj_v) * beta * (beta - 1) - 2 * (beta - 1) * triple
+                # families (g), (i), (k): the two paths share the middle edge
+                # w-b of the 3-path (g, k) or traverse it in opposite
+                # directions (i); summed over the beta nodes b in closed form,
+                # with sum P2(b, v) over b in N1(w) & N1(v) = T(w, v) + w_adj_v * P2(w, v)
+                acc_g += t_arr[twv] + adj * (w_adj_v - p2[t] - triple)
+                acc_k += beta * (p2uw - adj * w_adj_v) - triple
+                acc_i += triple * (p2wv - adj - 1)
+            sum_a[u] += acc_a
+            sum_c[u] += acc_c
+            sum_g[u] += acc_g
+            sum_i[u] += acc_i
+            sum_k[u] += acc_k
+
+    sum_d, sum_f, sum_h = [0] * n, [0] * n, [0] * n
+    for u, row_u in enumerate(rows):
+        # walk u -> w at distance 1 or 2 -> v in N1(w)
+        acc_d = acc_f = acc_h = 0
+        lo_u, ws_u = near[u]
+        for w, tuw in zip(ws_u, range(lo_u, lo_u + len(ws_u))):
+            lo = near[w][0]
+            nbrs = g.adjacency[w]
+            kept = [x for v, x in zip(nbrs, p2[lo : lo + len(nbrs)]) if v != u and v in row_u]
+            p2uw = p2[tuw]
+            acc_d += p2uw * (p2uw - 1) * sum(kept)
+            acc_f += c23[tuw] * len(kept)
+            acc_h += t_arr[tuw] * len(kept)
+        sum_d[u], sum_f[u], sum_h[u] = acc_d, acc_f, acc_h
 
     letters = {
         "a": [sum_a[u] - 4 * nc.cycle5[u] - nc.tr2[u] for u in range(n)],
@@ -581,67 +584,42 @@ def compute_node_counts(
     n = g.n
     if stats is None:
         stats = compute_pair_stats(idx)
-    pid = idx.pair_id
     deg = g.degrees()
+    rev = stats.common.rev
+    # node u's tuples at distance 1 are the ids lo .. hi-1, one per
+    # neighbour; those at distance 1 or 2 run on to the end of near[u]
+    spans = [(row[u] + 1, row[u] + 1 + deg[u]) for u, row in enumerate(idx.rows)]
+    near = [(lo, lo + len(ys)) for lo, ys in _near(idx)]
 
-    p2s = stats.p2
-    cycle3 = node_triangles(idx, p2s)
-    cycle4 = [
-        _exact_half(sum(stats.p3[pid[(u, v)]] for v in g.adjacency[u]))
-        for u in range(n)
-    ]
-    cycle5 = [
-        _exact_half(sum(stats.p4[pid[(u, v)]] for v in g.adjacency[u]))
-        for u in range(n)
-    ]
+    def around(values: list[int], spans: list[tuple[int, int]] = spans) -> list[int]:
+        """Per node u, the sum of values at (u, v) over v in its span."""
+        return [sum(values[lo:hi]) for lo, hi in spans]
 
-    cycle6 = [0] * n
-    path2 = [0] * n
-    path3 = [0] * n
-    path4 = [0] * n
-    near_w3 = [0] * n  # sum of W3(u, v) over in-range v at distance 1..2
-    near_w4 = [0] * n
-    tr2_alt = [0] * n
-    tr3 = [0] * n
-    for t, (u, v, k) in enumerate(idx.pairs):
-        if k == 0 or k > 2:
-            continue
-        cycle6[u] += stats.c24[t]
-        path2[u] += stats.p2[t]
-        path3[u] += stats.p3[t]
-        path4[u] += stats.p4[t]
-        near_w3[u] += stats.w3[t]
-        near_w4[u] += stats.w4[t]
-        tr2_alt[u] += stats.tr2[t]
-        tr3[u] += stats.tr2[pid[(v, u)]]
-    cycle6 = [_exact_half(x) for x in cycle6]
+    def toward(values: list[int], spans: list[tuple[int, int]] = spans) -> list[int]:
+        """Per node u, the sum of values at (v, u) over v in its span."""
+        return [sum(map(values.__getitem__, rev[lo:hi])) for lo, hi in spans]
+
+    cycle3 = node_triangles(idx, stats.p2)
+    cycle4 = [_exact_half(x) for x in around(stats.p3)]
+    cycle5 = [_exact_half(x) for x in around(stats.p4)]
+    cycle6 = [_exact_half(x) for x in around(stats.c24, near)]
+    path2, path3, path4 = (around(x, near) for x in (stats.p2, stats.p3, stats.p4))
+    near_w3 = around(stats.w3, near)  # sum of W3(u, v) over v at distance 1..2
+    near_w4 = around(stats.w4, near)
+    tr3 = toward(stats.tr2, near)
 
     tailed = [
-        sum(cycle3[v] - stats.p2[pid[(u, v)]] for v in g.adjacency[u])
-        for u in range(n)
+        sum(map(cycle3.__getitem__, nbrs)) - x
+        for nbrs, x in zip(g.adjacency, around(stats.p2))
     ]
-    cc1_node = [
-        _exact_half(sum(stats.cc1[pid[(v, u)]] for v in g.adjacency[u]))
-        for u in range(n)
-    ]
-    cc2_node = [
-        _exact_half(sum(stats.cc1[pid[(u, v)]] for v in g.adjacency[u]))
-        for u in range(n)
-    ]
-    cc2_direct = [
-        sum(stats.cc2[pid[(u, v)]] for v in g.adjacency[u]) for u in range(n)
-    ]
-    if cc2_node != cc2_direct:
+    cc1_node = [_exact_half(x) for x in toward(stats.cc1)]
+    cc2_node = [_exact_half(x) for x in around(stats.cc1)]
+    if cc2_node != around(stats.cc2):
         raise InvariantError("chordal-cycle aggregation routes disagree")
 
-    tr1_node = [
-        _exact_half(sum(stats.tr1[pid[(u, v)]] for v in g.adjacency[u]))
-        for u in range(n)
-    ]
-    tr2_node = [
-        sum(stats.tr1[pid[(v, u)]] for v in g.adjacency[u]) for u in range(n)
-    ]
-    if tr2_node != tr2_alt:
+    tr1_node = [_exact_half(x) for x in around(stats.tr1)]
+    tr2_node = toward(stats.tr1)
+    if tr2_node != around(stats.tr2, near):
         raise InvariantError("triangle-rectangle aggregation routes disagree")
 
     w3_node = node_walks(g, 3)

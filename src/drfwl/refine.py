@@ -229,14 +229,17 @@ class _WitnessTable:
 
     Entry p (unit after unit, channel after channel) reads the colors of
     units ``a[p]`` and ``b[p]``: ``id(w, v)`` and ``id(u, w)`` for a
-    witness w, or T and T for the end marker after each channel.
-    ``lengths[t]`` is the number of entries of unit t, and ``multi``
-    lists the [start, end) entry ranges, flattened, of the channels with
-    two or more witnesses, the only ones to sort.
+    witness w, numbered within its graph, or -1 and -1 for the end marker
+    after each channel.  ``parts`` holds, per graph, the id of its first
+    unit and the end of its entries.  ``lengths[t]`` is the number of
+    entries of unit t, and ``multi`` lists the [start, end) entry ranges,
+    flattened, of the channels with two or more witnesses, the only ones
+    to sort.
     """
 
     a: array
     b: array
+    parts: tuple[tuple[int, int], ...]
     lengths: array
     multi: array
 
@@ -254,9 +257,14 @@ class _WitnessTable:
         # for the first key.
         total = len(colors)
         high = [c * total for c in colors]
-        high.append(-1)
+        high.append(-1)  # the marker's code: high[-1] + low[-1]
         low = colors + [0]
-        codes = list(map(add, map(high.__getitem__, self.a), map(low.__getitem__, self.b)))
+        codes: list[int] = []
+        start = 0
+        for offset, end in self.parts:  # a graph's ids index its slice of the colors
+            a, b = islice(self.a, start, end), islice(self.b, start, end)
+            codes += map(add, map(high[offset:].__getitem__, a), map(low[offset:].__getitem__, b))
+            start = end
         bounds = iter(self.multi)
         for start, end in zip(bounds, bounds):
             codes[start:end] = sorted(codes[start:end])
@@ -264,16 +272,15 @@ class _WitnessTable:
 
 
 def _drfwl_blocks(indexes: Sequence[TupleIndex], masked: frozenset) -> _WitnessTable:
-    """The witness table of the graphs' tuples, numbered one graph after
-    another.  Fixed once; read by every round."""
-    end = sum(idx.tuple_count for idx in indexes)  # the end marker's slot
+    """The witness table of the graphs' tuples: units one graph after
+    another, ids as each graph's index numbers them (its ``rows``).  Fixed
+    once; read by every round."""
     a, b, lengths, multi = array("q"), array("q"), array("q"), array("q")
+    parts = []
     offset = 0
     for idx in indexes:
         d = idx.d
-        rows: list[dict[int, int]] = [{} for _ in range(idx.graph.n)]  # rows[u][v] = id(u, v)
-        for t, (u, v, _) in enumerate(idx.pairs, start=offset):
-            rows[u][v] = t
+        rows = idx.rows
         channels_for_k = [
             [
                 (i, j)
@@ -292,11 +299,12 @@ def _drfwl_blocks(indexes: Sequence[TupleIndex], masked: frozenset) -> _WitnessT
                     multi.extend((len(a), len(a) + len(ws)))
                 a.extend([rows[w][v] for w in ws])
                 b.extend(map(row_u.__getitem__, ws))
-                a.append(end)
-                b.append(end)
+                a.append(-1)
+                b.append(-1)
             lengths.append(len(a) - start)
+        parts.append((offset, len(a)))
         offset += idx.tuple_count
-    return _WitnessTable(a, b, lengths, multi)
+    return _WitnessTable(a, b, tuple(parts), lengths, multi)
 
 
 def _drfwl_multi(

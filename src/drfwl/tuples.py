@@ -8,6 +8,7 @@ both consume intersections of the form N_i(u) & N_j(v).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .graph import Graph, KHopSets, khop
 
@@ -16,10 +17,14 @@ from .graph import Graph, KHopSets, khop
 class TupleIndex:
     """All ordered pairs (u, v) with d(u, v) <= d, densely numbered.
 
-    Tuple ids are assigned in (u, k, v) lexicographic order, so id 0..n-1
-    are the diagonal pairs (u, u).  ``pairs[t]`` is (u, v, k); ``pair_id``
-    maps (u, v) back to t.  ``shells[u]`` holds N_1(u)..N_d(u), and
-    ``shell_sets[u][k]`` is N_k(u) as a frozenset for k = 0..d.
+    Tuple ids are assigned in (u, k, v) lexicographic order, so each
+    node's tuples form one run of ids that starts with (u, u), and within
+    it the tuples at each distance k are contiguous.  ``pairs[t]`` is
+    (u, v, k), and ``rows[u][v]`` is the id of (u, v): one dict per node,
+    the map that every runtime pass reads.  ``pair_id[(u, v)]`` is the
+    same map keyed by pairs, derived from ``rows`` on first access.
+    ``shells[u]`` holds N_1(u)..N_d(u), and ``shell_sets[u][k]`` is N_k(u)
+    as a frozenset for k = 0..d.
     """
 
     graph: Graph
@@ -27,7 +32,11 @@ class TupleIndex:
     shells: tuple[KHopSets, ...]
     shell_sets: tuple[tuple[frozenset[int], ...], ...]
     pairs: tuple[tuple[int, int, int], ...]
-    pair_id: dict[tuple[int, int], int]
+    rows: tuple[dict[int, int], ...]
+
+    @cached_property
+    def pair_id(self) -> dict[tuple[int, int], int]:
+        return {(u, v): t for u, row in enumerate(self.rows) for v, t in row.items()}
 
     @property
     def tuple_count(self) -> int:
@@ -35,7 +44,7 @@ class TupleIndex:
 
     def distance(self, u: int, v: int) -> int:
         """d(u, v) if at most d, else -1."""
-        t = self.pair_id.get((u, v))
+        t = self.rows[u].get(v) if 0 <= u < len(self.rows) else None
         return -1 if t is None else self.pairs[t][2]
 
     def shell(self, u: int, k: int) -> tuple[int, ...]:
@@ -55,14 +64,16 @@ def build_index(g: Graph, d: int) -> TupleIndex:
     shells = tuple(khop(g, v, d) for v in range(g.n))
     shell_sets = tuple(tuple(frozenset(s.at(k)) for k in range(d + 1)) for s in shells)
     pairs: list[tuple[int, int, int]] = []
-    pair_id: dict[tuple[int, int], int] = {}
+    rows: list[dict[int, int]] = []
     for u in range(g.n):
+        row: dict[int, int] = {}
         for k in range(d + 1):
             for v in shells[u].at(k):
-                pair_id[(u, v)] = len(pairs)
+                row[v] = len(pairs)
                 pairs.append((u, v, k))
+        rows.append(row)
     return TupleIndex(
-        graph=g, d=d, shells=shells, shell_sets=shell_sets, pairs=tuple(pairs), pair_id=pair_id
+        graph=g, d=d, shells=shells, shell_sets=shell_sets, pairs=tuple(pairs), rows=tuple(rows)
     )
 
 

@@ -187,6 +187,31 @@ class TestErrorMapping:
         assert main(["gen", *args, "--out", str(tmp_path / "g")]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("method", ["wl1", "fwl2", "drfwl"])
+    def test_distinguish_d_below_1_exit_2_for_every_method(self, method, c6_file, capsys):
+        assert main(["distinguish", "--method", method, "--d", "0", c6_file, c6_file]) == 2
+        assert "--d must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("method", ["wl1", "fwl2"])
+    def test_distinguish_mask_without_drfwl_exit_2(self, method, c6_file, capsys):
+        argv = ["distinguish", "--method", method, "--mask", "9,9,9", c6_file, c6_file]
+        assert main(argv) == 2
+        assert "--mask applies to --method drfwl only" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["cycle", "6", "7"],
+            ["er", "30", "0.1", "5"],
+            ["regular", "10", "4", "1"],
+            ["separation", "3"],
+        ],
+    )
+    def test_gen_surplus_arguments_exit_2(self, args, tmp_path, capsys):
+        assert main(["gen", *args, "--out", str(tmp_path / "g")]) == 2
+        assert "argument" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     def test_bench_bad_sizes_exit_2(self, capsys):
         assert main(["bench", "--sizes", "10,x"]) == 2
         assert main(["bench", "--sizes", "10", "--d", "0"]) == 2

@@ -1,8 +1,12 @@
-"""The runtime refinement and intersection agree with tests/reference.py.
+"""The runtime refinement, intersection and counting agree with
+tests/reference.py.
 
 The witness-table d-DRFWL(2) must reproduce the nested-key reference
 exactly: same colour ids, same number of rounds, same class count per
 round, for single graphs and for lockstep pairs, with and without masks.
+The counting passes, which read a common-neighbour table and walk the
+wide channels, must reproduce every PairStats field and every cycle-7
+term of the per-tuple ``intersect`` reference at d = 2, 3 and 4.
 """
 from __future__ import annotations
 
@@ -13,7 +17,9 @@ from hypothesis import given, settings
 
 import reference
 from conftest import small_graphs
-from drfwl.graph import Graph, gen_disjoint_union, gen_random_regular
+from drfwl import counting
+from drfwl.counting import compute_node_counts, compute_pair_stats, cycle7_correction_terms
+from drfwl.graph import Graph, gen_disjoint_union, gen_erdos_renyi, gen_random_regular
 from drfwl.refine import _drfwl_multi, admissible_triples, drfwl_refine, refine_pair
 from drfwl.tuples import build_index, intersect
 
@@ -96,3 +102,69 @@ def test_intersect_matches_merge_loop(g, d):
             for i in range(d + 1):
                 for j in range(d + 1):
                     assert intersect(idx, u, v, i, j) == reference.intersect(idx, u, v, i, j)
+
+
+# ---------------------------------------------------------------------------
+# counting
+
+
+COUNT_DEPTHS = st.integers(min_value=2, max_value=4)
+
+
+@st.composite
+def dense_graphs(draw) -> Graph:
+    """Erdős–Rényi graphs dense enough for many triangles and chords."""
+    n = draw(st.integers(min_value=6, max_value=13))
+    p = draw(st.sampled_from((0.3, 0.45, 0.6, 0.75)))
+    return gen_erdos_renyi(n, p, draw(st.integers(min_value=0, max_value=10**6)))
+
+
+def _check_counting(g: Graph, d: int) -> None:
+    idx = build_index(g, d)
+    stats = compute_pair_stats(idx)
+    expected = reference.pair_stats(idx)
+    for field in reference.PAIR_FIELDS:
+        assert getattr(stats, field) == getattr(expected, field), field
+    counts = compute_node_counts(idx, stats)
+    prod34, letters = cycle7_correction_terms(idx, stats, counts)
+    want_prod34, want_letters = reference.cycle7_correction_terms(idx, expected, counts)
+    assert prod34 == want_prod34
+    assert sorted(letters) == sorted(want_letters) == list("abcdefghijkl")
+    for name, values in want_letters.items():
+        assert letters[name] == values, name
+
+
+@settings(max_examples=60, deadline=None)
+@given(graphs(), COUNT_DEPTHS)
+def test_pair_stats_and_cycle7_terms_match_reference(g, d):
+    _check_counting(g, d)
+
+
+@settings(max_examples=30, deadline=None)
+@given(dense_graphs(), COUNT_DEPTHS)
+def test_counting_matches_reference_on_dense_graphs(g, d):
+    _check_counting(g, d)
+
+
+def test_benchmark_shaped_counting_matches_reference():
+    # a random 4-regular graph on 120 nodes at d=3, as in the benchmark
+    _check_counting(gen_random_regular(120, 4, 7), 3)
+
+
+@settings(max_examples=20, deadline=None)
+@given(graphs(), COUNT_DEPTHS)
+def test_pair_stats_intersect_once_per_near_tuple(g, d):
+    idx = build_index(g, d)
+    calls = []
+    real = counting.intersect
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    counting.intersect = counted
+    try:
+        compute_pair_stats(idx)
+    finally:
+        counting.intersect = real
+    assert len(calls) == sum(1 for _, _, k in idx.pairs if 1 <= k <= 2)

@@ -53,6 +53,18 @@ class TestBuildIndex:
             dist = bfs_distances(g, u)
             assert dist[v] == k
 
+    @settings(max_examples=40)
+    @given(small_graphs())
+    def test_rows_and_distance(self, g):
+        idx = build_index(g, 2)
+        assert idx.pair_id == {(u, v): t for t, (u, v, _) in enumerate(idx.pairs)}
+        for u in range(g.n):
+            assert idx.rows[u] == {v: t for t, (a, v, _) in enumerate(idx.pairs) if a == u}
+            dist = bfs_distances(g, u)
+            for v in range(g.n):
+                assert idx.distance(u, v) == (dist[v] if 0 <= dist[v] <= 2 else -1)
+        assert idx.distance(-1, 0) == idx.distance(g.n, 0) == -1
+
     def test_regular_graph_space_bound_exact_form(self):
         for seed in range(5):
             g = gen_random_regular(16, 4, seed)
