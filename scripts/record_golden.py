@@ -8,7 +8,7 @@ Writes, under tests/golden/:
   pair and a disjoint union of two graphs);
 * ``certificates.txt`` — one ``<graph> <variant> <certificate>`` line per
   graph and refinement variant (wl1; drfwl at d=1, 2, 3; drfwl at d=2 with
-  mask 2,2,2);
+  mask 2,2,2; dense fwl2);
 * ``colorings.txt`` — for the same graphs and variants, the iteration
   count, the per-round class counts and the SHA-256 of the colour ids in
   unit order.  A certificate is only a histogram, so on an asymmetric
@@ -48,7 +48,7 @@ from drfwl.graph import (  # noqa: E402
     gen_random_regular,
     parse_edge_list,
 )
-from drfwl.refine import certificate, drfwl_refine, wl1_refine  # noqa: E402
+from drfwl.refine import certificate, drfwl_refine, fwl2_refine, wl1_refine  # noqa: E402
 
 GOLDEN = ROOT / "tests" / "golden"
 
@@ -80,6 +80,7 @@ VARIANTS = {
     "drfwl-d2": {"method": "drfwl", "d": 2, "mask": None},
     "drfwl-d3": {"method": "drfwl", "d": 3, "mask": None},
     "drfwl-d2-mask222": {"method": "drfwl", "d": 2, "mask": [[2, 2, 2]]},
+    "fwl2": {"method": "fwl2", "d": None, "mask": None},
 }
 
 PAIRS = {
@@ -92,6 +93,8 @@ def refine(g: Graph, method: str, d: int | None, mask: list | None):
     """The stable colouring of one variant (tests/test_golden.py mirrors this)."""
     if method == "wl1":
         return wl1_refine(g)
+    if method == "fwl2":
+        return fwl2_refine(g)
     return drfwl_refine(g, d, mask=[tuple(t) for t in mask] if mask else None)
 
 

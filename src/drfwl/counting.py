@@ -122,7 +122,10 @@ def common_neighbours(idx: TupleIndex) -> CommonNeighbours:
     return CommonNeighbours(start, ws, uw, wv, rev)
 
 
-def _near(idx: TupleIndex) -> list[tuple[int, tuple[int, ...]]]:
+Near = list[tuple[int, tuple[int, ...]]]
+
+
+def _near(idx: TupleIndex) -> Near:
     """Per node x: the id of (x, y) for the first y at distance 1, and the
     nodes y at distance 1 or 2, whose tuples (x, y) follow in id order."""
     return [
@@ -133,11 +136,14 @@ def _near(idx: TupleIndex) -> list[tuple[int, tuple[int, ...]]]:
 
 @dataclass
 class PairStats:
-    """Per-pair statistics, one slot per TupleIndex tuple id, and the
-    common-neighbour table they were computed from."""
+    """Per-pair statistics, one slot per TupleIndex tuple id, and what they
+    were computed from: the common-neighbour table, the ``_near`` spans of
+    every node, and C3, the triangles at every node."""
 
     index: TupleIndex
     common: CommonNeighbours
+    near: Near
+    c3: list[int]
     p2: list[int]
     w3: list[int]
     p3: list[int]
@@ -175,7 +181,7 @@ def node_triangles(idx: TupleIndex, p2: list[int]) -> list[int]:
 
 def _walk(
     idx: TupleIndex,
-    near: list[tuple[int, tuple[int, ...]]],
+    near: Near,
     weights: Iterable[tuple[int, int, int]],
     p2: list[int],
 ) -> list[int]:
@@ -197,13 +203,13 @@ def _walk(
     return acc
 
 
-def pairwise_w3(idx: TupleIndex, p2: list[int]) -> list[int]:
+def pairwise_w3(idx: TupleIndex, p2: list[int], near: Near) -> list[int]:
     """3-walks u->v: the sum of 2-walks w->v over the neighbours w of u,
     which is P2(w, v) for w != v and deg(v) for w = v."""
     g = idx.graph
     deg = g.degrees()
     weights = ((u, w, 1) for u, nbrs in enumerate(g.adjacency) for w in nbrs)
-    acc = _walk(idx, _near(idx), weights, p2)
+    acc = _walk(idx, near, weights, p2)
     return [x + deg[v] if k == 1 else x for x, (_, v, k) in zip(acc, idx.pairs)]
 
 
@@ -216,12 +222,11 @@ def pairwise_p3(idx: TupleIndex, w3: list[int]) -> list[int]:
     return [x - deg[u] - deg[v] + 1 if k == 1 else x for x, (u, v, k) in zip(w3, idx.pairs)]
 
 
-def pairwise_p22(idx: TupleIndex, p2: list[int]) -> list[int]:
+def pairwise_p22(idx: TupleIndex, p2: list[int], near: Near) -> list[int]:
     """Sum over middle nodes y (distinct from u, v) of P2(u,y) * P2(y,v).
 
     y runs over the nodes at distance 1 or 2 from u with P2(u, y) > 0.
     """
-    near = _near(idx)
     weights = (
         (u, y, c)
         for u, (first, ys) in enumerate(near)
@@ -351,17 +356,20 @@ def compute_pair_stats(idx: TupleIndex, threads: int = 1) -> PairStats:
     if idx.d < 2:
         raise ValueError(f"closed-form counts need an index with d >= 2, got d={idx.d}")
     cn = common_neighbours(idx)
+    near = _near(idx)
     p2 = pairwise_p2(idx, cn)
     c3 = node_triangles(idx, p2)
-    w3 = pairwise_w3(idx, p2)
+    w3 = pairwise_w3(idx, p2, near)
     p3 = pairwise_p3(idx, w3)
-    p22 = pairwise_p22(idx, p2)
+    p22 = pairwise_p22(idx, p2, near)
     p4 = pairwise_p4(idx, cn, p2, p22, c3)
     w4 = pairwise_w4(idx, p2, p22)
     t_arr, cc1, cc2, ccx = _pairwise_motifs(idx, cn, p2)
     c23, c24 = _pairwise_split_cycles(idx, cn, p2, p3, p4, t_arr, cc1, ccx)
     tr1, tr2 = _pairwise_tr(idx, cn, p2, p3, t_arr, cc1, ccx)
-    return PairStats(idx, cn, p2, w3, p3, p22, p4, w4, t_arr, cc1, cc2, ccx, tr1, tr2, c23, c24)
+    return PairStats(
+        idx, cn, near, c3, p2, w3, p3, p22, p4, w4, t_arr, cc1, cc2, ccx, tr1, tr2, c23, c24
+    )
 
 
 def node_walks(g: Graph, k: int) -> list[int]:
@@ -438,7 +446,7 @@ def cycle7_correction_terms(
     start, ws, uw_ids, wv_ids = cn.start, cn.w, cn.uw, cn.wv
     p2, p3, p4, c23, t_arr = s.p2, s.p3, s.p4, s.c23, s.t
     nbr = g.neighbor_sets()
-    near = _near(idx)
+    near = s.near
     # node u's tuples are the ids first[u] .. first[u+1]-1; witnessed[u] and
     # adjacent[u] are the entry ranges of their witnesses, and of those of
     # its tuples at distance 1
@@ -589,7 +597,7 @@ def compute_node_counts(
     # node u's tuples at distance 1 are the ids lo .. hi-1, one per
     # neighbour; those at distance 1 or 2 run on to the end of near[u]
     spans = [(row[u] + 1, row[u] + 1 + deg[u]) for u, row in enumerate(idx.rows)]
-    near = [(lo, lo + len(ys)) for lo, ys in _near(idx)]
+    near = [(lo, lo + len(ys)) for lo, ys in stats.near]
 
     def around(values: list[int], spans: list[tuple[int, int]] = spans) -> list[int]:
         """Per node u, the sum of values at (u, v) over v in its span."""
@@ -599,7 +607,7 @@ def compute_node_counts(
         """Per node u, the sum of values at (v, u) over v in its span."""
         return [sum(map(values.__getitem__, rev[lo:hi])) for lo, hi in spans]
 
-    cycle3 = node_triangles(idx, stats.p2)
+    cycle3 = stats.c3
     cycle4 = [_exact_half(x) for x in around(stats.p3)]
     cycle5 = [_exact_half(x) for x in around(stats.p4)]
     cycle6 = [_exact_half(x) for x in around(stats.c24, near)]

@@ -6,20 +6,23 @@ assigns dense ranks.  There is no probabilistic hashing, so two units get
 equal colors iff their keys are equal, and certificates are portable
 across runs and platforms.
 
-WL(1) and FWL(2) build each unit's key with a per-unit function.  The
-distance-restricted test reads a flat witness table instead, built once:
-for every tuple (u, v) and admissible channel (i, j), in that order, the
-witnesses w in N_i(u) & N_j(v) contribute ``a = id(w, v)`` and
-``b = id(u, w)``, and an end marker closes the channel.  A round encodes
-every witness as ``color[a] * T + color[b]`` (T = number of units) and
-every end marker as -1 in one C-level pass, sorts the channels that have
-two or more witnesses, and cuts the codes into one flat tuple per unit.
-Because ``0 <= color < T``, the encoding is a strictly increasing
-bijection on color pairs, and -1 is below every code, so a channel's codes
-followed by -1 order exactly like the tuple of sorted (color[a], color[b])
-pairs they stand for (a channel that is a prefix of another reaches -1
-first).  A unit's key (color, codes) therefore orders like the nested key
-(color, (channel tuple, ...)), and the ranks do not change.
+The three methods share one engine.  A unit has one or more channels,
+each a multiset of color pairs (color[a], color[b]) over its witnesses:
+a d-DRFWL(2) tuple (u, v) has one channel per admissible (i, j), over the
+w in N_i(u) & N_j(v), with ``a = id(w, v)`` and ``b = id(u, w)``; a dense
+FWL(2) pair (u, v) has one channel with the same a and b over every node
+w; a WL(1) node v has one channel with ``a = b = w`` over its neighbours
+w.  A flat witness table, built once, lists every unit's channels, an end
+marker closing each.  A round encodes every witness as
+``color[a] * T + color[b]`` (T = number of units) and every end marker as
+-1 in one C-level pass, sorts the channels that have two or more
+witnesses, and cuts the codes into one flat tuple per unit.  Because
+``0 <= color < T``, the encoding is a strictly increasing bijection on
+color pairs (``c * T + c`` orders like c), and -1 is below every code, so
+a channel's codes followed by -1 order exactly like the tuple of sorted
+color pairs they stand for (a channel that is a prefix of another reaches
+-1 first).  A unit's key (color, codes) therefore orders like the nested
+per-unit key (color, (channel tuple, ...)), and the ranks do not change.
 
 Cross-graph comparison runs the refinements on both graphs in lockstep
 with a shared key-to-rank table (equivalent, for the node and
@@ -45,6 +48,10 @@ METHODS = ("wl1", "fwl2", "drfwl")
 
 T = TypeVar("T")
 R = TypeVar("R")
+
+# A channel: its width, then the a ids and the b ids of its witnesses,
+# numbered within the unit's graph.  A unit is a list of channels.
+Channel = tuple[int, Iterable[int], Iterable[int]]
 
 
 @dataclass(frozen=True)
@@ -97,144 +104,17 @@ def parallel_map(fn: Callable[[T], R], items: Sequence[T], threads: int = 1) -> 
     return [fn(x) for x in items]
 
 
-def _refine_to_stability(
-    init_keys: list, round_key_fn: Callable[[list[int]], Callable[[int], tuple]]
-) -> tuple[list[int], int, tuple[int, ...]]:
-    """Iterate rounds until the partition stops refining.
-
-    Each round, round_key_fn(colors) returns the round's key function,
-    which parallel_map applies to every unit in order.  key_fn(unit) must
-    produce a comparable key whose first component is colors[unit], which
-    guarantees each round refines the previous partition; stability within
-    #units rounds follows.
-    """
-    total = len(init_keys)
-    if total == 0:
-        return [], 0, ()
-    colors, classes = _compress(init_keys)
-    history = [classes]
-    iterations = 0
-    for _ in range(total + 1):
-        keys = parallel_map(round_key_fn(colors), range(total))
-        new_colors, new_classes = _compress(keys)
-        iterations += 1
-        history.append(new_classes)
-        if new_classes == classes:
-            return new_colors, iterations, tuple(history)
-        colors, classes = new_colors, new_classes
-    raise InvariantError("refinement exceeded its iteration cap")
-
-
-# ---------------------------------------------------------------------------
-# lockstep refinements over one or more graphs
-
-
-def _wl1_multi(graphs: Sequence[Graph]) -> tuple[list[list[int]], int, tuple[int, ...]]:
-    offsets = []
-    total = 0
-    for g in graphs:
-        offsets.append(total)
-        total += g.n
-    owner: list[tuple[Graph, int]] = [
-        (g, offsets[gi]) for gi, g in enumerate(graphs) for _ in range(g.n)
-    ]
-    local = [v for g in graphs for v in range(g.n)]
-
-    def round_key_fn(colors: list[int]):
-        def key_fn(t: int):
-            g, off = owner[t]
-            v = local[t]
-            return (colors[t], tuple(sorted(colors[off + w] for w in g.adjacency[v])))
-
-        return key_fn
-
-    colors, iterations, history = _refine_to_stability([0] * total, round_key_fn)
-    out = [colors[offsets[gi] : offsets[gi] + g.n] for gi, g in enumerate(graphs)]
-    return out, iterations, history
-
-
-def _fwl2_multi(
-    graphs: Sequence[Graph], dense_cap: int
-) -> tuple[list[list[int]], int, tuple[int, ...]]:
-    for g in graphs:
-        if g.n > dense_cap:
-            raise CapabilityError(
-                f"fwl2 is dense O(n^3); n={g.n} exceeds the cap of {dense_cap}"
-            )
-    offsets = []
-    total = 0
-    for g in graphs:
-        offsets.append(total)
-        total += g.n * g.n
-    meta: list[tuple[Graph, int, int, int]] = []
-    init: list[int] = []
-    for gi, g in enumerate(graphs):
-        off = offsets[gi]
-        for u in range(g.n):
-            for v in range(g.n):
-                meta.append((g, off, u, v))
-                if u == v:
-                    init.append(0)
-                elif g.has_edge(u, v):
-                    init.append(1)
-                else:
-                    init.append(2)
-
-    def round_key_fn(colors: list[int]):
-        def key_fn(t: int):
-            g, off, u, v = meta[t]
-            n = g.n
-            row_u = off + u * n
-            return (
-                colors[t],
-                tuple(sorted((colors[off + w * n + v], colors[row_u + w]) for w in range(n))),
-            )
-
-        return key_fn
-
-    colors, iterations, history = _refine_to_stability(init, round_key_fn)
-    out = [
-        colors[offsets[gi] : offsets[gi] + g.n * g.n] for gi, g in enumerate(graphs)
-    ]
-    return out, iterations, history
-
-
-def admissible_triples(d: int) -> list[tuple[int, int, int]]:
-    """All (i, j, k) with 0 <= i,j,k <= d and |i-j| <= k <= i+j."""
-    return [
-        (i, j, k)
-        for i in range(d + 1)
-        for j in range(d + 1)
-        for k in range(d + 1)
-        if abs(i - j) <= k <= i + j
-    ]
-
-
-def _validate_mask(mask: Iterable[tuple[int, int, int]] | None, d: int) -> frozenset:
-    if mask is None:
-        return frozenset()
-    allowed = set(admissible_triples(d))
-    out = set()
-    for triple in mask:
-        t = tuple(triple)
-        if len(t) != 3 or t not in allowed:
-            raise ValueError(f"invalid mask triple {triple!r} for d={d}")
-        out.add(t)
-    return frozenset(out)
-
-
 @dataclass(frozen=True)
 class _WitnessTable:
-    """The fixed inputs of every d-DRFWL(2) round, as flat int arrays.
+    """The fixed inputs of every refinement round, as flat int arrays.
 
     Entry p (unit after unit, channel after channel) reads the colors of
-    units ``a[p]`` and ``b[p]``: ``id(w, v)`` and ``id(u, w)`` for a
-    witness w, numbered within its graph, or -1 and -1 for the end marker
-    after each channel.  ``parts`` holds, per graph, the id of its first
-    unit and the end of its entries.  ``lengths[t]`` is the number of
-    entries of unit t, and ``multi`` lists the [start, end) entry ranges,
-    flattened, of the channels with two or more witnesses, the only ones
-    to sort.
+    units ``a[p]`` and ``b[p]``, numbered within their graph, or -1 and -1
+    for the end marker after each channel.  ``parts`` holds, per graph,
+    the id of its first unit and the end of its entries.  ``lengths[t]``
+    is the number of entries of unit t, and ``multi`` lists the
+    [start, end) entry ranges, flattened, of the channels with two or more
+    witnesses, the only ones to sort.
     """
 
     a: array
@@ -271,40 +151,130 @@ class _WitnessTable:
         yield from map(tuple, map(islice, repeat(iter(codes)), self.lengths))
 
 
-def _drfwl_blocks(indexes: Sequence[TupleIndex], masked: frozenset) -> _WitnessTable:
-    """The witness table of the graphs' tuples: units one graph after
-    another, ids as each graph's index numbers them (its ``rows``).  Fixed
-    once; read by every round."""
+def _witness_table(graphs: Iterable[Iterable[list[Channel]]]) -> _WitnessTable:
+    """Write every graph's units, one graph after another, into one table."""
     a, b, lengths, multi = array("q"), array("q"), array("q"), array("q")
     parts = []
-    offset = 0
-    for idx in indexes:
-        d = idx.d
-        rows = idx.rows
-        channels_for_k = [
-            [
-                (i, j)
-                for i in range(d + 1)
-                for j in range(d + 1)
-                if abs(i - j) <= k <= i + j and (i, j, k) not in masked
-            ]
-            for k in range(d + 1)
-        ]
-        for u, v, k in idx.pairs:
+    for units in graphs:
+        first = len(lengths)
+        for channels in units:
             start = len(a)
-            row_u = rows[u]
-            for i, j in channels_for_k[k]:
-                ws = intersect(idx, u, v, i, j)
-                if len(ws) > 1:
-                    multi.extend((len(a), len(a) + len(ws)))
-                a.extend([rows[w][v] for w in ws])
-                b.extend(map(row_u.__getitem__, ws))
+            for width, ids_a, ids_b in channels:
+                if width > 1:
+                    multi.extend((len(a), len(a) + width))
+                a.extend(ids_a)
+                b.extend(ids_b)
                 a.append(-1)
                 b.append(-1)
             lengths.append(len(a) - start)
-        parts.append((offset, len(a)))
-        offset += idx.tuple_count
+        parts.append((first, len(a)))
     return _WitnessTable(a, b, tuple(parts), lengths, multi)
+
+
+def _refine_to_stability(
+    init_keys: list, table: _WitnessTable
+) -> tuple[list[int], int, tuple[int, ...]]:
+    """Iterate rounds over the witness table until the partition stops
+    refining.
+
+    Each round, table.round_key_fn(colors) returns the round's key
+    function, which parallel_map applies to every unit in order.  A unit's
+    key starts with colors[unit], which guarantees each round refines the
+    previous partition; stability within #units rounds follows.
+    """
+    total = len(init_keys)
+    if total == 0:
+        return [], 0, ()
+    colors, classes = _compress(init_keys)
+    history = [classes]
+    iterations = 0
+    for _ in range(total + 1):
+        keys = parallel_map(table.round_key_fn(colors), range(total))
+        new_colors, new_classes = _compress(keys)
+        iterations += 1
+        history.append(new_classes)
+        if new_classes == classes:
+            return new_colors, iterations, tuple(history)
+        colors, classes = new_colors, new_classes
+    raise InvariantError("refinement exceeded its iteration cap")
+
+
+def _lockstep(
+    inits: list[list[int]], table: _WitnessTable
+) -> tuple[list[list[int]], int, tuple[int, ...]]:
+    """Refine the units of all graphs together from each graph's initial
+    colors: the stable colors split per graph, the rounds, and the class
+    count per round."""
+    colors, iterations, history = _refine_to_stability([c for init in inits for c in init], table)
+    out = []
+    start = 0
+    for init in inits:
+        out.append(colors[start : start + len(init)])
+        start += len(init)
+    return out, iterations, history
+
+
+# ---------------------------------------------------------------------------
+# the units and witnesses of each method
+
+
+def _wl1_units(g: Graph) -> Iterator[list[Channel]]:
+    """Node v: one channel over its neighbours w, with a = b = w."""
+    return ([(len(nbrs), nbrs, nbrs)] for nbrs in g.adjacency)
+
+
+def _fwl2_units(n: int) -> Iterator[list[Channel]]:
+    """Pair (u, v), row-major with id u*n + v: one channel over every node
+    w, with a = id(w, v) and b = id(u, w)."""
+    return ([(n, range(v, n * n, n), range(u * n, u * n + n))] for u in range(n) for v in range(n))
+
+
+def admissible_triples(d: int) -> list[tuple[int, int, int]]:
+    """All (i, j, k) with 0 <= i,j,k <= d and |i-j| <= k <= i+j."""
+    return [
+        (i, j, k)
+        for i in range(d + 1)
+        for j in range(d + 1)
+        for k in range(d + 1)
+        if abs(i - j) <= k <= i + j
+    ]
+
+
+def _validate_mask(mask: Iterable[tuple[int, int, int]] | None, d: int) -> frozenset:
+    if mask is None:
+        return frozenset()
+    allowed = set(admissible_triples(d))
+    out = set()
+    for triple in mask:
+        t = tuple(triple)
+        if len(t) != 3 or t not in allowed:
+            raise ValueError(f"invalid mask triple {triple!r} for d={d}")
+        out.add(t)
+    return frozenset(out)
+
+
+def _drfwl_units(idx: TupleIndex, masked: frozenset) -> Iterator[list[Channel]]:
+    """Tuple (u, v) at distance k: one channel per admissible (i, j) not
+    masked, over the w in N_i(u) & N_j(v), with a = id(w, v) and
+    b = id(u, w) as the index's ``rows`` number them."""
+    rows = idx.rows
+    channels_for_k: list[list[tuple[int, int]]] = [[] for _ in range(idx.d + 1)]
+    for i, j, k in admissible_triples(idx.d):
+        if (i, j, k) not in masked:
+            channels_for_k[k].append((i, j))
+    for u, v, k in idx.pairs:
+        row_u = rows[u]
+        channels = []
+        for i, j in channels_for_k[k]:
+            ws = intersect(idx, u, v, i, j)
+            channels.append((len(ws), [rows[w][v] for w in ws], map(row_u.__getitem__, ws)))
+        yield channels
+
+
+def _drfwl_blocks(indexes: Sequence[TupleIndex], masked: frozenset) -> _WitnessTable:
+    """The witness table of the graphs' tuples.  Fixed once; read by every
+    round."""
+    return _witness_table(_drfwl_units(idx, masked) for idx in indexes)
 
 
 def _drfwl_multi(
@@ -312,23 +282,57 @@ def _drfwl_multi(
     d: int,
     mask: Iterable[tuple[int, int, int]] | None,
 ) -> tuple[list[list[int]], int, tuple[int, ...]]:
+    if d < 1:
+        raise ValueError("d must be >= 1")
     masked = _validate_mask(mask, d)
     indexes = [build_index(g, d) for g in graphs]
-    init = [k for idx in indexes for (_, _, k) in idx.pairs]
-    sizes = [idx.tuple_count for idx in indexes]
+    inits = [[k for _, _, k in idx.pairs] for idx in indexes]
     table = _drfwl_blocks(indexes, masked)
     del indexes  # the rounds read only the table; freeing the indexes lowers peak memory
-    colors, iterations, history = _refine_to_stability(init, table.round_key_fn)
-    out = []
-    start = 0
-    for size in sizes:
-        out.append(colors[start : start + size])
-        start += size
-    return out, iterations, history
+    return _lockstep(inits, table)
+
+
+def _refine_multi(
+    graphs: Sequence[Graph],
+    method: str,
+    d: int | None = None,
+    mask: Iterable[tuple[int, int, int]] | None = None,
+    dense_cap: int = FWL2_DENSE_CAP,
+) -> tuple[list[list[int]], int, tuple[int, ...]]:
+    """Lockstep refinement of the graphs under ``method``: per-graph
+    stable colors, rounds, and class counts per round."""
+    if method == "wl1":
+        return _lockstep([[0] * g.n for g in graphs], _witness_table(map(_wl1_units, graphs)))
+    if method == "fwl2":
+        for g in graphs:
+            if g.n > dense_cap:
+                raise CapabilityError(
+                    f"fwl2 is dense O(n^3); n={g.n} exceeds the cap of {dense_cap}"
+                )
+        # atomic types: 0 on the diagonal, 1 for an edge, 2 for a non-edge
+        inits = [
+            [0 if u == v else 1 if g.has_edge(u, v) else 2 for u in range(g.n) for v in range(g.n)]
+            for g in graphs
+        ]
+        return _lockstep(inits, _witness_table(_fwl2_units(g.n) for g in graphs))
+    if method == "drfwl":
+        return _drfwl_multi(graphs, d, mask)
+    raise ValueError(f"unknown method {method!r}")
 
 
 # ---------------------------------------------------------------------------
 # public operations
+
+
+def _coloring(
+    g: Graph,
+    method: str,
+    d: int | None = None,
+    mask: Iterable[tuple[int, int, int]] | None = None,
+    dense_cap: int = FWL2_DENSE_CAP,
+) -> Coloring:
+    (colors,), iterations, history = _refine_multi([g], method, d, mask, dense_cap)
+    return Coloring(method, d, tuple(colors), iterations, history)
 
 
 def wl1_refine(g: Graph, threads: int = 1) -> Coloring:
@@ -336,8 +340,7 @@ def wl1_refine(g: Graph, threads: int = 1) -> Coloring:
 
     ``threads`` has no effect; results are identical for every value.
     """
-    per_graph, iterations, history = _wl1_multi([g])
-    return Coloring("wl1", None, tuple(per_graph[0]), iterations, history)
+    return _coloring(g, "wl1")
 
 
 def fwl2_refine(g: Graph, threads: int = 1, dense_cap: int = FWL2_DENSE_CAP) -> Coloring:
@@ -345,8 +348,7 @@ def fwl2_refine(g: Graph, threads: int = 1, dense_cap: int = FWL2_DENSE_CAP) -> 
 
     ``threads`` has no effect; results are identical for every value.
     """
-    per_graph, iterations, history = _fwl2_multi([g], dense_cap)
-    return Coloring("fwl2", None, tuple(per_graph[0]), iterations, history)
+    return _coloring(g, "fwl2", dense_cap=dense_cap)
 
 
 def drfwl_refine(
@@ -363,10 +365,7 @@ def drfwl_refine(
     in ``mask`` (as (i, j, k) triples) contribute nothing.  ``threads``
     has no effect; results are identical for every value.
     """
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    per_graph, iterations, history = _drfwl_multi([g], d, mask)
-    return Coloring("drfwl", d, tuple(per_graph[0]), iterations, history)
+    return _coloring(g, "drfwl", d, mask=mask)
 
 
 def _histogram(colors: Sequence[int]) -> tuple[tuple[int, int], ...]:
@@ -410,19 +409,10 @@ def refine_pair(
 
     ``threads`` has no effect; results are identical for every value.
     """
-    if method == "wl1":
-        per_graph, iterations, _ = _wl1_multi([g1, g2])
-        d_out: int | None = None
-    elif method == "fwl2":
-        per_graph, iterations, _ = _fwl2_multi([g1, g2], dense_cap)
-        d_out = None
-    elif method == "drfwl":
-        per_graph, iterations, _ = _drfwl_multi([g1, g2], d, mask)
-        d_out = d
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    ha = _histogram(per_graph[0])
-    hb = _histogram(per_graph[1])
+    d_out = d if method == "drfwl" else None
+    (ca, cb), iterations, _ = _refine_multi([g1, g2], method, d_out, mask, dense_cap)
+    ha = _histogram(ca)
+    hb = _histogram(cb)
     return PairVerdict(
         distinguished=ha != hb,
         method=method,

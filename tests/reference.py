@@ -4,6 +4,9 @@ These are the straightforward forms that the runtime replaced with faster
 ones:
 
 * a sorted-merge ``intersect`` over the shell tuples;
+* WL(1) and dense FWL(2) refinement that build every unit's key with a
+  per-unit function, ``(color[v], sorted neighbour colors)`` and
+  ``(color[u, v], sorted((color[w, v], color[u, w]) for every node w))``;
 * d-DRFWL(2) refinement that builds every unit's nested key from per-unit
   witness blocks, ``(color[t], (sorted((color[a], color[b]) ...) per
   channel))``;
@@ -74,6 +77,60 @@ def _refine_to_stability(init_keys: list, key_fn) -> tuple[list[int], int, tuple
     raise AssertionError("refinement exceeded its iteration cap")
 
 
+def _offsets(sizes: list[int]) -> list[int]:
+    out, total = [], 0
+    for size in sizes:
+        out.append(total)
+        total += size
+    return out
+
+
+def _split(colors: list[int], sizes: list[int]) -> list[list[int]]:
+    out, start = [], 0
+    for size in sizes:
+        out.append(colors[start : start + size])
+        start += size
+    return out
+
+
+def wl1_multi(graphs: Sequence[Graph]) -> tuple[list[list[int]], int, tuple[int, ...]]:
+    """Lockstep WL(1) over the graphs, from per-node keys."""
+    sizes = [g.n for g in graphs]
+    units = [(g, off, v) for g, off in zip(graphs, _offsets(sizes)) for v in range(g.n)]
+
+    def key_fn(t: int, colors: list[int]):
+        g, off, v = units[t]
+        return (colors[t], tuple(sorted(colors[off + w] for w in g.adjacency[v])))
+
+    colors, iterations, history = _refine_to_stability([0] * len(units), key_fn)
+    return _split(colors, sizes), iterations, history
+
+
+def fwl2_multi(graphs: Sequence[Graph]) -> tuple[list[list[int]], int, tuple[int, ...]]:
+    """Lockstep dense FWL(2) over the graphs, from per-pair keys over all
+    n witnesses; initial colors 0 (u = v), 1 (edge), 2 (non-edge)."""
+    sizes = [g.n * g.n for g in graphs]
+    units = []
+    init = []
+    for g, off in zip(graphs, _offsets(sizes)):
+        for u in range(g.n):
+            for v in range(g.n):
+                units.append((g, off, u, v))
+                init.append(0 if u == v else 1 if g.has_edge(u, v) else 2)
+
+    def key_fn(t: int, colors: list[int]):
+        g, off, u, v = units[t]
+        n = g.n
+        row_u = off + u * n
+        return (
+            colors[t],
+            tuple(sorted((colors[off + w * n + v], colors[row_u + w]) for w in range(n))),
+        )
+
+    colors, iterations, history = _refine_to_stability(init, key_fn)
+    return _split(colors, sizes), iterations, history
+
+
 def _drfwl_blocks(
     idx: TupleIndex, offset: int, masked: frozenset
 ) -> list[list[tuple[tuple[int, int], ...]]]:
@@ -106,15 +163,11 @@ def drfwl_multi(
     class counts per round, from nested per-unit keys."""
     masked = frozenset(tuple(t) for t in mask or ())
     indexes = [build_index(g, d) for g in graphs]
-    offsets = []
-    total = 0
-    for idx in indexes:
-        offsets.append(total)
-        total += idx.tuple_count
+    sizes = [idx.tuple_count for idx in indexes]
     init = [k for idx in indexes for (_, _, k) in idx.pairs]
     blocks: list[list[tuple[tuple[int, int], ...]]] = []
-    for gi, idx in enumerate(indexes):
-        blocks.extend(_drfwl_blocks(idx, offsets[gi], masked))
+    for idx, offset in zip(indexes, _offsets(sizes)):
+        blocks.extend(_drfwl_blocks(idx, offset, masked))
 
     def key_fn(t: int, colors: list[int]):
         return (
@@ -126,11 +179,7 @@ def drfwl_multi(
         )
 
     colors, iterations, history = _refine_to_stability(init, key_fn)
-    out = [
-        colors[offsets[gi] : offsets[gi] + idx.tuple_count]
-        for gi, idx in enumerate(indexes)
-    ]
-    return out, iterations, history
+    return _split(colors, sizes), iterations, history
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ import pytest
 
 from drfwl.cli import main
 from drfwl.graph import parse_edge_list
-from drfwl.refine import certificate, drfwl_refine, wl1_refine
+from drfwl.refine import certificate, drfwl_refine, fwl2_refine, wl1_refine
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 MANIFEST = json.loads((GOLDEN / "manifest.json").read_text(encoding="utf-8"))
@@ -33,6 +33,8 @@ def _refine(graph: str, variant: str):
     spec = MANIFEST["variants"][variant]
     if spec["method"] == "wl1":
         return wl1_refine(g)
+    if spec["method"] == "fwl2":
+        return fwl2_refine(g)
     mask = [tuple(t) for t in spec["mask"]] if spec["mask"] else None
     return drfwl_refine(g, spec["d"], mask=mask)
 

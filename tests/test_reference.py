@@ -1,9 +1,10 @@
 """The runtime refinement, intersection and counting agree with
 tests/reference.py.
 
-The witness-table d-DRFWL(2) must reproduce the nested-key reference
+The witness-table refinements must reproduce the per-unit key references
 exactly: same colour ids, same number of rounds, same class count per
-round, for single graphs and for lockstep pairs, with and without masks.
+round, for single graphs and for lockstep pairs (also of different
+sizes), for WL(1), dense FWL(2) and d-DRFWL(2), with and without masks.
 The counting passes, which read a common-neighbour table and walk the
 wide channels, must reproduce every PairStats field and every cycle-7
 term of the per-tuple ``intersect`` reference at d = 2, 3 and 4.
@@ -13,14 +14,30 @@ from __future__ import annotations
 from collections import Counter
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import given, settings
 
 import reference
 from conftest import small_graphs
 from drfwl import counting
 from drfwl.counting import compute_node_counts, compute_pair_stats, cycle7_correction_terms
-from drfwl.graph import Graph, gen_disjoint_union, gen_erdos_renyi, gen_random_regular
-from drfwl.refine import _drfwl_multi, admissible_triples, drfwl_refine, refine_pair
+from drfwl.graph import (
+    Graph,
+    gen_cycle,
+    gen_disjoint_union,
+    gen_erdos_renyi,
+    gen_petersen,
+    gen_random_regular,
+)
+from drfwl.refine import (
+    _drfwl_multi,
+    _refine_multi,
+    admissible_triples,
+    drfwl_refine,
+    fwl2_refine,
+    refine_pair,
+    wl1_refine,
+)
 from drfwl.tuples import build_index, intersect
 
 DEPTHS = st.integers(min_value=1, max_value=3)
@@ -91,6 +108,44 @@ def test_benchmark_shaped_pair_matches_reference():
     g1 = gen_random_regular(150, 4, 11)
     g2 = gen_random_regular(150, 4, 12)
     _check_pair(g1, g2, 2, None)
+
+
+DENSE = {"wl1": (wl1_refine, reference.wl1_multi), "fwl2": (fwl2_refine, reference.fwl2_multi)}
+
+
+def _check_dense(method: str, g1: Graph, g2: Graph) -> None:
+    """WL(1) or FWL(2) on g1 alone, then on g1 and g2 in lockstep."""
+    refine_one, reference_multi = DENSE[method]
+    col = refine_one(g1)
+    (colors,), iterations, history = reference_multi([g1])
+    assert (list(col.colors), col.iterations, col.class_counts) == (colors, iterations, history)
+    expected = reference_multi([g1, g2])
+    assert _refine_multi([g1, g2], method) == expected
+    verdict = refine_pair(g1, g2, method)
+    (ca, cb), iterations, _ = expected
+    assert verdict.iterations == iterations
+    assert verdict.histogram_a == tuple(sorted(Counter(ca).items()))
+    assert verdict.histogram_b == tuple(sorted(Counter(cb).items()))
+
+
+def _other_size(g1: Graph, g2: Graph) -> Graph:
+    """g2, with an isolated node appended if it is as large as g1."""
+    return Graph.from_edges(g2.n + 1, g2.edges()) if g2.n == g1.n else g2
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(DENSE)), graphs(), graphs())
+def test_dense_refinements_match_reference(method, g1, g2):
+    _check_dense(method, g1, _other_size(g1, g2))
+
+
+@pytest.mark.parametrize("method", sorted(DENSE))
+def test_dense_lockstep_of_different_sizes_matches_reference(method):
+    # lockstep ids are offset per graph; with graphs of different sizes the
+    # unit count of a graph, its channel width and the total all differ
+    _check_dense(method, gen_petersen(), gen_cycle(7))
+    _check_dense(method, gen_cycle(7), gen_disjoint_union([gen_cycle(3), gen_petersen()]))
+    _check_dense(method, gen_erdos_renyi(30, 0.1, 3), gen_erdos_renyi(25, 0.1, 4))
 
 
 @settings(max_examples=60, deadline=None)
@@ -168,3 +223,17 @@ def test_pair_stats_intersect_once_per_near_tuple(g, d):
     finally:
         counting.intersect = real
     assert len(calls) == sum(1 for _, _, k in idx.pairs if 1 <= k <= 2)
+
+
+def test_node_counts_build_near_spans_and_triangles_once(monkeypatch):
+    # compute_pair_stats keeps both on PairStats; the later passes read them
+    calls = Counter()
+    for name in ("_near", "node_triangles"):
+
+        def counted(*args, _real=getattr(counting, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(counting, name, counted)
+    compute_node_counts(build_index(gen_random_regular(30, 4, 1), 3))
+    assert calls == {"_near": 1, "node_triangles": 1}
