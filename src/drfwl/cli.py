@@ -3,12 +3,13 @@
 Subcommands: ``count`` (closed-form counts), ``oracle`` (brute-force
 counts, same report schema), ``distinguish`` (refinement verdict on two
 graphs), ``gen`` (graph files, including the paired-cycle separation
-family), ``bench`` (tuple-index size and per-iteration timing).
+family).
 
-Exit codes: 0 success, 2 malformed input, 3 capability or size limit.
-Only a GraphFormatError means malformed input; the subcommands raise it
-for every user error they detect.  Any other exception, InvariantError
-included, is a bug, not bad input: it propagates (exit 1).
+Exit codes: 0 success, 2 malformed input (or a file that cannot be read
+or written), 3 capability or size limit, 4 a failed internal check
+(InvariantError, a bug).  Only a GraphFormatError means malformed input;
+the subcommands raise it for every user error they detect.  Any other
+exception is a bug too: it propagates (exit 1).
 JSON output is a stability contract; the text format is for humans.
 """
 from __future__ import annotations
@@ -16,12 +17,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 from pathlib import Path
 from typing import Sequence
 
 from . import counting, oracle, refine
-from .errors import CapabilityError
+from .errors import CapabilityError, InvariantError
 from .graph import (
     Graph,
     GraphFormatError,
@@ -36,14 +36,15 @@ from .tuples import build_index
 EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_CAPABILITY = 3
+EXIT_INVARIANT = 4
 
 
 def resolve_threads(threads: int | None = None) -> int:
     """Worker count of a run, which is always 1.
 
-    Every pass runs in order on the calling thread.  ``--threads`` and
-    ``DRFWL_THREADS`` are still accepted for compatibility; they have no
-    effect, and results are identical for every value.
+    Every pass runs in order on the calling thread.  ``--threads`` is
+    still accepted for compatibility; it has no effect, and results are
+    identical for every value.
     """
     return 1
 
@@ -57,10 +58,13 @@ def _load_graph(path: str) -> Graph:
 
 
 def _emit(text: str, output: str | None) -> None:
-    if output:
-        Path(output).write_text(text, encoding="utf-8")
-    else:
+    if not output:
         sys.stdout.write(text)
+        return
+    try:
+        Path(output).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise GraphFormatError(f"cannot write {output}: {exc}") from exc
 
 
 def _parse_mask(spec: str | None) -> list[tuple[int, int, int]] | None:
@@ -108,7 +112,7 @@ def _emit_report(report: dict, fmt: str, output: str | None) -> None:
 
 def cmd_count(ns: argparse.Namespace) -> int:
     motifs = _parse_motifs(ns.motifs, allow_clique=False)
-    threads = resolve_threads(ns.threads)
+    resolve_threads(ns.threads)
     if ns.d < 2:
         raise GraphFormatError("count needs --d 2 or higher")
     g = _load_graph(ns.input)
@@ -116,7 +120,7 @@ def cmd_count(ns: argparse.Namespace) -> int:
     if "cycle7" in motifs and ns.d < 3:
         raise CapabilityError("cycle7 requires --d 3 or higher")
     idx = build_index(g, ns.d)
-    counts = counting.compute_node_counts(idx, threads=threads)
+    counts = counting.compute_node_counts(idx)
     _emit_report(counting.counts_to_report(counts, tuple(motifs)), ns.fmt, ns.output)
     return EXIT_OK
 
@@ -145,10 +149,10 @@ def cmd_distinguish(ns: argparse.Namespace) -> int:
             refine._validate_mask(mask, ns.d)
         except ValueError as exc:
             raise GraphFormatError(str(exc)) from None
-    threads = resolve_threads(ns.threads)
+    resolve_threads(ns.threads)
     g1 = _load_graph(ns.input1)
     g2 = _load_graph(ns.input2)
-    verdict = refine.refine_pair(g1, g2, ns.method, d=ns.d, mask=mask, threads=threads)
+    verdict = refine.refine_pair(g1, g2, ns.method, d=ns.d, mask=mask)
     if ns.fmt == "json":
         payload = {
             "method": ns.method,
@@ -197,42 +201,11 @@ def cmd_gen(ns: argparse.Namespace) -> int:
         prefix = ns.output or f"separation-d{ns.d}"
         p1 = Path(f"{prefix}-two-c{k}.el")
         p2 = Path(f"{prefix}-c{2 * k}.el")
-        p1.write_text(double.to_edge_list(), encoding="utf-8")
-        p2.write_text(single.to_edge_list(), encoding="utf-8")
+        _emit(double.to_edge_list(), str(p1))
+        _emit(single.to_edge_list(), str(p2))
         sys.stdout.write(f"{p1}\n{p2}\n")
     else:
         raise GraphFormatError(f"unknown generator {kind!r}")
-    return EXIT_OK
-
-
-def _int_list(flag: str, spec: str) -> list[int]:
-    try:
-        return [int(x) for x in spec.split(",") if x]
-    except ValueError:
-        raise GraphFormatError(f"{flag} must be comma-separated integers, got {spec!r}") from None
-
-
-def cmd_bench(ns: argparse.Namespace) -> int:
-    threads = resolve_threads(ns.threads)
-    sizes = _int_list("--sizes", ns.sizes)
-    degrees = _int_list("--degrees", ns.degrees)
-    if ns.d < 1:
-        raise GraphFormatError("--d must be >= 1")
-    rows = ["n,deg,tuple_count,build_ms,iter_ms"]
-    for r in degrees:
-        for n in sizes:
-            g = _generate("regular", (n, r), ns.seed)
-            t0 = time.perf_counter()
-            idx = build_index(g, ns.d)
-            build_ms = (time.perf_counter() - t0) * 1000.0
-            t0 = time.perf_counter()
-            coloring = refine.drfwl_refine(g, ns.d, threads=threads)
-            refine_ms = (time.perf_counter() - t0) * 1000.0
-            iter_ms = refine_ms / max(1, coloring.iterations)
-            rows.append(
-                f"{n},{r},{idx.tuple_count},{build_ms:.3f},{iter_ms:.3f}"
-            )
-    _emit("\n".join(rows) + "\n", ns.output)
     return EXIT_OK
 
 
@@ -243,16 +216,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, threads: bool = True) -> None:
+    def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--format", choices=("json", "text"), default="json", dest="fmt")
         p.add_argument("--output", default=None)
-        if threads:
-            p.add_argument(
-                "--threads",
-                type=int,
-                default=None,
-                help="accepted for compatibility; no effect, runs are serial",
-            )
+        p.add_argument(
+            "--threads",
+            type=int,
+            default=None,
+            help="accepted for compatibility; no effect, runs are serial",
+        )
 
     p = sub.add_parser("count", help="closed-form substructure counts")
     p.set_defaults(run=cmd_count)
@@ -285,14 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, dest="output")
     p.add_argument("--format", choices=("json", "text"), default="text", dest="fmt")
 
-    p = sub.add_parser("bench", help="tuple count and timing on regular graphs")
-    p.set_defaults(run=cmd_bench)
-    p.add_argument("--sizes", default="1000,2000,4000")
-    p.add_argument("--degrees", default="4")
-    p.add_argument("--d", type=int, default=2)
-    p.add_argument("--seed", type=int, default=0)
-    common(p)
-
     return parser
 
 
@@ -306,6 +270,9 @@ def main(argv: list[str] | None = None) -> int:
     except CapabilityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAPABILITY
+    except InvariantError as exc:
+        print(f"internal error: a consistency check failed ({exc}); this is a bug", file=sys.stderr)
+        return EXIT_INVARIANT
 
 
 if __name__ == "__main__":

@@ -140,7 +140,6 @@ class PairStats:
     were computed from: the common-neighbour table, the ``_near`` spans of
     every node, and C3, the triangles at every node."""
 
-    index: TupleIndex
     common: CommonNeighbours
     near: Near
     c3: list[int]
@@ -159,15 +158,10 @@ class PairStats:
     c23: list[int]
     c24: list[int]
 
-    def pair_value(self, array: list[int], u: int, v: int) -> int:
-        """array value at pair (u, v); 0 when the pair is out of range."""
-        t = self.index.rows[u].get(v)
-        return 0 if t is None else array[t]
 
-
-def pairwise_p2(idx: TupleIndex, cn: CommonNeighbours | None = None) -> list[int]:
+def pairwise_p2(idx: TupleIndex, cn: CommonNeighbours) -> list[int]:
     """P2(u, v) = |N1(u) & N1(v)| for every indexed pair: segment lengths."""
-    start = (cn or common_neighbours(idx)).start
+    start = cn.start
     return list(map(sub, islice(start, 1, None), start))
 
 
@@ -347,12 +341,9 @@ def _pairwise_tr(
     return tr1, tr2
 
 
-def compute_pair_stats(idx: TupleIndex, threads: int = 1) -> PairStats:
+def compute_pair_stats(idx: TupleIndex) -> PairStats:
     """Build the common-neighbour table, then run every pairwise pass in
-    dependency order.
-
-    ``threads`` has no effect; results are identical for every value.
-    """
+    dependency order."""
     if idx.d < 2:
         raise ValueError(f"closed-form counts need an index with d >= 2, got d={idx.d}")
     cn = common_neighbours(idx)
@@ -368,7 +359,7 @@ def compute_pair_stats(idx: TupleIndex, threads: int = 1) -> PairStats:
     c23, c24 = _pairwise_split_cycles(idx, cn, p2, p3, p4, t_arr, cc1, ccx)
     tr1, tr2 = _pairwise_tr(idx, cn, p2, p3, t_arr, cc1, ccx)
     return PairStats(
-        idx, cn, near, c3, p2, w3, p3, p22, p4, w4, t_arr, cc1, cc2, ccx, tr1, tr2, c23, c24
+        cn, near, c3, p2, w3, p3, p22, p4, w4, t_arr, cc1, cc2, ccx, tr1, tr2, c23, c24
     )
 
 
@@ -581,13 +572,8 @@ def _node_cycle7(idx: TupleIndex, s: PairStats, nc: "NodeCounts") -> list[int]:
     return out
 
 
-def compute_node_counts(
-    idx: TupleIndex, stats: PairStats | None = None, threads: int = 1
-) -> NodeCounts:
-    """Node-level counts for the full catalog supported at the index's d.
-
-    ``threads`` has no effect; results are identical for every value.
-    """
+def compute_node_counts(idx: TupleIndex, stats: PairStats | None = None) -> NodeCounts:
+    """Node-level counts for the full catalog supported at the index's d."""
     g = idx.graph
     n = g.n
     if stats is None:

@@ -6,7 +6,7 @@ seed produces the same graph on every platform and Python version.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 
@@ -15,6 +15,9 @@ class GraphFormatError(ValueError):
 
 
 _MASK64 = (1 << 64) - 1
+
+# restarts of gen_random_regular's stub pairing before it gives up
+REGULAR_MAX_RETRIES = 200
 
 
 class SplitMix64:
@@ -121,7 +124,7 @@ class KHopSets:
 
     node: int
     d: int
-    by_distance: tuple[tuple[int, ...], ...] = field(default=())
+    by_distance: tuple[tuple[int, ...], ...]
 
     def at(self, k: int) -> tuple[int, ...]:
         """Nodes at distance exactly k (k=0 gives the singleton)."""
@@ -189,13 +192,13 @@ def parse_edge_list(text: str | bytes) -> Graph:
     return Graph.from_edges(n, edges)
 
 
-def bfs_distances(g: Graph, source: int, cutoff: int | None = None) -> list[int]:
+def bfs_distances(g: Graph, source: int) -> list[int]:
     """Shortest-path distance from source to every node; -1 if unreachable."""
     dist = [-1] * g.n
     dist[source] = 0
     frontier = [source]
     depth = 0
-    while frontier and (cutoff is None or depth < cutoff):
+    while frontier:
         depth += 1
         nxt: list[int] = []
         for u in frontier:
@@ -300,7 +303,7 @@ def gen_erdos_renyi(n: int, p: float, seed: int) -> Graph:
     return Graph.from_edges(n, edges)
 
 
-def gen_random_regular(n: int, r: int, seed: int, max_retries: int = 200) -> Graph:
+def gen_random_regular(n: int, r: int, seed: int) -> Graph:
     """Random r-regular graph via stub pairing with local rejection.
 
     Each attempt pairs degree stubs one by one, redrawing a partner when
@@ -314,7 +317,7 @@ def gen_random_regular(n: int, r: int, seed: int, max_retries: int = 200) -> Gra
     if (n * r) % 2 != 0:
         raise ValueError("n*r must be even")
     rng = SplitMix64(seed)
-    for _ in range(max_retries):
+    for _ in range(REGULAR_MAX_RETRIES):
         stubs = [u for u in range(n) for _ in range(r)]
         rng.shuffle(stubs)
         edges: set[tuple[int, int]] = set()
@@ -340,7 +343,7 @@ def gen_random_regular(n: int, r: int, seed: int, max_retries: int = 200) -> Gra
                     break
         if ok:
             return Graph.from_edges(n, sorted(edges))
-    raise ValueError(f"could not realize an r-regular graph after {max_retries} tries")
+    raise ValueError(f"could not realize an r-regular graph after {REGULAR_MAX_RETRIES} tries")
 
 
 def permute(g: Graph, perm: Sequence[int]) -> Graph:

@@ -42,7 +42,9 @@ from .errors import CapabilityError, InvariantError
 from .graph import Graph
 from .tuples import TupleIndex, build_index, intersect
 
-FWL2_DENSE_CAP = 256
+# n = 96 keeps a dense FWL(2) pair near 200 MB of peak memory; the table
+# and each round's codes grow as n^3 (447 MB at n = 128).
+FWL2_DENSE_CAP = 96
 
 METHODS = ("wl1", "fwl2", "drfwl")
 
@@ -95,8 +97,8 @@ def _compress(keys: list) -> tuple[list[int], int]:
     return [rank[k] for k in keys], len(distinct)
 
 
-def parallel_map(fn: Callable[[T], R], items: Sequence[T], threads: int = 1) -> list[R]:
-    """Ordered map on the calling thread; ``threads`` has no effect.
+def parallel_map(fn: Callable[[T], R], items: Sequence[T]) -> list[R]:
+    """Ordered map on the calling thread.
 
     Round keys go through this named function so that the benchmark probe
     (perfbench/probe.py) can time them by wrapping it.
@@ -297,7 +299,6 @@ def _refine_multi(
     method: str,
     d: int | None = None,
     mask: Iterable[tuple[int, int, int]] | None = None,
-    dense_cap: int = FWL2_DENSE_CAP,
 ) -> tuple[list[list[int]], int, tuple[int, ...]]:
     """Lockstep refinement of the graphs under ``method``: per-graph
     stable colors, rounds, and class counts per round."""
@@ -305,9 +306,9 @@ def _refine_multi(
         return _lockstep([[0] * g.n for g in graphs], _witness_table(map(_wl1_units, graphs)))
     if method == "fwl2":
         for g in graphs:
-            if g.n > dense_cap:
+            if g.n > FWL2_DENSE_CAP:
                 raise CapabilityError(
-                    f"fwl2 is dense O(n^3); n={g.n} exceeds the cap of {dense_cap}"
+                    f"fwl2 is dense O(n^3); n={g.n} exceeds the cap of {FWL2_DENSE_CAP}"
                 )
         # atomic types: 0 on the diagonal, 1 for an edge, 2 for a non-edge
         inits = [
@@ -329,41 +330,35 @@ def _coloring(
     method: str,
     d: int | None = None,
     mask: Iterable[tuple[int, int, int]] | None = None,
-    dense_cap: int = FWL2_DENSE_CAP,
 ) -> Coloring:
-    (colors,), iterations, history = _refine_multi([g], method, d, mask, dense_cap)
+    (colors,), iterations, history = _refine_multi([g], method, d, mask)
     return Coloring(method, d, tuple(colors), iterations, history)
 
 
-def wl1_refine(g: Graph, threads: int = 1) -> Coloring:
-    """Classic node color refinement from a uniform initial color.
-
-    ``threads`` has no effect; results are identical for every value.
-    """
+def wl1_refine(g: Graph) -> Coloring:
+    """Classic node color refinement from a uniform initial color."""
     return _coloring(g, "wl1")
 
 
-def fwl2_refine(g: Graph, threads: int = 1, dense_cap: int = FWL2_DENSE_CAP) -> Coloring:
+def fwl2_refine(g: Graph) -> Coloring:
     """Dense folklore 2-tuple refinement; atomic-type initial colors.
 
-    ``threads`` has no effect; results are identical for every value.
+    Graphs with more than ``FWL2_DENSE_CAP`` nodes raise CapabilityError.
     """
-    return _coloring(g, "fwl2", dense_cap=dense_cap)
+    return _coloring(g, "fwl2")
 
 
 def drfwl_refine(
     g: Graph,
     d: int,
     mask: Iterable[tuple[int, int, int]] | None = None,
-    threads: int = 1,
 ) -> Coloring:
     """Distance-restricted 2-tuple refinement over pairs with d(u,v) <= d.
 
     Tuple (u, v) starts from color d(u, v) and each round aggregates, for
     every admissible channel (i, j), the multiset of color pairs
     (color(w, v), color(u, w)) over w in N_i(u) & N_j(v).  Channels listed
-    in ``mask`` (as (i, j, k) triples) contribute nothing.  ``threads``
-    has no effect; results are identical for every value.
+    in ``mask`` (as (i, j, k) triples) contribute nothing.
     """
     return _coloring(g, "drfwl", d, mask=mask)
 
@@ -402,15 +397,10 @@ def refine_pair(
     method: str,
     d: int = 2,
     mask: Iterable[tuple[int, int, int]] | None = None,
-    threads: int = 1,
-    dense_cap: int = FWL2_DENSE_CAP,
 ) -> PairVerdict:
-    """Lockstep refinement of two graphs; compares per-graph multisets.
-
-    ``threads`` has no effect; results are identical for every value.
-    """
+    """Lockstep refinement of two graphs; compares per-graph multisets."""
     d_out = d if method == "drfwl" else None
-    (ca, cb), iterations, _ = _refine_multi([g1, g2], method, d_out, mask, dense_cap)
+    (ca, cb), iterations, _ = _refine_multi([g1, g2], method, d_out, mask)
     ha = _histogram(ca)
     hb = _histogram(cb)
     return PairVerdict(
@@ -429,7 +419,6 @@ def distinguish(
     method: str,
     d: int = 2,
     mask: Iterable[tuple[int, int, int]] | None = None,
-    threads: int = 1,
 ) -> bool:
     """True iff the method assigns the two graphs different fingerprints."""
-    return refine_pair(g1, g2, method, d=d, mask=mask, threads=threads).distinguished
+    return refine_pair(g1, g2, method, d=d, mask=mask).distinguished

@@ -8,7 +8,6 @@ both consume intersections of the form N_i(u) & N_j(v).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from .graph import Graph, KHopSets, khop
 
@@ -21,10 +20,9 @@ class TupleIndex:
     node's tuples form one run of ids that starts with (u, u), and within
     it the tuples at each distance k are contiguous.  ``pairs[t]`` is
     (u, v, k), and ``rows[u][v]`` is the id of (u, v): one dict per node,
-    the map that every runtime pass reads.  ``pair_id[(u, v)]`` is the
-    same map keyed by pairs, derived from ``rows`` on first access.
-    ``shells[u]`` holds N_1(u)..N_d(u), and ``shell_sets[u][k]`` is N_k(u)
-    as a frozenset for k = 0..d.
+    the map that every runtime pass reads.  ``shells[u]`` holds
+    N_1(u)..N_d(u), and ``shell_sets[u][k]`` is N_k(u) as a frozenset for
+    k = 0..d.
     """
 
     graph: Graph
@@ -33,10 +31,6 @@ class TupleIndex:
     shell_sets: tuple[tuple[frozenset[int], ...], ...]
     pairs: tuple[tuple[int, int, int], ...]
     rows: tuple[dict[int, int], ...]
-
-    @cached_property
-    def pair_id(self) -> dict[tuple[int, int], int]:
-        return {(u, v): t for u, row in enumerate(self.rows) for v, t in row.items()}
 
     @property
     def tuple_count(self) -> int:

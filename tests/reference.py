@@ -12,7 +12,7 @@ ones:
   channel))``;
 * the counting passes and the cycle-7 terms as per-tuple maps that
   re-intersect every witness set ``N_i(u) & N_j(v)`` they read and look
-  every id up in ``pair_id[(a, b)]`` (``pair_stats`` and
+  every id up in ``pair_id(idx)[(a, b)]`` (``pair_stats`` and
   ``cycle7_correction_terms``).
 
 They live here, not in the package, so there is one runtime path; the
@@ -30,6 +30,11 @@ from drfwl.tuples import TupleIndex, build_index
 PAIR_FIELDS = (
     "p2", "w3", "p3", "p22", "p4", "w4", "t", "cc1", "cc2", "ccx", "tr1", "tr2", "c23", "c24"
 )
+
+
+def pair_id(idx: TupleIndex) -> dict[tuple[int, int], int]:
+    """The index's ids keyed by pairs: ``pair_id(idx)[(u, v)] == idx.rows[u][v]``."""
+    return {(u, v): t for u, row in enumerate(idx.rows) for v, t in row.items()}
 
 
 def intersect(idx: TupleIndex, u: int, v: int, i: int, j: int) -> list[int]:
@@ -137,7 +142,7 @@ def _drfwl_blocks(
     """Per tuple, per admissible (i, j) channel, the (id(w,v), id(u,w))
     index pairs that feed its multiset."""
     d = idx.d
-    pid = idx.pair_id
+    pid = pair_id(idx)
     blocks: list[list[tuple[tuple[int, int], ...]]] = []
     channels_for_k = [
         [(i, j) for i in range(d + 1) for j in range(d + 1) if abs(i - j) <= k <= i + j]
@@ -202,7 +207,7 @@ def pairwise_p2(idx: TupleIndex) -> list[int]:
 def node_triangles(idx: TupleIndex, p2: list[int]) -> list[int]:
     """C3(u): each triangle at u is seen once per incident triangle edge."""
     g = idx.graph
-    pid = idx.pair_id
+    pid = pair_id(idx)
     out = []
     for u in range(g.n):
         acc = sum(p2[pid[(u, v)]] for v in g.adjacency[u])
@@ -214,7 +219,7 @@ def pairwise_w3(idx: TupleIndex, p2: list[int]) -> list[int]:
     """3-walk counts from the one-sided neighbor sums, averaged exactly."""
     g = idx.graph
     pairs = idx.pairs
-    pid = idx.pair_id
+    pid = pair_id(idx)
     deg = g.degrees()
 
     def one(t: int) -> int:
@@ -255,7 +260,7 @@ def pairwise_p3(idx: TupleIndex, w3: list[int]) -> list[int]:
 def pairwise_p22(idx: TupleIndex, p2: list[int]) -> list[int]:
     """Sum over middle nodes y (distinct from u, v) of P2(u,y) * P2(y,v)."""
     pairs = idx.pairs
-    pid = idx.pair_id
+    pid = pair_id(idx)
 
     def one(t: int) -> int:
         u, v, k = pairs[t]
@@ -317,7 +322,7 @@ def _pairwise_motifs(
     """T, CC1, CC2 and CCX in a single pass over the common neighborhoods."""
     g = idx.graph
     pairs = idx.pairs
-    pid = idx.pair_id
+    pid = pair_id(idx)
     nbr = g.neighbor_sets()
 
     def one(t: int) -> tuple[int, int, int, int]:
@@ -360,7 +365,7 @@ def _pairwise_split_cycles(
 ) -> tuple[list[int], list[int]]:
     """C23 and C24: the path-product counts minus every coalescence."""
     pairs = idx.pairs
-    pid = idx.pair_id
+    pid = pair_id(idx)
 
     def one(t: int) -> tuple[int, int]:
         u, v, k = pairs[t]
@@ -402,7 +407,7 @@ def _pairwise_tr(
 ) -> tuple[list[int], list[int]]:
     """TR1 (apex / shared-edge pairs) and TR2 (shared-edge / corner pairs)."""
     pairs = idx.pairs
-    pid = idx.pair_id
+    pid = pair_id(idx)
 
     def one(t: int) -> tuple[int, int]:
         u, v, k = pairs[t]
@@ -462,7 +467,7 @@ def cycle7_correction_terms(
     """
     g = idx.graph
     n = g.n
-    pid = idx.pair_id
+    pid = pair_id(idx)
     p2, p3, p4 = s.p2, s.p3, s.p4
     nbr = g.neighbor_sets()
 

@@ -26,7 +26,6 @@ from drfwl.refine import certificate, distinguish, drfwl_refine, fwl2_refine, wl
 from drfwl.tuples import build_index
 
 D2_MOTIFS = supported_motifs(2)
-MAX_THREADS = os.cpu_count() or 4
 
 
 def report(number: int, ok: bool, description: str) -> None:
@@ -140,22 +139,49 @@ def test_criterion_6_permutation_invariance():
     report(6, ok, "identical certificates on 100 random (graph, permutation) pairs, all methods")
 
 
+# Counts and certificates of criterion 7's graphs, printed as one line.
+DETERMINISM_SCRIPT = """
+from drfwl.counting import compute_node_counts, supported_motifs
+from drfwl.graph import gen_erdos_renyi
+from drfwl.refine import certificate, drfwl_refine, fwl2_refine
+from drfwl.tuples import build_index
+
+out = []
+for seed in range(20):
+    g = gen_erdos_renyi(16, 0.3, 3000 + seed)
+    counts = compute_node_counts(build_index(g, 2))
+    out.append([counts.by_name(name) for name in supported_motifs(2)])
+    out.append(certificate(drfwl_refine(g, 2)).serialize())
+    out.append(certificate(fwl2_refine(g)).serialize())
+print(out)
+"""
+
+
 def test_criterion_7_determinism_under_parallelism():
-    ok = True
-    for seed in range(20):
-        g = gen_erdos_renyi(16, 0.3, 3000 + seed)
-        idx = build_index(g, 2)
-        a = compute_node_counts(idx, threads=1)
-        b = compute_node_counts(idx, threads=MAX_THREADS)
-        for name in D2_MOTIFS:
-            ok &= a.by_name(name) == b.by_name(name)
-        ok &= certificate(drfwl_refine(g, 2, threads=1)) == certificate(
-            drfwl_refine(g, 2, threads=MAX_THREADS)
+    src_dir = str(Path(__file__).resolve().parents[1] / "src")
+    children = []
+    for hash_seed in ("1", "2"):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = src_dir + os.pathsep + env.get("PYTHONPATH", "")
+        env["PYTHONHASHSEED"] = hash_seed
+        children.append(
+            subprocess.Popen(
+                [sys.executable, "-c", DETERMINISM_SCRIPT],
+                stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE,
+                text=True,
+                env=env,
+            )
         )
-        ok &= certificate(fwl2_refine(g, threads=1)) == certificate(
-            fwl2_refine(g, threads=MAX_THREADS)
-        )
-    report(7, ok, f"counts and certificates identical for 1 vs {MAX_THREADS} threads on 20 graphs")
+    results = [child.communicate() for child in children]
+    ok = all(child.returncode == 0 for child in children)
+    ok &= bool(results[0][0]) and results[0][0] == results[1][0]
+    report(
+        7,
+        ok,
+        "counts and certificates of 20 graphs identical in two concurrent "
+        "processes with different PYTHONHASHSEED values",
+    )
 
 
 def test_criterion_8_space_bound():

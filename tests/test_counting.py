@@ -12,6 +12,7 @@ from conftest import small_graphs
 from drfwl import oracle
 from drfwl.counting import (
     GRAPH_LEVEL_FACTOR,
+    common_neighbours,
     compute_node_counts,
     compute_pair_stats,
     _exact_half,
@@ -53,30 +54,30 @@ def pair_kind_value(stats, kind, t):
 class TestPairwise:
     def test_p2_small_cases(self):
         c5 = build_index(gen_cycle(5), 2)
-        s = pairwise_p2(c5)
-        assert s[c5.pair_id[(0, 1)]] == 0  # girth 5
+        s = pairwise_p2(c5, common_neighbours(c5))
+        assert s[c5.rows[0][1]] == 0  # girth 5
         c4 = build_index(gen_cycle(4), 2)
-        assert pairwise_p2(c4)[c4.pair_id[(0, 2)]] == 2
+        assert pairwise_p2(c4, common_neighbours(c4))[c4.rows[0][2]] == 2
         k4 = build_index(gen_complete(4), 2)
-        assert pairwise_p2(k4)[k4.pair_id[(0, 1)]] == 2
+        assert pairwise_p2(k4, common_neighbours(k4))[k4.rows[0][1]] == 2
 
     def test_frozen_path_and_walk_values(self):
         idx = build_index(gen_cycle(6), 2)
         s = compute_pair_stats(idx)
-        assert s.p3[idx.pair_id[(0, 1)]] == 0
-        assert s.w4[idx.pair_id[(0, 2)]] == 5
+        assert s.p3[idx.rows[0][1]] == 0
+        assert s.w4[idx.rows[0][2]] == 5
         k4 = build_index(gen_complete(4), 2)
         sk = compute_pair_stats(k4)
-        assert sk.w4[k4.pair_id[(0, 1)]] == 20
-        assert sk.p4[k4.pair_id[(0, 1)]] == 0
+        assert sk.w4[k4.rows[0][1]] == 20
+        assert sk.p4[k4.rows[0][1]] == 0
         c5 = build_index(gen_cycle(5), 2)
         sc = compute_pair_stats(c5)
-        assert sc.p4[c5.pair_id[(0, 1)]] == 1
+        assert sc.p4[c5.rows[0][1]] == 1
 
     def test_path_graph_endpoints(self):
         idx = build_index(gen_path(4), 3)
         s = compute_pair_stats(idx)
-        assert s.p3[idx.pair_id[(0, 3)]] == 1
+        assert s.p3[idx.rows[0][3]] == 1
 
     @pytest.mark.parametrize("seed", range(6))
     def test_all_pair_stats_match_oracle(self, seed):
@@ -104,7 +105,7 @@ class TestPairwise:
         for t, (u, v, k) in enumerate(idx.pairs):
             if k == 0:
                 continue
-            rt = idx.pair_id[(v, u)]
+            rt = idx.rows[v][u]
             for arr in (s.p2, s.p3, s.p4, s.w3, s.w4, s.c23, s.c24, s.cc2, s.ccx):
                 assert arr[t] == arr[rt]
             assert s.p3[t] <= s.w3[t]

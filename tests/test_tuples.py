@@ -31,14 +31,14 @@ class TestBuildIndex:
 
     def test_ids_dense_and_ordered(self):
         idx = build_index(gen_erdos_renyi(12, 0.3, 1), 2)
-        assert [idx.pair_id[(u, v)] for (u, v, _) in idx.pairs] == list(range(idx.tuple_count))
+        assert [idx.rows[u][v] for (u, v, _) in idx.pairs] == list(range(idx.tuple_count))
         keys = [(u, k, v) for (u, v, k) in idx.pairs]
         assert keys == sorted(keys)
 
     def test_diagonal_present(self):
         idx = build_index(gen_cycle(5), 1)
         for u in range(5):
-            assert idx.pairs[idx.pair_id[(u, u)]] == (u, u, 0)
+            assert idx.pairs[idx.rows[u][u]] == (u, u, 0)
 
     def test_d_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -49,7 +49,7 @@ class TestBuildIndex:
     def test_symmetry_and_distances(self, g):
         idx = build_index(g, 2)
         for u, v, k in idx.pairs:
-            assert idx.pairs[idx.pair_id[(v, u)]] == (v, u, k)
+            assert idx.pairs[idx.rows[v][u]] == (v, u, k)
             dist = bfs_distances(g, u)
             assert dist[v] == k
 
@@ -57,7 +57,6 @@ class TestBuildIndex:
     @given(small_graphs())
     def test_rows_and_distance(self, g):
         idx = build_index(g, 2)
-        assert idx.pair_id == {(u, v): t for t, (u, v, _) in enumerate(idx.pairs)}
         for u in range(g.n):
             assert idx.rows[u] == {v: t for t, (a, v, _) in enumerate(idx.pairs) if a == u}
             dist = bfs_distances(g, u)
@@ -72,6 +71,12 @@ class TestBuildIndex:
             r = 4
             assert idx.tuple_count <= g.n * (1 + r + r * (r - 1))
             assert idx.space_bound() == g.n * (1 + r + r * r)
+
+    def test_doubling_n_doubles_tuples_on_cycles(self):
+        # cycle graphs are 2-regular: tuple count is exactly n * (1 + 2d)
+        t1 = build_index(gen_cycle(100), 2).tuple_count
+        t2 = build_index(gen_cycle(200), 2).tuple_count
+        assert t2 == 2 * t1 == 200 * 5
 
     @settings(max_examples=40)
     @given(small_graphs())
