@@ -24,7 +24,6 @@ from .errors import CapabilityError, InvariantError
 from .graph import (
     Graph,
     GraphFormatError,
-    KHopSets,
     bfs_distances,
     diameter,
     gen_complete,
@@ -40,9 +39,7 @@ from .graph import (
     permute,
 )
 from .oracle import (
-    MotifSpec,
     oracle_graph_count,
-    oracle_node_count,
     oracle_node_counts,
     oracle_pair_count,
 )
@@ -66,8 +63,6 @@ __all__ = [
     "Graph",
     "GraphFormatError",
     "InvariantError",
-    "KHopSets",
-    "MotifSpec",
     "NodeCounts",
     "PairStats",
     "PairVerdict",
@@ -95,7 +90,6 @@ __all__ = [
     "khop",
     "node_walks",
     "oracle_graph_count",
-    "oracle_node_count",
     "oracle_node_counts",
     "oracle_pair_count",
     "parse_edge_list",

@@ -255,7 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, default=2)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, dest="output")
-    p.add_argument("--format", choices=("json", "text"), default="text", dest="fmt")
 
     return parser
 

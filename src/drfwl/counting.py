@@ -129,7 +129,7 @@ def _near(idx: TupleIndex) -> Near:
     """Per node x: the id of (x, y) for the first y at distance 1, and the
     nodes y at distance 1 or 2, whose tuples (x, y) follow in id order."""
     return [
-        (row[x] + 1, shell.at(1) + shell.at(2))
+        (row[x] + 1, shell[1] + shell[2])
         for x, (row, shell) in enumerate(zip(idx.rows, idx.shells))
     ]
 
@@ -572,12 +572,11 @@ def _node_cycle7(idx: TupleIndex, s: PairStats, nc: "NodeCounts") -> list[int]:
     return out
 
 
-def compute_node_counts(idx: TupleIndex, stats: PairStats | None = None) -> NodeCounts:
+def compute_node_counts(idx: TupleIndex) -> NodeCounts:
     """Node-level counts for the full catalog supported at the index's d."""
     g = idx.graph
     n = g.n
-    if stats is None:
-        stats = compute_pair_stats(idx)
+    stats = compute_pair_stats(idx)
     deg = g.degrees()
     rev = stats.common.rev
     # node u's tuples at distance 1 are the ids lo .. hi-1, one per

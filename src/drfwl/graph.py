@@ -81,9 +81,6 @@ class Graph:
         m = sum(len(a) for a in adjacency) // 2
         return Graph(n=n, adjacency=adjacency, m=m)
 
-    def degree(self, u: int) -> int:
-        return len(self.adjacency[u])
-
     def degrees(self) -> list[int]:
         return [len(a) for a in self.adjacency]
 
@@ -113,24 +110,6 @@ class Graph:
         lines = [f"n {self.n}"]
         lines.extend(f"{u} {v}" for u, v in self.edges())
         return "\n".join(lines) + "\n"
-
-
-@dataclass(frozen=True)
-class KHopSets:
-    """Nodes at exact shortest-path distance 1..d from ``node``.
-
-    ``by_distance[k-1]`` is the sorted tuple of nodes at distance exactly k.
-    """
-
-    node: int
-    d: int
-    by_distance: tuple[tuple[int, ...], ...]
-
-    def at(self, k: int) -> tuple[int, ...]:
-        """Nodes at distance exactly k (k=0 gives the singleton)."""
-        if k == 0:
-            return (self.node,)
-        return self.by_distance[k - 1]
 
 
 def parse_edge_list(text: str | bytes) -> Graph:
@@ -210,10 +189,12 @@ def bfs_distances(g: Graph, source: int) -> list[int]:
     return dist
 
 
-def khop(g: Graph, v: int, d: int) -> KHopSets:
-    """K-hop neighborhoods of v by BFS truncated at depth d.
+def khop(g: Graph, v: int, d: int) -> tuple[tuple[int, ...], ...]:
+    """K-hop shells of v by BFS truncated at depth d.
 
-    Work is proportional to the edges within d hops of v, not to n.
+    Entry k (k = 0..d) is the sorted tuple N_k(v) of nodes at distance
+    exactly k, so entry 0 is ``(v,)``.  Work is proportional to the edges
+    within d hops of v, not to n.
     """
     if not (0 <= v < g.n):
         raise ValueError(f"node {v} out of range for n={g.n}")
@@ -221,7 +202,7 @@ def khop(g: Graph, v: int, d: int) -> KHopSets:
         raise ValueError("d must be >= 1")
     seen = {v}
     frontier = [v]
-    shells: list[tuple[int, ...]] = []
+    shells: list[tuple[int, ...]] = [(v,)]
     for _ in range(d):
         nxt: list[int] = []
         for u in frontier:
@@ -232,7 +213,7 @@ def khop(g: Graph, v: int, d: int) -> KHopSets:
         nxt.sort()
         shells.append(tuple(nxt))
         frontier = nxt
-    return KHopSets(node=v, d=d, by_distance=tuple(shells))
+    return tuple(shells)
 
 
 def diameter(g: Graph) -> int:

@@ -20,8 +20,6 @@ Pair-level counts follow the same drawings with a second marked node; see
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import CapabilityError, InvariantError
 from .graph import Graph
 
@@ -39,17 +37,6 @@ MARKED_MOTIFS = (
     "clique4",
 )
 MOTIF_CATALOG = tuple(CYCLE_MOTIFS) + tuple(PATH_MOTIFS) + MARKED_MOTIFS
-
-
-@dataclass(frozen=True)
-class MotifSpec:
-    """A motif id from the fixed catalog."""
-
-    name: str
-
-    def __post_init__(self) -> None:
-        if self.name not in MOTIF_CATALOG:
-            raise ValueError(f"unknown motif {self.name!r}")
 
 
 def _check_cap(g: Graph) -> None:
@@ -338,9 +325,10 @@ def count_marked_per_node(g: Graph, name: str) -> list[int]:
 # public surface
 
 
-def oracle_node_counts(g: Graph, spec: MotifSpec | str) -> list[int]:
-    """Exact per-node counts of the motif, for all nodes at once."""
-    name = spec.name if isinstance(spec, MotifSpec) else MotifSpec(name=spec).name
+def oracle_node_counts(g: Graph, name: str) -> list[int]:
+    """Exact per-node counts of the named catalog motif, for all nodes at once."""
+    if name not in MOTIF_CATALOG:
+        raise ValueError(f"unknown motif {name!r}")
     if name in CYCLE_MOTIFS:
         return count_cycles_per_node(g, CYCLE_MOTIFS[name])
     if name in PATH_MOTIFS:
@@ -350,16 +338,10 @@ def oracle_node_counts(g: Graph, spec: MotifSpec | str) -> list[int]:
     return count_marked_per_node(g, name)
 
 
-def oracle_node_count(g: Graph, spec: MotifSpec | str, u: int) -> int:
-    """Exact count of motif occurrences with u at the marked position."""
-    if not (0 <= u < g.n):
-        raise ValueError(f"node {u} out of range")
-    return oracle_node_counts(g, spec)[u]
-
-
-def oracle_graph_count(g: Graph, spec: MotifSpec | str) -> int:
-    """Whole-graph occurrence count of the motif."""
-    name = spec.name if isinstance(spec, MotifSpec) else MotifSpec(name=spec).name
+def oracle_graph_count(g: Graph, name: str) -> int:
+    """Whole-graph occurrence count of the named catalog motif."""
+    if name not in MOTIF_CATALOG:
+        raise ValueError(f"unknown motif {name!r}")
     if name in CYCLE_MOTIFS:
         return count_cycles_graph(g, CYCLE_MOTIFS[name])
     if name in PATH_MOTIFS:

@@ -231,39 +231,38 @@ def _fwl2_units(n: int) -> Iterator[list[Channel]]:
     return ([(n, range(v, n * n, n), range(u * n, u * n + n))] for u in range(n) for v in range(n))
 
 
-def admissible_triples(d: int) -> list[tuple[int, int, int]]:
-    """All (i, j, k) with 0 <= i,j,k <= d and |i-j| <= k <= i+j."""
-    return [
-        (i, j, k)
-        for i in range(d + 1)
-        for j in range(d + 1)
-        for k in range(d + 1)
-        if abs(i - j) <= k <= i + j
-    ]
-
-
 def _validate_mask(mask: Iterable[tuple[int, int, int]] | None, d: int) -> frozenset:
     if mask is None:
         return frozenset()
-    allowed = set(admissible_triples(d))
     out = set()
     for triple in mask:
         t = tuple(triple)
-        if len(t) != 3 or t not in allowed:
+        ok = len(t) == 3 and all(isinstance(x, int) and 0 <= x <= d for x in t)
+        if not (ok and abs(t[0] - t[1]) <= t[2] <= t[0] + t[1]):
             raise ValueError(f"invalid mask triple {triple!r} for d={d}")
         out.add(t)
     return frozenset(out)
 
 
-def _drfwl_units(idx: TupleIndex, masked: frozenset) -> Iterator[list[Channel]]:
-    """Tuple (u, v) at distance k: one channel per admissible (i, j) not
-    masked, over the w in N_i(u) & N_j(v), with a = id(w, v) and
-    b = id(u, w) as the index's ``rows`` number them."""
+def _channels(top: int, masked: frozenset) -> list[list[tuple[int, int]]]:
+    """Per distance k = 0..top, the unmasked channels (i, j) of a tuple at
+    distance k, in (i, j) order: i, j <= top and |i - j| <= k <= i + j."""
+    channels_for_k: list[list[tuple[int, int]]] = [[] for _ in range(top + 1)]
+    for i in range(top + 1):
+        for j in range(top + 1):
+            for k in range(abs(i - j), min(i + j, top) + 1):
+                if (i, j, k) not in masked:
+                    channels_for_k[k].append((i, j))
+    return channels_for_k
+
+
+def _drfwl_units(
+    idx: TupleIndex, channels_for_k: list[list[tuple[int, int]]]
+) -> Iterator[list[Channel]]:
+    """Tuple (u, v) at distance k: one channel per (i, j) of
+    ``channels_for_k[k]``, over the w in N_i(u) & N_j(v), with a = id(w, v)
+    and b = id(u, w) as the index's ``rows`` number them."""
     rows = idx.rows
-    channels_for_k: list[list[tuple[int, int]]] = [[] for _ in range(idx.d + 1)]
-    for i, j, k in admissible_triples(idx.d):
-        if (i, j, k) not in masked:
-            channels_for_k[k].append((i, j))
     for u, v, k in idx.pairs:
         row_u = rows[u]
         channels = []
@@ -275,8 +274,12 @@ def _drfwl_units(idx: TupleIndex, masked: frozenset) -> Iterator[list[Channel]]:
 
 def _drfwl_blocks(indexes: Sequence[TupleIndex], masked: frozenset) -> _WitnessTable:
     """The witness table of the graphs' tuples.  Fixed once; read by every
-    round."""
-    return _witness_table(_drfwl_units(idx, masked) for idx in indexes)
+    round.  Channels stop at ``top``, the largest distance of any tuple: one
+    above it is empty for every tuple, and the tuples of one color share k,
+    so it would only add the same end marker to every key of that color."""
+    top = max((k for idx in indexes for _, _, k in idx.pairs), default=0)
+    channels_for_k = _channels(top, masked)
+    return _witness_table(_drfwl_units(idx, channels_for_k) for idx in indexes)
 
 
 def _drfwl_multi(

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import Graph, KHopSets, khop
+from .graph import Graph, khop
 
 
 @dataclass(frozen=True)
@@ -20,14 +20,15 @@ class TupleIndex:
     node's tuples form one run of ids that starts with (u, u), and within
     it the tuples at each distance k are contiguous.  ``pairs[t]`` is
     (u, v, k), and ``rows[u][v]`` is the id of (u, v): one dict per node,
-    the map that every runtime pass reads.  ``shells[u]`` holds
-    N_1(u)..N_d(u), and ``shell_sets[u][k]`` is N_k(u) as a frozenset for
-    k = 0..d.
+    the map that every runtime pass reads.  For k = 0..d,
+    ``shells[u][k]`` is N_k(u) as a sorted tuple (``khop``), so
+    ``shells[u][0]`` is ``(u,)``, and ``shell_sets[u][k]`` is the same
+    shell as a frozenset.
     """
 
     graph: Graph
     d: int
-    shells: tuple[KHopSets, ...]
+    shells: tuple[tuple[tuple[int, ...], ...], ...]
     shell_sets: tuple[tuple[frozenset[int], ...], ...]
     pairs: tuple[tuple[int, int, int], ...]
     rows: tuple[dict[int, int], ...]
@@ -35,15 +36,6 @@ class TupleIndex:
     @property
     def tuple_count(self) -> int:
         return len(self.pairs)
-
-    def distance(self, u: int, v: int) -> int:
-        """d(u, v) if at most d, else -1."""
-        t = self.rows[u].get(v) if 0 <= u < len(self.rows) else None
-        return -1 if t is None else self.pairs[t][2]
-
-    def shell(self, u: int, k: int) -> tuple[int, ...]:
-        """N_k(u); k=0 is the singleton (u,)."""
-        return self.shells[u].at(k)
 
     def space_bound(self) -> int:
         """The n * (1 + sum_k degmax^k) ceiling on the tuple count."""
@@ -56,13 +48,13 @@ def build_index(g: Graph, d: int) -> TupleIndex:
     if d < 1:
         raise ValueError("d must be >= 1")
     shells = tuple(khop(g, v, d) for v in range(g.n))
-    shell_sets = tuple(tuple(frozenset(s.at(k)) for k in range(d + 1)) for s in shells)
+    shell_sets = tuple(tuple(map(frozenset, s)) for s in shells)
     pairs: list[tuple[int, int, int]] = []
     rows: list[dict[int, int]] = []
     for u in range(g.n):
         row: dict[int, int] = {}
-        for k in range(d + 1):
-            for v in shells[u].at(k):
+        for k, shell in enumerate(shells[u]):
+            for v in shell:
                 row[v] = len(pairs)
                 pairs.append((u, v, k))
         rows.append(row)

@@ -37,10 +37,22 @@ def pair_id(idx: TupleIndex) -> dict[tuple[int, int], int]:
     return {(u, v): t for u, row in enumerate(idx.rows) for v, t in row.items()}
 
 
+def admissible_triples(d: int) -> list[tuple[int, int, int]]:
+    """All (i, j, k) with 0 <= i,j,k <= d and |i-j| <= k <= i+j, in
+    lexicographic order."""
+    return [
+        (i, j, k)
+        for i in range(d + 1)
+        for j in range(d + 1)
+        for k in range(d + 1)
+        if abs(i - j) <= k <= i + j
+    ]
+
+
 def intersect(idx: TupleIndex, u: int, v: int, i: int, j: int) -> list[int]:
     """Sorted merge-intersection of N_i(u) and N_j(v); N_0(x) = {x}."""
-    a = idx.shell(u, i)
-    b = idx.shell(v, j)
+    a = idx.shells[u][i]
+    b = idx.shells[v][j]
     if len(b) < len(a):
         a, b = b, a
     out: list[int] = []
@@ -144,15 +156,13 @@ def _drfwl_blocks(
     d = idx.d
     pid = pair_id(idx)
     blocks: list[list[tuple[tuple[int, int], ...]]] = []
-    channels_for_k = [
-        [(i, j) for i in range(d + 1) for j in range(d + 1) if abs(i - j) <= k <= i + j]
-        for k in range(d + 1)
-    ]
+    channels_for_k: list[list[tuple[int, int]]] = [[] for _ in range(d + 1)]
+    for i, j, k in admissible_triples(d):
+        if (i, j, k) not in masked:
+            channels_for_k[k].append((i, j))
     for u, v, k in idx.pairs:
         per_pair = []
         for i, j in channels_for_k[k]:
-            if (i, j, k) in masked:
-                continue
             ws = intersect(idx, u, v, i, j)
             per_pair.append(tuple((offset + pid[(w, v)], offset + pid[(u, w)]) for w in ws))
         blocks.append(per_pair)

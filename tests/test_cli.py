@@ -216,6 +216,12 @@ class TestErrorMapping:
         assert "argument" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
+    def test_gen_format_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["gen", "cycle", "3", "--format", "json"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --format json" in capsys.readouterr().err
+
     def test_bench_subcommand_is_gone(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["bench"])

@@ -105,7 +105,7 @@ def test_families_match_brute_force(gi):
     g = GRAPHS[gi]
     idx = build_index(g, 3)
     stats = compute_pair_stats(idx)
-    counts = compute_node_counts(idx, stats)
+    counts = compute_node_counts(idx)
     prod34, letters = cycle7_correction_terms(idx, stats, counts)
     for u in range(g.n):
         want_prod, want = brute_families(g, u)

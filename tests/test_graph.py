@@ -48,7 +48,7 @@ class TestParse:
     def test_header_forces_node_count(self):
         g = parse_edge_list("n 5\n0 1\n")
         assert g.n == 5
-        assert g.degree(4) == 0
+        assert g.adjacency[4] == ()
 
     def test_header_does_not_shrink(self):
         g = parse_edge_list("n 2\n0 4\n")
@@ -57,7 +57,7 @@ class TestParse:
     def test_gaps_become_isolated_nodes(self):
         g = parse_edge_list("0 3")
         assert g.n == 4
-        assert g.degree(1) == 0
+        assert g.adjacency[1] == ()
 
     def test_comments_blank_lines_crlf(self):
         g = parse_edge_list(b"# header\r\n\r\n0 1\r\n# mid\n1 2\n")
@@ -87,14 +87,12 @@ class TestParse:
 class TestKhop:
     def test_cycle_shells(self):
         shells = khop(gen_cycle(6), 0, 2)
-        assert shells.at(1) == (1, 5)
-        assert shells.at(2) == (2, 4)
-        assert shells.at(0) == (0,)
+        assert shells == ((0,), (1, 5), (2, 4))
 
     def test_complete_graph_exhausts_at_one(self):
         shells = khop(parse_edge_list("0 1\n0 2\n0 3\n1 2\n1 3\n2 3"), 0, 2)
-        assert shells.at(1) == (1, 2, 3)
-        assert shells.at(2) == ()
+        assert shells[1] == (1, 2, 3)
+        assert shells[2] == ()
 
     def test_out_of_range_node(self):
         with pytest.raises(ValueError):
@@ -105,7 +103,7 @@ class TestKhop:
         shells = khop(g, 0, 3)
         dist = bfs_distances(g, 0)
         for k in (1, 2, 3):
-            assert list(shells.at(k)) == [w for w in range(g.n) if dist[w] == k]
+            assert list(shells[k]) == [w for w in range(g.n) if dist[w] == k]
 
     @settings(max_examples=60)
     @given(small_graphs())
@@ -113,8 +111,9 @@ class TestKhop:
         for v in range(g.n):
             dist = bfs_distances(g, v)
             shells = khop(g, v, 3)
+            assert shells[0] == (v,)
             for k in (1, 2, 3):
-                assert list(shells.at(k)) == [w for w in range(g.n) if dist[w] == k]
+                assert list(shells[k]) == [w for w in range(g.n) if dist[w] == k]
 
     def test_khop_on_100_random_graphs(self):
         for seed in range(100):
@@ -123,8 +122,9 @@ class TestKhop:
             for v in range(g.n):
                 dist = bfs_distances(g, v)
                 shells = khop(g, v, 3)
+                assert shells[0] == (v,)
                 for k in (1, 2, 3):
-                    assert list(shells.at(k)) == [w for w in range(n) if dist[w] == k]
+                    assert list(shells[k]) == [w for w in range(n) if dist[w] == k]
 
 
 class TestGenerators:

@@ -9,9 +9,7 @@ from conftest import small_graphs
 from drfwl.graph import Graph, gen_complete, gen_cycle, gen_erdos_renyi, gen_path, gen_petersen, gen_star
 from drfwl.oracle import (
     CapabilityError,
-    MotifSpec,
     oracle_graph_count,
-    oracle_node_count,
     oracle_node_counts,
     oracle_pair_count,
     walk_matrix_power,
@@ -118,7 +116,7 @@ class TestPairCounts:
         g = gen_erdos_renyi(12, 0.35, 3)
         for u in range(g.n):
             total = sum(oracle_pair_count(g, "C13", u, v) for v in g.adjacency[u])
-            assert total == 2 * oracle_node_count(g, "cycle4", u)
+            assert total == 2 * oracle_node_counts(g, "cycle4")[u]
 
     def test_frozen_small_values(self):
         c6 = gen_cycle(6)
@@ -132,7 +130,16 @@ class TestPairCounts:
 class TestGuards:
     def test_unknown_motif(self):
         with pytest.raises(ValueError):
-            MotifSpec(name="cycle99")
+            oracle_node_counts(gen_cycle(5), "cycle99")
+
+    @pytest.mark.parametrize("n", [5, 600])
+    @pytest.mark.parametrize("entry", [oracle_node_counts, oracle_graph_count])
+    def test_unknown_motif_is_reported_before_the_size_cap(self, entry, n):
+        g = Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
+        with pytest.raises(ValueError, match="unknown motif 'cycle99'"):
+            entry(g, "cycle99")
+        with pytest.raises(ValueError, match="unknown motif 'tr9'"):
+            entry(g, "tr9")
 
     def test_size_cap(self):
         big = Graph.from_edges(600, [(i, i + 1) for i in range(599)])

@@ -23,6 +23,7 @@ from drfwl import counting
 from drfwl.counting import compute_node_counts, compute_pair_stats, cycle7_correction_terms
 from drfwl.graph import (
     Graph,
+    diameter,
     gen_cycle,
     gen_disjoint_union,
     gen_erdos_renyi,
@@ -30,9 +31,10 @@ from drfwl.graph import (
     gen_random_regular,
 )
 from drfwl.refine import (
+    _channels,
+    _drfwl_blocks,
     _drfwl_multi,
     _refine_multi,
-    admissible_triples,
     drfwl_refine,
     fwl2_refine,
     refine_pair,
@@ -62,7 +64,7 @@ def masks(draw, d: int):
     """None or a random set of valid (i, j, k) triples for d."""
     if draw(st.booleans()):
         return None
-    return sorted(draw(st.sets(st.sampled_from(admissible_triples(d)))))
+    return sorted(draw(st.sets(st.sampled_from(reference.admissible_triples(d)))))
 
 
 def _check_single(g: Graph, d: int, mask) -> None:
@@ -108,6 +110,35 @@ def test_benchmark_shaped_pair_matches_reference():
     g1 = gen_random_regular(150, 4, 11)
     g2 = gen_random_regular(150, 4, 12)
     _check_pair(g1, g2, 2, None)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.integers(min_value=1, max_value=6))
+def test_channel_lists_match_the_filtered_enumeration(data, d):
+    masked = frozenset(data.draw(st.sets(st.sampled_from(reference.admissible_triples(d)))))
+    expected = [
+        [(i, j) for i, j, kk in reference.admissible_triples(d) if kk == k and (i, j, k) not in masked]
+        for k in range(d + 1)
+    ]
+    assert _channels(d, masked) == expected
+
+
+def test_witness_table_stops_at_the_largest_distance():
+    # C6 has diameter 3: a larger d adds no tuple, so no channel either
+    at_3, at_50 = (_drfwl_blocks([build_index(gen_cycle(6), d)], frozenset()) for d in (3, 50))
+    assert len(at_50.a) == len(at_3.a)
+    assert at_50 == at_3
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_graphs())
+def test_d_beyond_the_diameter_changes_no_color(g):
+    g = Graph.from_edges(g.n, g.edges() + [(u, u + 1) for u in range(g.n - 1)])  # connected
+    top = max(diameter(g), 1)
+    at_top, beyond = drfwl_refine(g, top), drfwl_refine(g, top + 3)
+    assert at_top.colors == beyond.colors
+    assert at_top.iterations == beyond.iterations
+    assert at_top.class_counts == beyond.class_counts
 
 
 DENSE = {"wl1": (wl1_refine, reference.wl1_multi), "fwl2": (fwl2_refine, reference.fwl2_multi)}
@@ -180,7 +211,7 @@ def _check_counting(g: Graph, d: int) -> None:
     expected = reference.pair_stats(idx)
     for field in reference.PAIR_FIELDS:
         assert getattr(stats, field) == getattr(expected, field), field
-    counts = compute_node_counts(idx, stats)
+    counts = compute_node_counts(idx)
     prod34, letters = cycle7_correction_terms(idx, stats, counts)
     want_prod34, want_letters = reference.cycle7_correction_terms(idx, expected, counts)
     assert prod34 == want_prod34

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import small_graphs
+from reference import admissible_triples
 from drfwl import refine
 from drfwl.errors import CapabilityError
 from drfwl.graph import (
@@ -16,7 +17,6 @@ from drfwl.graph import (
     permute,
 )
 from drfwl.refine import (
-    admissible_triples,
     certificate,
     distinguish,
     drfwl_refine,

