@@ -9,9 +9,9 @@ The passes read three inputs, none of which re-intersects a shell:
 
 * ``rows[u][v]``, the index's per-node id map, for every id lookup;
 * a common-neighbour table (``CommonNeighbours``), built once per
-  ``compute_pair_stats`` with one ``intersect`` call per tuple at
-  distance 1 or 2: N1(u) & N1(v) in CSR form, each witness w with
-  id(u, w) and id(w, v).  P2 is its segment lengths.  P4, the motifs,
+  ``compute_pair_stats`` with one ``intersect`` of two neighbour sets per
+  tuple at distance 1 or 2: N1(u) & N1(v) in CSR form, each witness w
+  with id(u, w) and id(w, v).  P2 is its segment lengths.  P4, the motifs,
   split cycles, TR and the cycle-7 terms read its segments, their linear
   sums as bulk segment sums over gathered columns; only CCX and cycle-7
   family b loop over witnesses;
@@ -110,10 +110,11 @@ class CommonNeighbours:
 def common_neighbours(idx: TupleIndex) -> CommonNeighbours:
     """The table, with one ``intersect`` call per tuple at distance 1 or 2."""
     rows = idx.rows
+    nbr = idx.graph.neighbor_sets()
     start, ws, uw, wv, rev = array("q", [0]), [], [], [], []
     for u, v, k in idx.pairs:
         if 0 < k < 3:
-            common = intersect(idx, u, v, 1, 1)
+            common = intersect(nbr[u], nbr[v])
             ws += common
             uw += map(rows[u].__getitem__, common)
             wv += [rows[w][v] for w in common]

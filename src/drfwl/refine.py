@@ -6,23 +6,31 @@ assigns dense ranks.  There is no probabilistic hashing, so two units get
 equal colors iff their keys are equal, and certificates are portable
 across runs and platforms.
 
-The three methods share one engine.  A unit has one or more channels,
-each a multiset of color pairs (color[a], color[b]) over its witnesses:
-a d-DRFWL(2) tuple (u, v) has one channel per admissible (i, j), over the
-w in N_i(u) & N_j(v), with ``a = id(w, v)`` and ``b = id(u, w)``; a dense
-FWL(2) pair (u, v) has one channel with the same a and b over every node
-w; a WL(1) node v has one channel with ``a = b = w`` over its neighbours
-w.  A flat witness table, built once, lists every unit's channels, an end
-marker closing each.  A round encodes every witness as
-``color[a] * T + color[b]`` (T = number of units) and every end marker as
--1 in one C-level pass, sorts the channels that have two or more
-witnesses, and cuts the codes into one flat tuple per unit.  Because
-``0 <= color < T``, the encoding is a strictly increasing bijection on
-color pairs (``c * T + c`` orders like c), and -1 is below every code, so
-a channel's codes followed by -1 order exactly like the tuple of sorted
-color pairs they stand for (a channel that is a prefix of another reaches
--1 first).  A unit's key (color, codes) therefore orders like the nested
-per-unit key (color, (channel tuple, ...)), and the ranks do not change.
+The three methods share one engine.  Every unit aggregates one multiset
+of color pairs (color[a], color[b]) over its witnesses: a d-DRFWL(2)
+tuple (u, v) over the w within d of both u and v, with ``a = id(w, v)``
+and ``b = id(u, w)``; a dense FWL(2) pair (u, v) over every node w, with
+the same a and b; a WL(1) node v over its neighbours w, with
+``a = b = w``.
+
+The paper keeps one multiset per channel (i, j) of a d-DRFWL(2) tuple,
+over the w in N_i(u) & N_j(v).  One multiset per tuple yields the same
+partition in every round, because color determines distance: a tuple
+starts from the color d(u, v), and every round refines the previous
+partition.  So color(u, w) names i = d(u, w) and color(w, v) names
+j = d(w, v), a witness's color pair names its channel, and two tuples of
+one color have equal channel multisets iff they have equal merged
+multisets.  A mask drops the witnesses of the masked channels.  The
+classes are the paper's; only the ids the classes get differ, which the
+certificate version records.
+
+A flat witness table, built once, lists every unit's witnesses.  A round
+encodes every witness as ``color[a] * T + color[b]`` (T = number of
+units) in one C-level pass, sorts each unit's codes, and cuts them into
+one flat tuple per unit.  Because ``0 <= color < T``, the encoding is a
+strictly increasing bijection on color pairs (``c * T + c`` orders like
+c), so a unit's key (color, codes) orders exactly like the per-unit key
+(color, sorted color pairs), and the ranks are those of that key.
 
 Cross-graph comparison runs the refinements on both graphs in lockstep
 with a shared key-to-rank table (equivalent, for the node and
@@ -51,9 +59,9 @@ METHODS = ("wl1", "fwl2", "drfwl")
 T = TypeVar("T")
 R = TypeVar("R")
 
-# A channel: its width, then the a ids and the b ids of its witnesses,
-# numbered within the unit's graph.  A unit is a list of channels.
-Channel = tuple[int, Iterable[int], Iterable[int]]
+# A unit's witnesses: the a ids and the b ids, numbered within the unit's
+# graph.
+Witnesses = tuple[Iterable[int], Iterable[int]]
 
 
 @dataclass(frozen=True)
@@ -87,7 +95,7 @@ class Certificate:
         """Versioned one-line text form for golden-file comparison."""
         d = "-" if self.d is None else str(self.d)
         body = ",".join(f"{c}:{k}" for c, k in self.counts)
-        return f"certv1;{self.method};{d};{body}"
+        return f"certv2;{self.method};{d};{body}"
 
 
 def _compress(keys: list) -> tuple[list[int], int]:
@@ -110,26 +118,22 @@ def parallel_map(fn: Callable[[T], R], items: Sequence[T]) -> list[R]:
 class _WitnessTable:
     """The fixed inputs of every refinement round, as flat int arrays.
 
-    Entry p (unit after unit, channel after channel) reads the colors of
-    units ``a[p]`` and ``b[p]``, numbered within their graph, or -1 and -1
-    for the end marker after each channel.  ``parts`` holds, per graph,
-    the id of its first unit and the end of its entries.  ``lengths[t]``
-    is the number of entries of unit t, and ``multi`` lists the
-    [start, end) entry ranges, flattened, of the channels with two or more
-    witnesses, the only ones to sort.
+    Entry p (unit after unit) reads the colors of units ``a[p]`` and
+    ``b[p]``, numbered within their graph.  ``parts`` holds, per graph, the
+    id of its first unit and the end of its entries, and ``lengths[t]`` is
+    the number of witnesses of unit t.
     """
 
     a: array
     b: array
     parts: tuple[tuple[int, int], ...]
     lengths: array
-    multi: array
 
     def round_key_fn(self, colors: list[int]) -> Callable[[int], tuple]:
         """Key function of one round, for units drawn in order 0, 1, ...
 
-        Unit t's key is (colors[t], codes): per channel, the sorted codes
-        colors[a] * T + colors[b] of its witnesses, then the end marker -1.
+        Unit t's key is (colors[t], codes): the sorted codes
+        colors[a] * T + colors[b] of its witnesses.
         """
         codes = self._codes(colors)
         return lambda t: (colors[t], next(codes))
@@ -139,38 +143,28 @@ class _WitnessTable:
         # for the first key.
         total = len(colors)
         high = [c * total for c in colors]
-        high.append(-1)  # the marker's code: high[-1] + low[-1]
-        low = colors + [0]
         codes: list[int] = []
         start = 0
         for offset, end in self.parts:  # a graph's ids index its slice of the colors
             a, b = islice(self.a, start, end), islice(self.b, start, end)
-            codes += map(add, map(high[offset:].__getitem__, a), map(low[offset:].__getitem__, b))
+            codes += map(add, map(high[offset:].__getitem__, a), map(colors[offset:].__getitem__, b))
             start = end
-        bounds = iter(self.multi)
-        for start, end in zip(bounds, bounds):
-            codes[start:end] = sorted(codes[start:end])
-        yield from map(tuple, map(islice, repeat(iter(codes)), self.lengths))
+        yield from map(tuple, map(sorted, map(islice, repeat(iter(codes)), self.lengths)))
 
 
-def _witness_table(graphs: Iterable[Iterable[list[Channel]]]) -> _WitnessTable:
+def _witness_table(graphs: Iterable[Iterable[Witnesses]]) -> _WitnessTable:
     """Write every graph's units, one graph after another, into one table."""
-    a, b, lengths, multi = array("q"), array("q"), array("q"), array("q")
+    a, b, lengths = array("q"), array("q"), array("q")
     parts = []
     for units in graphs:
         first = len(lengths)
-        for channels in units:
+        for ids_a, ids_b in units:
             start = len(a)
-            for width, ids_a, ids_b in channels:
-                if width > 1:
-                    multi.extend((len(a), len(a) + width))
-                a.extend(ids_a)
-                b.extend(ids_b)
-                a.append(-1)
-                b.append(-1)
+            a.extend(ids_a)
+            b.extend(ids_b)
             lengths.append(len(a) - start)
         parts.append((first, len(a)))
-    return _WitnessTable(a, b, tuple(parts), lengths, multi)
+    return _WitnessTable(a, b, tuple(parts), lengths)
 
 
 def _refine_to_stability(
@@ -220,15 +214,15 @@ def _lockstep(
 # the units and witnesses of each method
 
 
-def _wl1_units(g: Graph) -> Iterator[list[Channel]]:
-    """Node v: one channel over its neighbours w, with a = b = w."""
-    return ([(len(nbrs), nbrs, nbrs)] for nbrs in g.adjacency)
+def _wl1_units(g: Graph) -> Iterator[Witnesses]:
+    """Node v: its neighbours w, with a = b = w."""
+    return ((nbrs, nbrs) for nbrs in g.adjacency)
 
 
-def _fwl2_units(n: int) -> Iterator[list[Channel]]:
-    """Pair (u, v), row-major with id u*n + v: one channel over every node
-    w, with a = id(w, v) and b = id(u, w)."""
-    return ([(n, range(v, n * n, n), range(u * n, u * n + n))] for u in range(n) for v in range(n))
+def _fwl2_units(n: int) -> Iterator[Witnesses]:
+    """Pair (u, v), row-major with id u*n + v: every node w, with
+    a = id(w, v) and b = id(u, w)."""
+    return ((range(v, n * n, n), range(u * n, u * n + n)) for u in range(n) for v in range(n))
 
 
 def _validate_mask(mask: Iterable[tuple[int, int, int]] | None, d: int) -> frozenset:
@@ -237,49 +231,30 @@ def _validate_mask(mask: Iterable[tuple[int, int, int]] | None, d: int) -> froze
     out = set()
     for triple in mask:
         t = tuple(triple)
-        ok = len(t) == 3 and all(isinstance(x, int) and 0 <= x <= d for x in t)
+        ok = len(t) == 3 and all(type(x) is int and 0 <= x <= d for x in t)
         if not (ok and abs(t[0] - t[1]) <= t[2] <= t[0] + t[1]):
             raise ValueError(f"invalid mask triple {triple!r} for d={d}")
         out.add(t)
     return frozenset(out)
 
 
-def _channels(top: int, masked: frozenset) -> list[list[tuple[int, int]]]:
-    """Per distance k = 0..top, the unmasked channels (i, j) of a tuple at
-    distance k, in (i, j) order: i, j <= top and |i - j| <= k <= i + j."""
-    channels_for_k: list[list[tuple[int, int]]] = [[] for _ in range(top + 1)]
-    for i in range(top + 1):
-        for j in range(top + 1):
-            for k in range(abs(i - j), min(i + j, top) + 1):
-                if (i, j, k) not in masked:
-                    channels_for_k[k].append((i, j))
-    return channels_for_k
-
-
-def _drfwl_units(
-    idx: TupleIndex, channels_for_k: list[list[tuple[int, int]]]
-) -> Iterator[list[Channel]]:
-    """Tuple (u, v) at distance k: one channel per (i, j) of
-    ``channels_for_k[k]``, over the w in N_i(u) & N_j(v), with a = id(w, v)
-    and b = id(u, w) as the index's ``rows`` number them."""
-    rows = idx.rows
-    for u, v, k in idx.pairs:
-        row_u = rows[u]
-        channels = []
-        for i, j in channels_for_k[k]:
-            ws = intersect(idx, u, v, i, j)
-            channels.append((len(ws), [rows[w][v] for w in ws], map(row_u.__getitem__, ws)))
-        yield channels
+def _drfwl_units(idx: TupleIndex, masked: frozenset) -> Iterator[Witnesses]:
+    """Tuple (u, v) at distance k: the w within d of both u and v (the
+    common keys of ``rows[u]`` and ``rows[v]``), less each w whose
+    (d(u, w), d(v, w), k) is masked, with a = id(w, v) and b = id(u, w)."""
+    rows, pairs = idx.rows, idx.pairs
+    for u, v, k in pairs:
+        row_u, row_v = rows[u], rows[v]
+        ws = intersect(row_u.keys(), row_v.keys())
+        if masked:
+            ws = [w for w in ws if (pairs[row_u[w]][2], pairs[row_v[w]][2], k) not in masked]
+        yield [rows[w][v] for w in ws], map(row_u.__getitem__, ws)
 
 
 def _drfwl_blocks(indexes: Sequence[TupleIndex], masked: frozenset) -> _WitnessTable:
     """The witness table of the graphs' tuples.  Fixed once; read by every
-    round.  Channels stop at ``top``, the largest distance of any tuple: one
-    above it is empty for every tuple, and the tuples of one color share k,
-    so it would only add the same end marker to every key of that color."""
-    top = max((k for idx in indexes for _, _, k in idx.pairs), default=0)
-    channels_for_k = _channels(top, masked)
-    return _witness_table(_drfwl_units(idx, channels_for_k) for idx in indexes)
+    round."""
+    return _witness_table(_drfwl_units(idx, masked) for idx in indexes)
 
 
 def _drfwl_multi(
@@ -358,10 +333,13 @@ def drfwl_refine(
 ) -> Coloring:
     """Distance-restricted 2-tuple refinement over pairs with d(u,v) <= d.
 
-    Tuple (u, v) starts from color d(u, v) and each round aggregates, for
-    every admissible channel (i, j), the multiset of color pairs
-    (color(w, v), color(u, w)) over w in N_i(u) & N_j(v).  Channels listed
-    in ``mask`` (as (i, j, k) triples) contribute nothing.
+    Tuple (u, v) starts from color d(u, v) and each round aggregates the
+    multiset of color pairs (color(w, v), color(u, w)) over the w within d
+    of both u and v.  A witness w with (d(u, w), d(v, w), d(u, v)) listed
+    in ``mask`` contributes nothing, so a masked (i, j, k) silences the
+    paper's channel N_i(u) & N_j(v) of the tuples at distance k.  Colors
+    refine distances, so the merged multiset splits the tuples exactly as
+    the paper's per-channel multisets do.
     """
     return _coloring(g, "drfwl", d, mask=mask)
 

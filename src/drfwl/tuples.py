@@ -2,12 +2,15 @@
 
 Materializes every ordered node pair (u, v) with shortest-path distance at
 most d, together with per-node k-hop shells.  This is the shared substrate
-for distance-restricted refinement and for the closed-form counting passes:
-both consume intersections of the form N_i(u) & N_j(v).
+for distance-restricted refinement and for the closed-form counting passes.
+Refinement reads a tuple's witnesses as the common keys of ``rows[u]`` and
+``rows[v]``, the nodes within d of both; counting reads N_1(u) & N_1(v)
+and walks the shells.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import AbstractSet
 
 from .graph import Graph, khop
 
@@ -22,14 +25,12 @@ class TupleIndex:
     (u, v, k), and ``rows[u][v]`` is the id of (u, v): one dict per node,
     the map that every runtime pass reads.  For k = 0..d,
     ``shells[u][k]`` is N_k(u) as a sorted tuple (``khop``), so
-    ``shells[u][0]`` is ``(u,)``, and ``shell_sets[u][k]`` is the same
-    shell as a frozenset.
+    ``shells[u][0]`` is ``(u,)``.
     """
 
     graph: Graph
     d: int
     shells: tuple[tuple[tuple[int, ...], ...], ...]
-    shell_sets: tuple[tuple[frozenset[int], ...], ...]
     pairs: tuple[tuple[int, int, int], ...]
     rows: tuple[dict[int, int], ...]
 
@@ -48,7 +49,6 @@ def build_index(g: Graph, d: int) -> TupleIndex:
     if d < 1:
         raise ValueError("d must be >= 1")
     shells = tuple(khop(g, v, d) for v in range(g.n))
-    shell_sets = tuple(tuple(map(frozenset, s)) for s in shells)
     pairs: list[tuple[int, int, int]] = []
     rows: list[dict[int, int]] = []
     for u in range(g.n):
@@ -58,16 +58,14 @@ def build_index(g: Graph, d: int) -> TupleIndex:
                 row[v] = len(pairs)
                 pairs.append((u, v, k))
         rows.append(row)
-    return TupleIndex(
-        graph=g, d=d, shells=shells, shell_sets=shell_sets, pairs=tuple(pairs), rows=tuple(rows)
-    )
+    return TupleIndex(graph=g, d=d, shells=shells, pairs=tuple(pairs), rows=tuple(rows))
 
 
-def intersect(idx: TupleIndex, u: int, v: int, i: int, j: int) -> list[int]:
-    """N_i(u) & N_j(v) as a new ascending list; N_0(x) = {x}.
+def intersect(a: AbstractSet[int], b: AbstractSet[int]) -> list[int]:
+    """The common nodes of two node sets as a new ascending list.
 
-    A frozenset intersection of the two shells that ``build_index`` keeps
-    (it walks the smaller set), then a sort of the common nodes, which are
-    few.
+    Called once per witness set that counting and refinement read, so the
+    benchmark probe (perfbench/probe.py) can count those sets by wrapping
+    it.
     """
-    return sorted(idx.shell_sets[u][i] & idx.shell_sets[v][j])
+    return sorted(a & b)

@@ -7,9 +7,11 @@ ones:
 * WL(1) and dense FWL(2) refinement that build every unit's key with a
   per-unit function, ``(color[v], sorted neighbour colors)`` and
   ``(color[u, v], sorted((color[w, v], color[u, w]) for every node w))``;
-* d-DRFWL(2) refinement that builds every unit's nested key from per-unit
-  witness blocks, ``(color[t], (sorted((color[a], color[b]) ...) per
-  channel))``;
+* d-DRFWL(2) refinement from the paper's per-(i, j) witness blocks,
+  built with the merge-loop ``intersect``.  Its default key merges a
+  unit's blocks into one sorted tuple of color pairs, as the runtime
+  does, so the color ids must match; ``nested=True`` keeps the paper's
+  key, one sorted tuple per channel, whose partitions must match;
 * the counting passes and the cycle-7 terms as per-tuple maps that
   re-intersect every witness set ``N_i(u) & N_j(v)`` they read and look
   every id up in ``pair_id(idx)[(a, b)]`` (``pair_stats`` and
@@ -173,9 +175,12 @@ def drfwl_multi(
     graphs: Sequence[Graph],
     d: int,
     mask: Iterable[tuple[int, int, int]] | None = None,
+    nested: bool = False,
 ) -> tuple[list[list[int]], int, tuple[int, ...]]:
     """Lockstep d-DRFWL(2) over the graphs: per-graph colors, rounds, and
-    class counts per round, from nested per-unit keys."""
+    class counts per round, from per-unit keys over the per-channel
+    blocks, merged into one sorted tuple or, with ``nested``, one per
+    channel."""
     masked = frozenset(tuple(t) for t in mask or ())
     indexes = [build_index(g, d) for g in graphs]
     sizes = [idx.tuple_count for idx in indexes]
@@ -184,7 +189,13 @@ def drfwl_multi(
     for idx, offset in zip(indexes, _offsets(sizes)):
         blocks.extend(_drfwl_blocks(idx, offset, masked))
 
-    def key_fn(t: int, colors: list[int]):
+    def merged_key(t: int, colors: list[int]):
+        return (
+            colors[t],
+            tuple(sorted((colors[a], colors[b]) for block in blocks[t] for a, b in block)),
+        )
+
+    def nested_key(t: int, colors: list[int]):
         return (
             colors[t],
             tuple(
@@ -193,7 +204,9 @@ def drfwl_multi(
             ),
         )
 
-    colors, iterations, history = _refine_to_stability(init, key_fn)
+    colors, iterations, history = _refine_to_stability(
+        init, nested_key if nested else merged_key
+    )
     return _split(colors, sizes), iterations, history
 
 

@@ -15,7 +15,7 @@ from drfwl.graph import gen_cycle, gen_disjoint_union, gen_petersen, parse_edge_
 SRC_DIR = str(Path(__file__).resolve().parents[1] / "src")
 
 
-def run_cli(*args: str, env_extra: dict | None = None):
+def run_cli(*args: str, env_extra: dict | None = None, preexec_fn=None):
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC_DIR + os.pathsep + env.get("PYTHONPATH", "")
     if env_extra:
@@ -25,6 +25,7 @@ def run_cli(*args: str, env_extra: dict | None = None):
         capture_output=True,
         text=True,
         env=env,
+        preexec_fn=preexec_fn,
     )
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -293,6 +294,25 @@ class TestDistinguish:
         assert code == 0
         assert payload["distinguished"] is False
         assert payload["iterations"] >= 1
+
+    def test_d_far_beyond_the_diameter(self, c6_file):
+        # C6 has diameter 3: a larger d adds only empty shells to the index,
+        # so d = 100000 runs in a child limited to 100 MB of address space
+        resource = pytest.importorskip("resource")
+
+        def limit_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (100 << 20, 100 << 20))
+
+        reports = {}
+        for d in (3, 100000):
+            code, out, err = run_cli(
+                "distinguish", "--method", "drfwl", "--d", str(d), c6_file, c6_file,
+                preexec_fn=limit_memory,
+            )
+            assert code == 0, err
+            reports[d] = json.loads(out)
+            assert reports[d].pop("d") == d
+        assert reports[3] == reports[100000]
 
     def test_fwl2_cap_exit_3(self, tmp_path):
         a = tmp_path / "a.el"

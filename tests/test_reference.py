@@ -5,7 +5,9 @@ The witness-table refinements must reproduce the per-unit key references
 exactly: same colour ids, same number of rounds, same class count per
 round, for single graphs and for lockstep pairs (also of different
 sizes), for WL(1), dense FWL(2) and d-DRFWL(2), with and without masks.
-The counting passes, which read a common-neighbour table and walk the
+The runtime d-DRFWL(2) merges a tuple's witnesses into one multiset; the
+paper's key, one multiset per channel (i, j), must give the same
+partition, rounds and class counts.  The counting passes, which read a common-neighbour table and walk the
 wide channels, must reproduce every PairStats field and every cycle-7
 term of the per-tuple ``intersect`` reference at d = 2, 3 and 4.
 """
@@ -31,7 +33,6 @@ from drfwl.graph import (
     gen_random_regular,
 )
 from drfwl.refine import (
-    _channels,
     _drfwl_blocks,
     _drfwl_multi,
     _refine_multi,
@@ -112,19 +113,33 @@ def test_benchmark_shaped_pair_matches_reference():
     _check_pair(g1, g2, 2, None)
 
 
+def _check_per_channel_partition(gs: list[Graph], d: int, mask) -> None:
+    """The runtime's merged multisets and the paper's per-channel ones give
+    one partition: their ids pair one to one, in every graph together."""
+    merged, iterations, history = _drfwl_multi(gs, d, mask)
+    nested, want_iterations, want_history = reference.drfwl_multi(gs, d, mask, nested=True)
+    ids = [c for colors in merged for c in colors]
+    want = [c for colors in nested for c in colors]
+    assert len(set(zip(ids, want))) == len(set(ids)) == len(set(want))
+    assert (iterations, history) == (want_iterations, want_history)
+
+
 @settings(max_examples=60, deadline=None)
-@given(st.data(), st.integers(min_value=1, max_value=6))
-def test_channel_lists_match_the_filtered_enumeration(data, d):
-    masked = frozenset(data.draw(st.sets(st.sampled_from(reference.admissible_triples(d)))))
-    expected = [
-        [(i, j) for i, j, kk in reference.admissible_triples(d) if kk == k and (i, j, k) not in masked]
-        for k in range(d + 1)
-    ]
-    assert _channels(d, masked) == expected
+@given(st.data(), graphs(), graphs(), DEPTHS)
+def test_per_channel_multisets_give_the_same_partition(data, g1, g2, d):
+    mask = data.draw(masks(d))
+    _check_per_channel_partition([g1], d, mask)
+    _check_per_channel_partition([g1, g2], d, mask)
+
+
+def test_per_channel_multisets_give_the_same_partition_on_the_benchmark_pair():
+    g1 = gen_random_regular(150, 4, 11)
+    g2 = gen_random_regular(150, 4, 12)
+    _check_per_channel_partition([g1, g2], 2, None)
 
 
 def test_witness_table_stops_at_the_largest_distance():
-    # C6 has diameter 3: a larger d adds no tuple, so no channel either
+    # C6 has diameter 3: a larger d adds no tuple, so no witness either
     at_3, at_50 = (_drfwl_blocks([build_index(gen_cycle(6), d)], frozenset()) for d in (3, 50))
     assert len(at_50.a) == len(at_3.a)
     assert at_50 == at_3
@@ -187,7 +202,8 @@ def test_intersect_matches_merge_loop(g, d):
         for v in range(g.n):
             for i in range(d + 1):
                 for j in range(d + 1):
-                    assert intersect(idx, u, v, i, j) == reference.intersect(idx, u, v, i, j)
+                    shells = set(idx.shells[u][i]), set(idx.shells[v][j])
+                    assert intersect(*shells) == reference.intersect(idx, u, v, i, j)
 
 
 # ---------------------------------------------------------------------------

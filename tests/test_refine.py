@@ -99,6 +99,8 @@ class TestDRFWL:
             drfwl_refine(gen_cycle(6), 2, mask=[(0, 0, 2)])
         with pytest.raises(ValueError):
             drfwl_refine(gen_cycle(6), 2, mask=[(3, 0, 0)])
+        with pytest.raises(ValueError):  # a bool is not an int here, though True == 1
+            drfwl_refine(gen_cycle(6), 2, mask=[(True, 1, 0)])
 
     def test_admissible_triples_obey_triangle_inequality(self):
         for i, j, k in admissible_triples(3):
@@ -120,16 +122,16 @@ class TestCertificates:
     def test_serialization_shape(self):
         cert = certificate(drfwl_refine(gen_cycle(6), 2))
         text = cert.serialize()
-        assert text.startswith("certv1;drfwl;2;")
+        assert text.startswith("certv2;drfwl;2;")
         assert all(":" in part for part in text.split(";")[3].split(","))
 
     def test_golden_serializations(self):
         assert certificate(drfwl_refine(gen_cycle(6), 2)).serialize() == (
-            "certv1;drfwl;2;0:6,1:12,2:12"
+            "certv2;drfwl;2;0:6,1:12,2:12"
         )
-        assert certificate(wl1_refine(gen_star(3))).serialize() == "certv1;wl1;-;0:3,1:1"
+        assert certificate(wl1_refine(gen_star(3))).serialize() == "certv2;wl1;-;0:3,1:1"
         assert certificate(fwl2_refine(gen_cycle(4))).serialize() == (
-            "certv1;fwl2;-;0:4,1:8,2:4"
+            "certv2;fwl2;-;0:4,1:8,2:4"
         )
 
     def test_certificate_counts_total(self):

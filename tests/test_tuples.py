@@ -86,23 +86,33 @@ class TestBuildIndex:
             assert idx.tuple_count <= idx.space_bound()
 
 
+def _common(idx, u, v, i, j):
+    """N_i(u) & N_j(v) through ``intersect``."""
+    return intersect(set(idx.shells[u][i]), set(idx.shells[v][j]))
+
+
 class TestIntersect:
     def test_cycle_common_neighbor(self):
         idx = build_index(gen_cycle(6), 2)
-        assert intersect(idx, 0, 2, 1, 1) == [1]
+        assert _common(idx, 0, 2, 1, 1) == [1]
 
     def test_identity_case(self):
         idx = build_index(gen_cycle(6), 2)
-        assert intersect(idx, 3, 3, 0, 0) == [3]
+        assert _common(idx, 3, 3, 0, 0) == [3]
 
     def test_complete_graph_common_neighbors(self):
         idx = build_index(gen_complete(4), 2)
-        assert intersect(idx, 0, 1, 1, 1) == [2, 3]
+        assert _common(idx, 0, 1, 1, 1) == [2, 3]
+
+    def test_row_keys_give_the_common_ball(self):
+        # refinement's witnesses of (0, 2) on C6 at d=2: every w within 2 of both
+        idx = build_index(gen_cycle(6), 2)
+        assert intersect(idx.rows[0].keys(), idx.rows[2].keys()) == [0, 1, 2, 4]
 
     def test_zero_shell_is_singleton(self):
         idx = build_index(gen_cycle(6), 2)
-        assert intersect(idx, 0, 1, 0, 1) == [0]
-        assert intersect(idx, 0, 1, 1, 0) == [1]
+        assert _common(idx, 0, 1, 0, 1) == [0]
+        assert _common(idx, 0, 1, 1, 0) == [1]
 
     @settings(max_examples=40)
     @given(small_graphs())
@@ -111,8 +121,8 @@ class TestIntersect:
         for u, v, _ in idx.pairs[: 40]:
             for i in range(3):
                 for j in range(3):
-                    a = intersect(idx, u, v, i, j)
-                    assert a == intersect(idx, v, u, j, i)
+                    a = _common(idx, u, v, i, j)
+                    assert a == _common(idx, v, u, j, i)
                     assert len(a) <= min(len(idx.shells[u][i]), len(idx.shells[v][j]))
 
     @settings(max_examples=40)
@@ -123,4 +133,4 @@ class TestIntersect:
             for i in range(3):
                 for j in range(3):
                     if abs(i - j) > k or i + j < k:
-                        assert intersect(idx, u, v, i, j) == []
+                        assert _common(idx, u, v, i, j) == []
