@@ -9,92 +9,69 @@ The package has three legs that check each other:
                computed by sparse passes over the pair index.
 * ``oracle``   brute-force enumeration of the same quantities, used as
                ground truth in the test suite.
-"""
-from .counting import (
-    NodeCounts,
-    PairStats,
-    compute_node_counts,
-    compute_pair_stats,
-    counts_to_report,
-    graph_level,
-    node_walks,
-    supported_motifs,
-)
-from .errors import CapabilityError, InvariantError
-from .graph import (
-    Graph,
-    GraphFormatError,
-    bfs_distances,
-    diameter,
-    gen_complete,
-    gen_cycle,
-    gen_disjoint_union,
-    gen_erdos_renyi,
-    gen_path,
-    gen_petersen,
-    gen_random_regular,
-    gen_star,
-    khop,
-    parse_edge_list,
-    permute,
-)
-from .oracle import (
-    oracle_graph_count,
-    oracle_node_counts,
-    oracle_pair_count,
-)
-from .refine import (
-    Certificate,
-    Coloring,
-    PairVerdict,
-    certificate,
-    distinguish,
-    drfwl_refine,
-    fwl2_refine,
-    refine_pair,
-    wl1_refine,
-)
-from .tuples import TupleIndex, build_index, intersect
 
-__all__ = [
-    "CapabilityError",
-    "Certificate",
-    "Coloring",
-    "Graph",
-    "GraphFormatError",
-    "InvariantError",
-    "NodeCounts",
-    "PairStats",
-    "PairVerdict",
-    "TupleIndex",
-    "bfs_distances",
-    "build_index",
-    "certificate",
-    "compute_node_counts",
-    "compute_pair_stats",
-    "counts_to_report",
-    "diameter",
-    "distinguish",
-    "drfwl_refine",
-    "fwl2_refine",
-    "gen_complete",
-    "gen_cycle",
-    "gen_disjoint_union",
-    "gen_erdos_renyi",
-    "gen_path",
-    "gen_petersen",
-    "gen_random_regular",
-    "gen_star",
-    "graph_level",
-    "intersect",
-    "khop",
-    "node_walks",
-    "oracle_graph_count",
-    "oracle_node_counts",
-    "oracle_pair_count",
-    "parse_edge_list",
-    "permute",
-    "refine_pair",
-    "supported_motifs",
-    "wl1_refine",
-]
+The names below are re-exported lazily (PEP 562): ``import drfwl`` loads
+no submodule, and the first read of a name imports only its home module.
+"""
+import importlib
+
+# home module of every re-exported name
+_HOMES = {
+    "counting": (
+        "NodeCounts",
+        "PairStats",
+        "compute_node_counts",
+        "compute_pair_stats",
+        "counts_to_report",
+        "graph_level",
+        "node_walks",
+        "supported_motifs",
+    ),
+    "errors": ("CapabilityError", "InvariantError"),
+    "graph": (
+        "Graph",
+        "GraphFormatError",
+        "bfs_distances",
+        "diameter",
+        "gen_complete",
+        "gen_cycle",
+        "gen_disjoint_union",
+        "gen_erdos_renyi",
+        "gen_path",
+        "gen_petersen",
+        "gen_random_regular",
+        "gen_star",
+        "khop",
+        "parse_edge_list",
+        "permute",
+    ),
+    "oracle": ("oracle_graph_count", "oracle_node_counts", "oracle_pair_count"),
+    "refine": (
+        "Certificate",
+        "Coloring",
+        "PairVerdict",
+        "certificate",
+        "distinguish",
+        "drfwl_refine",
+        "fwl2_refine",
+        "refine_pair",
+        "wl1_refine",
+    ),
+    "tuples": ("TupleIndex", "build_index", "intersect"),
+}
+_HOME = {name: module for module, names in _HOMES.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value  # later reads skip this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -11,16 +11,18 @@ or written), 3 capability or size limit, 4 a failed internal check
 the subcommands raise it for every user error they detect.  Any other
 exception is a bug too: it propagates (exit 1).
 JSON output is a stability contract; the text format is for humans.
+
+Each subcommand imports the algorithm module it runs (``counting``,
+``refine`` or ``oracle``) when it runs, so an invocation loads only its
+own.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import sys
-from pathlib import Path
 from typing import Sequence
 
-from . import counting, oracle, refine
 from .errors import CapabilityError, InvariantError
 from .graph import (
     Graph,
@@ -38,6 +40,9 @@ EXIT_PARSE = 2
 EXIT_CAPABILITY = 3
 EXIT_INVARIANT = 4
 
+# refine.METHODS, spelled out so that building the parser loads no refinement
+METHODS = ("wl1", "fwl2", "drfwl")
+
 
 def resolve_threads(threads: int | None = None) -> int:
     """Worker count of a run, which is always 1.
@@ -49,9 +54,19 @@ def resolve_threads(threads: int | None = None) -> int:
     return 1
 
 
+def _pathname(path: str) -> str:
+    """``path`` as ``str(pathlib.PurePosixPath(path))`` spells it: no empty
+    or "." parts, and a root of one slash, or of two if it has exactly two.
+    Files are opened and named by this spelling."""
+    stripped = path.lstrip("/")
+    root = "//" if len(path) - len(stripped) == 2 else "/" if path != stripped else ""
+    return root + "/".join(p for p in stripped.split("/") if p not in ("", ".")) or "."
+
+
 def _load_graph(path: str) -> Graph:
     try:
-        data = Path(path).read_bytes()
+        with open(_pathname(path), "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise GraphFormatError(f"cannot read {path}: {exc}") from exc
     return parse_edge_list(data)
@@ -62,7 +77,8 @@ def _emit(text: str, output: str | None) -> None:
         sys.stdout.write(text)
         return
     try:
-        Path(output).write_text(text, encoding="utf-8")
+        with open(_pathname(output), "w", encoding="utf-8") as fh:
+            fh.write(text)
     except OSError as exc:
         raise GraphFormatError(f"cannot write {output}: {exc}") from exc
 
@@ -83,6 +99,8 @@ def _parse_mask(spec: str | None) -> list[tuple[int, int, int]] | None:
 
 
 def _parse_motifs(spec: str | None, allow_clique: bool) -> list[str] | None:
+    from . import counting
+
     if not spec:
         return None
     names = [m.strip() for m in spec.split(",") if m.strip()]
@@ -111,6 +129,8 @@ def _emit_report(report: dict, fmt: str, output: str | None) -> None:
 
 
 def cmd_count(ns: argparse.Namespace) -> int:
+    from . import counting
+
     motifs = _parse_motifs(ns.motifs, allow_clique=False)
     resolve_threads(ns.threads)
     if ns.d < 2:
@@ -126,6 +146,8 @@ def cmd_count(ns: argparse.Namespace) -> int:
 
 
 def cmd_oracle(ns: argparse.Namespace) -> int:
+    from . import counting, oracle
+
     motifs = _parse_motifs(ns.motifs, allow_clique=True)
     g = _load_graph(ns.input)
     subs = {}
@@ -139,6 +161,8 @@ def cmd_oracle(ns: argparse.Namespace) -> int:
 
 
 def cmd_distinguish(ns: argparse.Namespace) -> int:
+    from . import refine
+
     mask = _parse_mask(ns.mask)
     if ns.d < 1:
         raise GraphFormatError("--d must be >= 1")
@@ -199,10 +223,10 @@ def cmd_gen(ns: argparse.Namespace) -> int:
         double = gen_disjoint_union([gen_cycle(k), gen_cycle(k)])
         single = gen_cycle(2 * k)
         prefix = ns.output or f"separation-d{ns.d}"
-        p1 = Path(f"{prefix}-two-c{k}.el")
-        p2 = Path(f"{prefix}-c{2 * k}.el")
-        _emit(double.to_edge_list(), str(p1))
-        _emit(single.to_edge_list(), str(p2))
+        p1 = _pathname(f"{prefix}-two-c{k}.el")
+        p2 = _pathname(f"{prefix}-c{2 * k}.el")
+        _emit(double.to_edge_list(), p1)
+        _emit(single.to_edge_list(), p2)
         sys.stdout.write(f"{p1}\n{p2}\n")
     else:
         raise GraphFormatError(f"unknown generator {kind!r}")
@@ -243,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=cmd_distinguish)
     p.add_argument("input1")
     p.add_argument("input2")
-    p.add_argument("--method", choices=refine.METHODS, default="drfwl")
+    p.add_argument("--method", choices=METHODS, default="drfwl")
     p.add_argument("--d", type=int, default=2)
     p.add_argument("--mask", default=None)
     common(p)

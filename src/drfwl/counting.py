@@ -39,10 +39,9 @@ distance-3 extensions when the index was built with d >= 3):
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
 from itertools import accumulate, islice, repeat
 from operator import mul, sub
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .errors import CapabilityError, InvariantError
 from .graph import Graph
@@ -84,8 +83,7 @@ def _exact_half(x: int) -> int:
     return x // 2
 
 
-@dataclass(frozen=True)
-class CommonNeighbours:
+class CommonNeighbours(NamedTuple):
     """N1(u) & N1(v) of every tuple at distance 1 or 2, in CSR form.
 
     Tuple t's witnesses are entries start[t] .. start[t+1]-1 (none for a
@@ -135,8 +133,7 @@ def _near(idx: TupleIndex) -> Near:
     ]
 
 
-@dataclass
-class PairStats:
+class PairStats(NamedTuple):
     """Per-pair statistics, one slot per TupleIndex tuple id, and what they
     were computed from: the common-neighbour table, the ``_near`` spans of
     every node, and C3, the triangles at every node."""
@@ -374,8 +371,7 @@ def node_walks(g: Graph, k: int) -> list[int]:
     return walks
 
 
-@dataclass
-class NodeCounts:
+class NodeCounts(NamedTuple):
     """Per-node counts over the supported catalog (cycle7 needs d >= 3)."""
 
     n: int
@@ -401,7 +397,7 @@ class NodeCounts:
             "chordal_cycle_cc1": "cc1",
             "chordal_cycle_cc2": "cc2",
         }.get(name, name)
-        value = getattr(self, field, None)
+        value = getattr(self, field) if name in GRAPH_LEVEL_FACTOR else None
         if value is None:
             if name == "cycle7":
                 raise CapabilityError("cycle7 counts require an index with d >= 3")
@@ -643,7 +639,7 @@ def compute_node_counts(idx: TupleIndex) -> NodeCounts:
         tr3=tr3,
     )
     if idx.d >= 3:
-        counts.cycle7 = _node_cycle7(idx, stats, counts)
+        counts = counts._replace(cycle7=_node_cycle7(idx, stats, counts))
     return counts
 
 

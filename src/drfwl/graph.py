@@ -6,8 +6,7 @@ seed produces the same graph on every platform and Python version.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 
 class GraphFormatError(ValueError):
@@ -54,8 +53,7 @@ class SplitMix64:
             items[i], items[j] = items[j], items[i]
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(NamedTuple):
     """Simple undirected graph over nodes 0..n-1.
 
     ``adjacency[u]`` is the sorted tuple of neighbors of u.  Invariants

@@ -41,10 +41,9 @@ yields the verdict.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
 from itertools import islice, repeat
 from operator import add
-from typing import Callable, Iterable, Iterator, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
 from .errors import CapabilityError, InvariantError
 from .graph import Graph
@@ -64,8 +63,7 @@ R = TypeVar("R")
 Witnesses = tuple[Iterable[int], Iterable[int]]
 
 
-@dataclass(frozen=True)
-class Coloring:
+class Coloring(NamedTuple):
     """Stable coloring of one graph's units under one refinement method.
 
     Units are nodes for wl1, all ordered node pairs (row-major) for fwl2,
@@ -83,8 +81,7 @@ class Coloring:
     class_counts: tuple[int, ...] = ()
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     """Canonical multiset fingerprint of a stable coloring."""
 
     method: str
@@ -114,8 +111,7 @@ def parallel_map(fn: Callable[[T], R], items: Sequence[T]) -> list[R]:
     return [fn(x) for x in items]
 
 
-@dataclass(frozen=True)
-class _WitnessTable:
+class _WitnessTable(NamedTuple):
     """The fixed inputs of every refinement round, as flat int arrays.
 
     Entry p (unit after unit) reads the colors of units ``a[p]`` and
@@ -360,8 +356,7 @@ def certificate(coloring: Coloring) -> Certificate:
     )
 
 
-@dataclass(frozen=True)
-class PairVerdict:
+class PairVerdict(NamedTuple):
     """Outcome of comparing two graphs under one refinement method."""
 
     distinguished: bool

@@ -9,14 +9,12 @@ and walks the shells.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import AbstractSet
+from typing import AbstractSet, NamedTuple
 
 from .graph import Graph, khop
 
 
-@dataclass(frozen=True)
-class TupleIndex:
+class TupleIndex(NamedTuple):
     """All ordered pairs (u, v) with d(u, v) <= d, densely numbered.
 
     Tuple ids are assigned in (u, k, v) lexicographic order, so each

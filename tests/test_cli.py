@@ -4,12 +4,14 @@ import json
 import os
 import subprocess
 import sys
-from pathlib import Path
+from pathlib import Path, PurePosixPath
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given
 
 from drfwl import oracle
-from drfwl.cli import main
+from drfwl.cli import _pathname, main
 from drfwl.graph import gen_cycle, gen_disjoint_union, gen_petersen, parse_edge_list
 
 SRC_DIR = str(Path(__file__).resolve().parents[1] / "src")
@@ -364,3 +366,25 @@ class TestGen:
         assert (single.n, single.m) == (14, 14)
         assert oracle.oracle_graph_count(double, "cycle7") == 2
         assert oracle.oracle_graph_count(single, "cycle7") == 0
+
+
+class TestPathNames:
+    """Files are opened and named as ``pathlib`` spelled them."""
+
+    @given(st.text(alphabet="/.a", max_size=12))
+    def test_pathname_spells_paths_like_pathlib(self, path):
+        assert _pathname(path) == str(PurePosixPath(path))
+
+    def test_separation_file_names(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        assert main(["gen", "separation", "--d", "2", "--out", "./sub//sep"]) == 0
+        assert capsys.readouterr().out == "sub/sep-two-c7.el\nsub/sep-c14.el\n"
+        assert sorted(p.name for p in (tmp_path / "sub").iterdir()) == ["sep-c14.el", "sep-two-c7.el"]
+
+    def test_missing_file_message(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["count", "./missing.el"]) == 2
+        assert capsys.readouterr().err == (
+            "error: cannot read ./missing.el: [Errno 2] No such file or directory: 'missing.el'\n"
+        )
