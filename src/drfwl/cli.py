@@ -21,9 +21,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from pathlib import Path
 from typing import Sequence
 
-from .errors import CapabilityError, InvariantError
+from .errors import METHODS, CapabilityError, InvariantError
 from .graph import (
     Graph,
     GraphFormatError,
@@ -40,9 +41,6 @@ EXIT_PARSE = 2
 EXIT_CAPABILITY = 3
 EXIT_INVARIANT = 4
 
-# refine.METHODS, spelled out so that building the parser loads no refinement
-METHODS = ("wl1", "fwl2", "drfwl")
-
 
 def resolve_threads(threads: int | None = None) -> int:
     """Worker count of a run, which is always 1.
@@ -54,19 +52,9 @@ def resolve_threads(threads: int | None = None) -> int:
     return 1
 
 
-def _pathname(path: str) -> str:
-    """``path`` as ``str(pathlib.PurePosixPath(path))`` spells it: no empty
-    or "." parts, and a root of one slash, or of two if it has exactly two.
-    Files are opened and named by this spelling."""
-    stripped = path.lstrip("/")
-    root = "//" if len(path) - len(stripped) == 2 else "/" if path != stripped else ""
-    return root + "/".join(p for p in stripped.split("/") if p not in ("", ".")) or "."
-
-
 def _load_graph(path: str) -> Graph:
     try:
-        with open(_pathname(path), "rb") as fh:
-            data = fh.read()
+        data = Path(path).read_bytes()
     except OSError as exc:
         raise GraphFormatError(f"cannot read {path}: {exc}") from exc
     return parse_edge_list(data)
@@ -77,8 +65,7 @@ def _emit(text: str, output: str | None) -> None:
         sys.stdout.write(text)
         return
     try:
-        with open(_pathname(output), "w", encoding="utf-8") as fh:
-            fh.write(text)
+        Path(output).write_text(text, encoding="utf-8")
     except OSError as exc:
         raise GraphFormatError(f"cannot write {output}: {exc}") from exc
 
@@ -223,10 +210,10 @@ def cmd_gen(ns: argparse.Namespace) -> int:
         double = gen_disjoint_union([gen_cycle(k), gen_cycle(k)])
         single = gen_cycle(2 * k)
         prefix = ns.output or f"separation-d{ns.d}"
-        p1 = _pathname(f"{prefix}-two-c{k}.el")
-        p2 = _pathname(f"{prefix}-c{2 * k}.el")
-        _emit(double.to_edge_list(), p1)
-        _emit(single.to_edge_list(), p2)
+        p1 = Path(f"{prefix}-two-c{k}.el")
+        p2 = Path(f"{prefix}-c{2 * k}.el")
+        _emit(double.to_edge_list(), str(p1))
+        _emit(single.to_edge_list(), str(p2))
         sys.stdout.write(f"{p1}\n{p2}\n")
     else:
         raise GraphFormatError(f"unknown generator {kind!r}")

@@ -1,5 +1,8 @@
-"""Shared exception types."""
+"""Shared exception types, and the names of the refinement methods."""
 from __future__ import annotations
+
+# the refinement methods, by their ``--method`` names
+METHODS = ("wl1", "fwl2", "drfwl")
 
 
 class CapabilityError(RuntimeError):

@@ -45,15 +45,13 @@ from itertools import islice, repeat
 from operator import add
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
-from .errors import CapabilityError, InvariantError
+from .errors import METHODS, CapabilityError, InvariantError
 from .graph import Graph
 from .tuples import TupleIndex, build_index, intersect
 
 # n = 96 keeps a dense FWL(2) pair near 200 MB of peak memory; the table
 # and each round's codes grow as n^3 (447 MB at n = 128).
 FWL2_DENSE_CAP = 96
-
-METHODS = ("wl1", "fwl2", "drfwl")
 
 T = TypeVar("T")
 R = TypeVar("R")

@@ -4,14 +4,12 @@ import json
 import os
 import subprocess
 import sys
-from pathlib import Path, PurePosixPath
+from pathlib import Path
 
-import hypothesis.strategies as st
 import pytest
-from hypothesis import given
 
 from drfwl import oracle
-from drfwl.cli import _pathname, main
+from drfwl.cli import main
 from drfwl.graph import gen_cycle, gen_disjoint_union, gen_petersen, parse_edge_list
 
 SRC_DIR = str(Path(__file__).resolve().parents[1] / "src")
@@ -369,11 +367,7 @@ class TestGen:
 
 
 class TestPathNames:
-    """Files are opened and named as ``pathlib`` spelled them."""
-
-    @given(st.text(alphabet="/.a", max_size=12))
-    def test_pathname_spells_paths_like_pathlib(self, path):
-        assert _pathname(path) == str(PurePosixPath(path))
+    """Files are opened and named as ``pathlib`` spells them."""
 
     def test_separation_file_names(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)

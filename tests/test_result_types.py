@@ -1,12 +1,8 @@
-"""The result types are immutable, and the CLI's method list is refine's."""
+"""The result types are immutable."""
 from __future__ import annotations
-
-import argparse
 
 import pytest
 
-from drfwl import refine
-from drfwl.cli import build_parser
 from drfwl.counting import compute_node_counts, compute_pair_stats
 from drfwl.graph import gen_cycle, gen_petersen
 from drfwl.refine import certificate, drfwl_refine, refine_pair
@@ -54,9 +50,3 @@ def test_node_counts_carry_cycle7_only_from_d3():
     assert compute_node_counts(build_index(g, 2)).cycle7 is None
     assert compute_node_counts(build_index(g, 3)).cycle7 == [1] * 7
 
-
-def test_cli_method_choices_are_refine_methods():
-    parser = build_parser()
-    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    method = next(a for a in commands.choices["distinguish"]._actions if a.dest == "method")
-    assert tuple(method.choices) == refine.METHODS
