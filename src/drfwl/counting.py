@@ -128,7 +128,7 @@ def _near(idx: TupleIndex) -> Near:
     """Per node x: the id of (x, y) for the first y at distance 1, and the
     nodes y at distance 1 or 2, whose tuples (x, y) follow in id order."""
     return [
-        (row[x] + 1, shell[1] + shell[2])
+        (row[x] + 1, sum(shell[1:3], ()))  # a missing shell is empty
         for x, (row, shell) in enumerate(zip(idx.rows, idx.shells))
     ]
 

@@ -190,9 +190,10 @@ def bfs_distances(g: Graph, source: int) -> list[int]:
 def khop(g: Graph, v: int, d: int) -> tuple[tuple[int, ...], ...]:
     """K-hop shells of v by BFS truncated at depth d.
 
-    Entry k (k = 0..d) is the sorted tuple N_k(v) of nodes at distance
-    exactly k, so entry 0 is ``(v,)``.  Work is proportional to the edges
-    within d hops of v, not to n.
+    Entry k is the sorted tuple N_k(v) of nodes at distance exactly k, so
+    entry 0 is ``(v,)``.  The entries stop at the last non-empty shell, at
+    depth d or sooner, so a missing entry k <= d is empty.  Work is
+    proportional to the edges within d hops of v, not to n or d.
     """
     if not (0 <= v < g.n):
         raise ValueError(f"node {v} out of range for n={g.n}")
@@ -208,6 +209,8 @@ def khop(g: Graph, v: int, d: int) -> tuple[tuple[int, ...], ...]:
                 if w not in seen:
                     seen.add(w)
                     nxt.append(w)
+        if not nxt:
+            break
         nxt.sort()
         shells.append(tuple(nxt))
         frontier = nxt

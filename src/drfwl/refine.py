@@ -25,12 +25,18 @@ classes are the paper's; only the ids the classes get differ, which the
 certificate version records.
 
 A flat witness table, built once, lists every unit's witnesses.  A round
-encodes every witness as ``color[a] * T + color[b]`` (T = number of
-units) in one C-level pass, sorts each unit's codes, and cuts them into
-one flat tuple per unit.  Because ``0 <= color < T``, the encoding is a
-strictly increasing bijection on color pairs (``c * T + c`` orders like
-c), so a unit's key (color, codes) orders exactly like the per-unit key
-(color, sorted color pairs), and the ranks are those of that key.
+encodes the table's witnesses as ``color[a] * T + color[b]`` (T = number
+of units) in one C-level pass and cuts them into one sorted tuple of
+codes per unit.  Because ``0 <= color < T``, the encoding is a strictly
+increasing bijection on color pairs (``c * T + c`` orders like c), so a
+unit's key (color, codes) orders exactly like the per-unit key (color,
+sorted color pairs), and the ranks are those of that key.
+
+A unit alone in its color class is settled: a singleton class never
+splits, and no other key starts with its color, so the key (color, ())
+gets the same rank and its codes are never built.  Once more than half
+of the table's units are settled, the table is compacted to the live
+ones, and a round on a discrete partition computes nothing.
 
 Cross-graph comparison runs the refinements on both graphs in lockstep
 with a shared key-to-rank table (equivalent, for the node and
@@ -41,8 +47,9 @@ yields the verdict.
 from __future__ import annotations
 
 from array import array
-from itertools import islice, repeat
-from operator import add
+from collections import Counter
+from itertools import chain, compress, islice, repeat
+from operator import add, mul
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
 from .errors import METHODS, CapabilityError, InvariantError
@@ -103,8 +110,9 @@ def _compress(keys: list) -> tuple[list[int], int]:
 def parallel_map(fn: Callable[[T], R], items: Sequence[T]) -> list[R]:
     """Ordered map on the calling thread.
 
-    Round keys go through this named function so that the benchmark probe
-    (perfbench/probe.py) can time them by wrapping it.
+    Each round's live units go through this named function, which builds
+    their code tuples, so that the benchmark probe (perfbench/probe.py) can
+    time and count them by wrapping it.
     """
     return [fn(x) for x in items]
 
@@ -114,36 +122,48 @@ class _WitnessTable(NamedTuple):
 
     Entry p (unit after unit) reads the colors of units ``a[p]`` and
     ``b[p]``, numbered within their graph.  ``parts`` holds, per graph, the
-    id of its first unit and the end of its entries, and ``lengths[t]`` is
-    the number of witnesses of unit t.
+    id of its first unit and the end of its entries.  ``units[i]`` is the
+    id of the table's i-th unit and ``lengths[i]`` its number of
+    witnesses.  A fresh table holds every unit; ``compact`` keeps the live
+    ones.
     """
 
     a: array
     b: array
     parts: tuple[tuple[int, int], ...]
+    units: Sequence[int]
     lengths: array
 
-    def round_key_fn(self, colors: list[int]) -> Callable[[int], tuple]:
-        """Key function of one round, for units drawn in order 0, 1, ...
-
-        Unit t's key is (colors[t], codes): the sorted codes
-        colors[a] * T + colors[b] of its witnesses.
-        """
-        codes = self._codes(colors)
-        return lambda t: (colors[t], next(codes))
-
-    def _codes(self, colors: list[int]) -> Iterator[tuple]:
-        # A generator, so that the bulk passes run when parallel_map asks
-        # for the first key.
+    def sorted_codes(self, colors: list[int], live: Iterable[bool]) -> Iterator[list[int]]:
+        """The sorted codes colors[a] * T + colors[b] (T = number of
+        units) of each table unit whose ``live`` flag is set, in table
+        order."""
         total = len(colors)
-        high = [c * total for c in colors]
+        high = list(map(mul, colors, repeat(total)))
         codes: list[int] = []
         start = 0
         for offset, end in self.parts:  # a graph's ids index its slice of the colors
             a, b = islice(self.a, start, end), islice(self.b, start, end)
             codes += map(add, map(high[offset:].__getitem__, a), map(colors[offset:].__getitem__, b))
             start = end
-        yield from map(tuple, map(sorted, map(islice, repeat(iter(codes)), self.lengths)))
+        # sorted drains each unit's islice, so a dropped unit keeps the cut aligned
+        return compress(map(sorted, map(islice, repeat(iter(codes)), self.lengths)), live)
+
+    def compact(self, live: list[bool]) -> _WitnessTable:
+        """The table of the units whose ``live`` flag is set."""
+        entries = list(chain.from_iterable(map(repeat, live, self.lengths)))
+        parts, kept, start = [], 0, 0
+        for offset, end in self.parts:
+            kept += sum(islice(entries, start, end))
+            parts.append((offset, kept))
+            start = end
+        return _WitnessTable(
+            array("q", compress(self.a, entries)),
+            array("q", compress(self.b, entries)),
+            tuple(parts),
+            array("q", compress(self.units, live)),
+            array("q", compress(self.lengths, live)),
+        )
 
 
 def _witness_table(graphs: Iterable[Iterable[Witnesses]]) -> _WitnessTable:
@@ -158,7 +178,7 @@ def _witness_table(graphs: Iterable[Iterable[Witnesses]]) -> _WitnessTable:
             b.extend(ids_b)
             lengths.append(len(a) - start)
         parts.append((first, len(a)))
-    return _WitnessTable(a, b, tuple(parts), lengths)
+    return _WitnessTable(a, b, tuple(parts), range(len(lengths)), lengths)
 
 
 def _refine_to_stability(
@@ -167,25 +187,35 @@ def _refine_to_stability(
     """Iterate rounds over the witness table until the partition stops
     refining.
 
-    Each round, table.round_key_fn(colors) returns the round's key
-    function, which parallel_map applies to every unit in order.  A unit's
-    key starts with colors[unit], which guarantees each round refines the
-    previous partition; stability within #units rounds follows.
+    A unit's key starts with colors[unit], which guarantees each round
+    refines the previous partition; stability within #units rounds
+    follows.  A live unit's key is (color, its sorted codes), and
+    parallel_map builds the code tuples of the live units only.  A settled
+    unit, alone in its class, gets the key (color, ()).  Once more than
+    half of the table's units are settled, the table is compacted to the
+    live ones.  A discrete round counts as a round but builds no key.
     """
     total = len(init_keys)
     if total == 0:
         return [], 0, ()
     colors, classes = _compress(init_keys)
     history = [classes]
-    iterations = 0
-    for _ in range(total + 1):
-        keys = parallel_map(table.round_key_fn(colors), range(total))
-        new_colors, new_classes = _compress(keys)
-        iterations += 1
+    for iterations in range(1, total + 2):
+        new_classes = classes
+        if classes < total:
+            sizes = Counter(colors)
+            live = list(map((1).__lt__, map(sizes.__getitem__, map(colors.__getitem__, table.units))))
+            units = list(compress(table.units, live))
+            if 2 * len(units) < len(live):  # more than half of the table is settled
+                table, live = table.compact(live), repeat(True)
+            tails = [()] * total
+            for unit, codes in zip(units, parallel_map(tuple, list(table.sorted_codes(colors, live)))):
+                tails[unit] = codes
+            colors, new_classes = _compress(list(zip(colors, tails)))
         history.append(new_classes)
         if new_classes == classes:
-            return new_colors, iterations, tuple(history)
-        colors, classes = new_colors, new_classes
+            return colors, iterations, tuple(history)
+        classes = new_classes
     raise InvariantError("refinement exceeded its iteration cap")
 
 

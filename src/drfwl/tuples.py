@@ -21,9 +21,10 @@ class TupleIndex(NamedTuple):
     node's tuples form one run of ids that starts with (u, u), and within
     it the tuples at each distance k are contiguous.  ``pairs[t]`` is
     (u, v, k), and ``rows[u][v]`` is the id of (u, v): one dict per node,
-    the map that every runtime pass reads.  For k = 0..d,
-    ``shells[u][k]`` is N_k(u) as a sorted tuple (``khop``), so
-    ``shells[u][0]`` is ``(u,)``.
+    the map that every runtime pass reads.  ``shells[u][k]`` is N_k(u) as
+    a sorted tuple (``khop``), so ``shells[u][0]`` is ``(u,)``; the
+    shells stop at the last non-empty one, so a missing shell k <= d is
+    empty.
     """
 
     graph: Graph

@@ -51,10 +51,17 @@ def admissible_triples(d: int) -> list[tuple[int, int, int]]:
     ]
 
 
+def shell(idx: TupleIndex, u: int, k: int) -> tuple[int, ...]:
+    """N_k(u), for any k <= d: the index keeps no shell past the last
+    non-empty one."""
+    shells = idx.shells[u]
+    return shells[k] if k < len(shells) else ()
+
+
 def intersect(idx: TupleIndex, u: int, v: int, i: int, j: int) -> list[int]:
     """Sorted merge-intersection of N_i(u) and N_j(v); N_0(x) = {x}."""
-    a = idx.shells[u][i]
-    b = idx.shells[v][j]
+    a = shell(idx, u, i)
+    b = shell(idx, v, j)
     if len(b) < len(a):
         a, b = b, a
     out: list[int] = []

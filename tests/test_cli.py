@@ -296,8 +296,8 @@ class TestDistinguish:
         assert payload["iterations"] >= 1
 
     def test_d_far_beyond_the_diameter(self, c6_file):
-        # C6 has diameter 3: a larger d adds only empty shells to the index,
-        # so d = 100000 runs in a child limited to 100 MB of address space
+        # C6 has diameter 3: a larger d adds nothing to the index, so
+        # d = 100000 runs in a child limited to 100 MB of address space
         resource = pytest.importorskip("resource")
 
         def limit_memory():
@@ -335,6 +335,24 @@ class TestDistinguish:
             "distinguish", "--method", "drfwl", "--mask", "0,0,2", str(a), str(a)
         )
         assert code == 2
+
+
+@pytest.mark.parametrize("command", ["count", "distinguish"])
+def test_huge_d_costs_what_the_diameter_does(c6_file, command):
+    # the index stops at C6's last non-empty shell, so d = 10**6 runs as
+    # fast as d = 3 and reports the same, less the requested d
+    resource = pytest.importorskip("resource")
+    inputs = [c6_file] * (2 if command == "distinguish" else 1)
+    reports = {}
+    for d in (3, 10**6):
+        before = resource.getrusage(resource.RUSAGE_CHILDREN)
+        code, out, err = run_cli(command, "--d", str(d), *inputs)
+        after = resource.getrusage(resource.RUSAGE_CHILDREN)
+        assert code == 0, err
+        assert (after.ru_utime + after.ru_stime) - (before.ru_utime + before.ru_stime) < 1.0
+        reports[d] = json.loads(out)
+        assert reports[d].pop("d", d) == d
+    assert reports[3] == reports[10**6]
 
 
 class TestGen:

@@ -84,6 +84,15 @@ class TestParse:
         assert parse_edge_list(g.to_edge_list()).adjacency == g.adjacency
 
 
+def bfs_shells(g: Graph, v: int, d: int) -> tuple[tuple[int, ...], ...]:
+    """N_0(v) .. N_d(v) from a full BFS, less the empty shells at the end."""
+    dist = bfs_distances(g, v)
+    shells = [tuple(w for w in range(g.n) if dist[w] == k) for k in range(d + 1)]
+    while not shells[-1]:
+        shells.pop()
+    return tuple(shells)
+
+
 class TestKhop:
     def test_cycle_shells(self):
         shells = khop(gen_cycle(6), 0, 2)
@@ -91,8 +100,11 @@ class TestKhop:
 
     def test_complete_graph_exhausts_at_one(self):
         shells = khop(parse_edge_list("0 1\n0 2\n0 3\n1 2\n1 3\n2 3"), 0, 2)
-        assert shells[1] == (1, 2, 3)
-        assert shells[2] == ()
+        assert shells == ((0,), (1, 2, 3))
+
+    def test_stops_at_the_last_shell_whatever_d(self):
+        assert khop(gen_cycle(6), 0, 10**6) == ((0,), (1, 5), (2, 4), (3,))
+        assert khop(parse_edge_list("n 2\n"), 1, 10**6) == ((1,),)
 
     def test_out_of_range_node(self):
         with pytest.raises(ValueError):
@@ -100,31 +112,20 @@ class TestKhop:
 
     def test_matches_full_bfs(self):
         g = gen_erdos_renyi(20, 0.2, 7)
-        shells = khop(g, 0, 3)
-        dist = bfs_distances(g, 0)
-        for k in (1, 2, 3):
-            assert list(shells[k]) == [w for w in range(g.n) if dist[w] == k]
+        assert khop(g, 0, 3) == bfs_shells(g, 0, 3)
 
     @settings(max_examples=60)
     @given(small_graphs())
     def test_khop_agrees_with_bfs_everywhere(self, g):
         for v in range(g.n):
-            dist = bfs_distances(g, v)
-            shells = khop(g, v, 3)
-            assert shells[0] == (v,)
-            for k in (1, 2, 3):
-                assert list(shells[k]) == [w for w in range(g.n) if dist[w] == k]
+            assert khop(g, v, 3) == bfs_shells(g, v, 3)
 
     def test_khop_on_100_random_graphs(self):
         for seed in range(100):
             n = 10 + seed % 31  # up to 40 nodes
             g = gen_erdos_renyi(n, 0.12, 500 + seed)
             for v in range(g.n):
-                dist = bfs_distances(g, v)
-                shells = khop(g, v, 3)
-                assert shells[0] == (v,)
-                for k in (1, 2, 3):
-                    assert list(shells[k]) == [w for w in range(n) if dist[w] == k]
+                assert khop(g, v, 3) == bfs_shells(g, v, 3)
 
 
 class TestGenerators:

@@ -202,7 +202,7 @@ def test_intersect_matches_merge_loop(g, d):
         for v in range(g.n):
             for i in range(d + 1):
                 for j in range(d + 1):
-                    shells = set(idx.shells[u][i]), set(idx.shells[v][j])
+                    shells = set(reference.shell(idx, u, i)), set(reference.shell(idx, v, j))
                     assert intersect(*shells) == reference.intersect(idx, u, v, i, j)
 
 

@@ -13,6 +13,7 @@ from drfwl.graph import (
     gen_cycle,
     gen_disjoint_union,
     gen_erdos_renyi,
+    gen_random_regular,
     gen_star,
     permute,
 )
@@ -24,6 +25,7 @@ from drfwl.refine import (
     refine_pair,
     wl1_refine,
 )
+from drfwl.tuples import build_index
 
 
 def double_cycle(k):
@@ -116,6 +118,24 @@ class TestDRFWL:
         assert distinguish(
             double_cycle(3), gen_cycle(6), "drfwl", d=2, mask=[(2, 2, 2)]
         )
+
+    def test_rounds_skip_settled_units(self, monkeypatch):
+        # a unit alone in its class builds no key, and the discrete last
+        # round builds none at all
+        built = []
+        plain = refine.parallel_map
+
+        def recording(fn, items):
+            built.append(len(items))
+            return plain(fn, items)
+
+        monkeypatch.setattr(refine, "parallel_map", recording)
+        g1, g2 = gen_random_regular(150, 4, 11), gen_random_regular(150, 4, 12)
+        verdict = refine_pair(g1, g2, "drfwl", d=2)
+        units = sum(len(build_index(g, 2).pairs) for g in (g1, g2))
+        assert verdict.distinguished and len(built) < verdict.iterations
+        assert built[0] == units
+        assert sum(built) < 0.7 * units * verdict.iterations
 
 
 class TestCertificates:

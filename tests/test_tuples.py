@@ -3,6 +3,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings
 
+import reference
 from conftest import small_graphs
 from drfwl.graph import bfs_distances, gen_complete, gen_cycle, gen_erdos_renyi, gen_random_regular
 from drfwl.tuples import build_index, intersect
@@ -88,7 +89,7 @@ class TestBuildIndex:
 
 def _common(idx, u, v, i, j):
     """N_i(u) & N_j(v) through ``intersect``."""
-    return intersect(set(idx.shells[u][i]), set(idx.shells[v][j]))
+    return intersect(set(reference.shell(idx, u, i)), set(reference.shell(idx, v, j)))
 
 
 class TestIntersect:
@@ -123,7 +124,7 @@ class TestIntersect:
                 for j in range(3):
                     a = _common(idx, u, v, i, j)
                     assert a == _common(idx, v, u, j, i)
-                    assert len(a) <= min(len(idx.shells[u][i]), len(idx.shells[v][j]))
+                    assert len(a) <= min(len(reference.shell(idx, u, i)), len(reference.shell(idx, v, j)))
 
     @settings(max_examples=40)
     @given(small_graphs())
