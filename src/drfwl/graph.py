@@ -264,12 +264,14 @@ def gen_petersen() -> Graph:
 
 def gen_disjoint_union(graphs: Sequence[Graph]) -> Graph:
     """Disjoint union; node ids of each graph are shifted past the previous."""
-    edges: list[tuple[int, int]] = []
-    offset = 0
+    adjacency: list[tuple[int, ...]] = []
     for g in graphs:
-        edges.extend((u + offset, v + offset) for u, v in g.edges())
-        offset += g.n
-    return Graph.from_edges(offset, edges)
+        offset = len(adjacency)
+        if offset:
+            adjacency += [tuple([v + offset for v in nbrs]) for nbrs in g.adjacency]
+        else:  # the ids of the graphs up to the first nonempty one need no shift
+            adjacency += g.adjacency
+    return Graph(len(adjacency), tuple(adjacency), sum(g.m for g in graphs))
 
 
 def gen_erdos_renyi(n: int, p: float, seed: int) -> Graph:

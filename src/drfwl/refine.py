@@ -38,11 +38,12 @@ gets the same rank and its codes are never built.  Once more than half
 of the table's units are settled, the table is compacted to the live
 ones, and a round on a discrete partition computes nothing.
 
-Cross-graph comparison runs the refinements on both graphs in lockstep
-with a shared key-to-rank table (equivalent, for the node and
-distance-restricted tests, to refining the disjoint union): color ids from
-the two graphs are then directly comparable and a per-graph multiset split
-yields the verdict.
+Graphs are compared by refining their disjoint union in one id space: WL(1)
+and d-DRFWL(2) refine ``gen_disjoint_union(graphs)``, and dense FWL(2),
+which must not pair nodes of different graphs, numbers each graph's pairs
+after the previous graph's.  Color ids of the graphs are then directly
+comparable, and cutting the stable colors by each graph's unit count
+yields the per-graph multisets.
 """
 from __future__ import annotations
 
@@ -53,7 +54,7 @@ from operator import add, mul
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
 from .errors import METHODS, CapabilityError, InvariantError
-from .graph import Graph
+from .graph import Graph, gen_disjoint_union
 from .tuples import TupleIndex, build_index, intersect
 
 # n = 96 keeps a dense FWL(2) pair near 200 MB of peak memory; the table
@@ -63,8 +64,7 @@ FWL2_DENSE_CAP = 96
 T = TypeVar("T")
 R = TypeVar("R")
 
-# A unit's witnesses: the a ids and the b ids, numbered within the unit's
-# graph.
+# A unit's witnesses: the a ids and the b ids.
 Witnesses = tuple[Iterable[int], Iterable[int]]
 
 
@@ -121,16 +121,14 @@ class _WitnessTable(NamedTuple):
     """The fixed inputs of every refinement round, as flat int arrays.
 
     Entry p (unit after unit) reads the colors of units ``a[p]`` and
-    ``b[p]``, numbered within their graph.  ``parts`` holds, per graph, the
-    id of its first unit and the end of its entries.  ``units[i]`` is the
-    id of the table's i-th unit and ``lengths[i]`` its number of
-    witnesses.  A fresh table holds every unit; ``compact`` keeps the live
-    ones.
+    ``b[p]``, in the one id space of all the compared graphs' units.
+    ``units[i]`` is the id of the table's i-th unit and ``lengths[i]`` its
+    number of witnesses.  A fresh table holds every unit; ``compact`` keeps
+    the live ones.
     """
 
     a: array
     b: array
-    parts: tuple[tuple[int, int], ...]
     units: Sequence[int]
     lengths: array
 
@@ -138,47 +136,31 @@ class _WitnessTable(NamedTuple):
         """The sorted codes colors[a] * T + colors[b] (T = number of
         units) of each table unit whose ``live`` flag is set, in table
         order."""
-        total = len(colors)
-        high = list(map(mul, colors, repeat(total)))
-        codes: list[int] = []
-        start = 0
-        for offset, end in self.parts:  # a graph's ids index its slice of the colors
-            a, b = islice(self.a, start, end), islice(self.b, start, end)
-            codes += map(add, map(high[offset:].__getitem__, a), map(colors[offset:].__getitem__, b))
-            start = end
+        high = list(map(mul, colors, repeat(len(colors))))
+        codes = list(map(add, map(high.__getitem__, self.a), map(colors.__getitem__, self.b)))
         # sorted drains each unit's islice, so a dropped unit keeps the cut aligned
         return compress(map(sorted, map(islice, repeat(iter(codes)), self.lengths)), live)
 
     def compact(self, live: list[bool]) -> _WitnessTable:
         """The table of the units whose ``live`` flag is set."""
         entries = list(chain.from_iterable(map(repeat, live, self.lengths)))
-        parts, kept, start = [], 0, 0
-        for offset, end in self.parts:
-            kept += sum(islice(entries, start, end))
-            parts.append((offset, kept))
-            start = end
         return _WitnessTable(
             array("q", compress(self.a, entries)),
             array("q", compress(self.b, entries)),
-            tuple(parts),
             array("q", compress(self.units, live)),
             array("q", compress(self.lengths, live)),
         )
 
 
-def _witness_table(graphs: Iterable[Iterable[Witnesses]]) -> _WitnessTable:
-    """Write every graph's units, one graph after another, into one table."""
+def _witness_table(units: Iterable[Witnesses]) -> _WitnessTable:
+    """Write the units, one after another, into one table."""
     a, b, lengths = array("q"), array("q"), array("q")
-    parts = []
-    for units in graphs:
-        first = len(lengths)
-        for ids_a, ids_b in units:
-            start = len(a)
-            a.extend(ids_a)
-            b.extend(ids_b)
-            lengths.append(len(a) - start)
-        parts.append((first, len(a)))
-    return _WitnessTable(a, b, tuple(parts), range(len(lengths)), lengths)
+    for ids_a, ids_b in units:
+        start = len(a)
+        a.extend(ids_a)
+        b.extend(ids_b)
+        lengths.append(len(a) - start)
+    return _WitnessTable(a, b, range(len(lengths)), lengths)
 
 
 def _refine_to_stability(
@@ -219,21 +201,6 @@ def _refine_to_stability(
     raise InvariantError("refinement exceeded its iteration cap")
 
 
-def _lockstep(
-    inits: list[list[int]], table: _WitnessTable
-) -> tuple[list[list[int]], int, tuple[int, ...]]:
-    """Refine the units of all graphs together from each graph's initial
-    colors: the stable colors split per graph, the rounds, and the class
-    count per round."""
-    colors, iterations, history = _refine_to_stability([c for init in inits for c in init], table)
-    out = []
-    start = 0
-    for init in inits:
-        out.append(colors[start : start + len(init)])
-        start += len(init)
-    return out, iterations, history
-
-
 # ---------------------------------------------------------------------------
 # the units and witnesses of each method
 
@@ -243,10 +210,16 @@ def _wl1_units(g: Graph) -> Iterator[Witnesses]:
     return ((nbrs, nbrs) for nbrs in g.adjacency)
 
 
-def _fwl2_units(n: int) -> Iterator[Witnesses]:
-    """Pair (u, v), row-major with id u*n + v: every node w, with
-    a = id(w, v) and b = id(u, w)."""
-    return ((range(v, n * n, n), range(u * n, u * n + n)) for u in range(n) for v in range(n))
+def _fwl2_units(graphs: Iterable[Graph]) -> Iterator[Witnesses]:
+    """Pair (u, v) of an n-node graph whose pairs start at id o, row-major
+    with id o + u*n + v: every node w, with a = id(w, v) and b = id(u, w)."""
+    o = 0
+    for g in graphs:
+        n = g.n
+        for u in range(n):
+            for v in range(n):
+                yield range(o + v, o + n * n, n), range(o + u * n, o + u * n + n)
+        o += n * n
 
 
 def _validate_mask(mask: Iterable[tuple[int, int, int]] | None, d: int) -> frozenset:
@@ -275,25 +248,10 @@ def _drfwl_units(idx: TupleIndex, masked: frozenset) -> Iterator[Witnesses]:
         yield [rows[w][v] for w in ws], map(row_u.__getitem__, ws)
 
 
-def _drfwl_blocks(indexes: Sequence[TupleIndex], masked: frozenset) -> _WitnessTable:
-    """The witness table of the graphs' tuples.  Fixed once; read by every
+def _drfwl_blocks(idx: TupleIndex, masked: frozenset) -> _WitnessTable:
+    """The witness table of the index's tuples.  Fixed once; read by every
     round."""
-    return _witness_table(_drfwl_units(idx, masked) for idx in indexes)
-
-
-def _drfwl_multi(
-    graphs: Sequence[Graph],
-    d: int,
-    mask: Iterable[tuple[int, int, int]] | None,
-) -> tuple[list[list[int]], int, tuple[int, ...]]:
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    masked = _validate_mask(mask, d)
-    indexes = [build_index(g, d) for g in graphs]
-    inits = [[k for _, _, k in idx.pairs] for idx in indexes]
-    table = _drfwl_blocks(indexes, masked)
-    del indexes  # the rounds read only the table; freeing the indexes lowers peak memory
-    return _lockstep(inits, table)
+    return _witness_table(_drfwl_units(idx, masked))
 
 
 def _refine_multi(
@@ -302,25 +260,40 @@ def _refine_multi(
     d: int | None = None,
     mask: Iterable[tuple[int, int, int]] | None = None,
 ) -> tuple[list[list[int]], int, tuple[int, ...]]:
-    """Lockstep refinement of the graphs under ``method``: per-graph
-    stable colors, rounds, and class counts per round."""
+    """Refinement of the graphs' units in one id space under ``method``:
+    per-graph stable colors, rounds, and class counts per round."""
     if method == "wl1":
-        return _lockstep([[0] * g.n for g in graphs], _witness_table(map(_wl1_units, graphs)))
-    if method == "fwl2":
+        sizes = [g.n for g in graphs]
+        init, table = [0] * sum(sizes), _witness_table(_wl1_units(gen_disjoint_union(graphs)))
+    elif method == "fwl2":
         for g in graphs:
             if g.n > FWL2_DENSE_CAP:
                 raise CapabilityError(
                     f"fwl2 is dense O(n^3); n={g.n} exceeds the cap of {FWL2_DENSE_CAP}"
                 )
         # atomic types: 0 on the diagonal, 1 for an edge, 2 for a non-edge
-        inits = [
-            [0 if u == v else 1 if g.has_edge(u, v) else 2 for u in range(g.n) for v in range(g.n)]
+        init = [
+            0 if u == v else 1 if g.has_edge(u, v) else 2
             for g in graphs
+            for u in range(g.n)
+            for v in range(g.n)
         ]
-        return _lockstep(inits, _witness_table(_fwl2_units(g.n) for g in graphs))
-    if method == "drfwl":
-        return _drfwl_multi(graphs, d, mask)
-    raise ValueError(f"unknown method {method!r}")
+        table, sizes = _witness_table(_fwl2_units(graphs)), [g.n * g.n for g in graphs]
+    elif method == "drfwl":
+        if d < 1:
+            raise ValueError("d must be >= 1")
+        masked = _validate_mask(mask, d)
+        idx = build_index(gen_disjoint_union(graphs), d)
+        init = [k for _, _, k in idx.pairs]
+        rows = iter(idx.rows)  # a graph's tuples are the tuples of its nodes' rows
+        sizes = [sum(map(len, islice(rows, g.n))) for g in graphs]
+        table = _drfwl_blocks(idx, masked)
+        del idx, rows  # the rounds read only the table; freeing the index lowers peak memory
+    else:
+        raise ValueError(f"unknown method {method!r}")
+    colors, iterations, history = _refine_to_stability(init, table)
+    stable = iter(colors)
+    return [list(islice(stable, size)) for size in sizes], iterations, history
 
 
 # ---------------------------------------------------------------------------
@@ -369,10 +342,7 @@ def drfwl_refine(
 
 
 def _histogram(colors: Sequence[int]) -> tuple[tuple[int, int], ...]:
-    hist: dict[int, int] = {}
-    for c in colors:
-        hist[c] = hist.get(c, 0) + 1
-    return tuple(sorted(hist.items()))
+    return tuple(sorted(Counter(colors).items()))
 
 
 def certificate(coloring: Coloring) -> Certificate:
@@ -402,7 +372,7 @@ def refine_pair(
     d: int = 2,
     mask: Iterable[tuple[int, int, int]] | None = None,
 ) -> PairVerdict:
-    """Lockstep refinement of two graphs; compares per-graph multisets."""
+    """Refines the two graphs in one id space; compares per-graph multisets."""
     d_out = d if method == "drfwl" else None
     (ca, cb), iterations, _ = _refine_multi([g1, g2], method, d_out, mask)
     ha = _histogram(ca)

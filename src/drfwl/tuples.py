@@ -38,9 +38,15 @@ class TupleIndex(NamedTuple):
         return len(self.pairs)
 
     def space_bound(self) -> int:
-        """The n * (1 + sum_k degmax^k) ceiling on the tuple count."""
-        degmax = self.graph.max_degree()
-        return self.graph.n * (1 + sum(degmax**k for k in range(1, self.d + 1)))
+        """The n * (1 + sum_k degmax^k) ceiling on the tuple count.
+
+        The geometric sum is taken in closed form, so the cost grows with
+        the digits of the result, not with d times them.
+        """
+        degmax, d = self.graph.max_degree(), self.d
+        if degmax < 2:
+            return self.graph.n * (1 + degmax * d)
+        return self.graph.n * ((degmax ** (d + 1) - 1) // (degmax - 1))
 
 
 def build_index(g: Graph, d: int) -> TupleIndex:

@@ -23,7 +23,7 @@ from hypothesis import given, settings
 
 from drfwl.counting import compute_node_counts, compute_pair_stats
 from drfwl.graph import Graph, gen_cycle, gen_disjoint_union, gen_random_regular, permute
-from drfwl.refine import _drfwl_multi
+from drfwl.refine import _refine_multi
 from drfwl.tuples import build_index
 from reference import PAIR_FIELDS, admissible_triples
 
@@ -74,7 +74,7 @@ def _check(gs: list[Graph], d: int, mask=None) -> dict[str, int]:
     """Violations of colour determination in the lockstep run of ``gs`` at
     ``d``: of the PairStats fields, of cycle3..cycle6, and of cycle7 (its
     counts from a d=3 index, whatever ``d`` is)."""
-    colors, _, _ = _drfwl_multi(gs, d, mask)
+    colors, _, _ = _refine_multi(gs, "drfwl", d, mask)
     indexes = [build_index(g, d) for g in gs]
     pair_values, node_values, cycle7 = [], [], []
     for g, idx in zip(gs, indexes):
@@ -152,10 +152,10 @@ def _refines(fine: list[int], coarse: list[int]) -> bool:
 @settings(max_examples=25, deadline=None)
 @given(st.data(), regular_pairs(), st.integers(min_value=1, max_value=3))
 def test_partitions_refine_with_d_and_coarsen_under_masks(data, gs, d):
-    colors, _, _ = _drfwl_multi(gs, d, None)
+    colors, _, _ = _refine_multi(gs, "drfwl", d, None)
     flat = [c for cs in colors for c in cs]
     # the d + 1 colours, on the tuples within d, refine the d colours
-    wider, _, _ = _drfwl_multi(gs, d + 1, None)
+    wider, _, _ = _refine_multi(gs, "drfwl", d + 1, None)
     restricted = []
     for cs, g in zip(wider, gs):
         rows = build_index(g, d + 1).rows
@@ -163,5 +163,5 @@ def test_partitions_refine_with_d_and_coarsen_under_masks(data, gs, d):
     assert _refines(restricted, flat)
     # a mask drops witnesses, so its partition is never finer
     mask = data.draw(st.sets(st.sampled_from(admissible_triples(d))))
-    masked, _, _ = _drfwl_multi(gs, d, sorted(mask))
+    masked, _, _ = _refine_multi(gs, "drfwl", d, sorted(mask))
     assert _refines(flat, [c for cs in masked for c in cs])

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
@@ -143,6 +144,17 @@ class TestGenerators:
         assert (g.n, g.m) == (6, 6)
         dist = bfs_distances(g, 0)
         assert dist.count(-1) == 3
+
+    @settings(max_examples=60)
+    @given(st.lists(st.one_of(small_graphs(), st.just(Graph.from_edges(0, []))), max_size=4))
+    def test_disjoint_union_equals_from_edges(self, graphs):
+        edges, offset = [], 0
+        for g in graphs:
+            edges += [(u + offset, v + offset) for u, v in g.edges()]
+            offset += g.n
+        union = gen_disjoint_union(graphs)
+        assert union == Graph.from_edges(offset, edges)
+        check_invariants(union)
 
     def test_er_deterministic(self):
         a = gen_erdos_renyi(30, 0.15, 0)

@@ -3,8 +3,8 @@ tests/reference.py.
 
 The witness-table refinements must reproduce the per-unit key references
 exactly: same colour ids, same number of rounds, same class count per
-round, for single graphs and for lockstep pairs (also of different
-sizes), for WL(1), dense FWL(2) and d-DRFWL(2), with and without masks.
+round, for single graphs and for pairs refined in one id space (also of
+different sizes), for WL(1), dense FWL(2) and d-DRFWL(2), with and without masks.
 The runtime d-DRFWL(2) merges a tuple's witnesses into one multiset; the
 paper's key, one multiset per channel (i, j), must give the same
 partition, rounds and class counts.  The counting passes, which read a common-neighbour table and walk the
@@ -34,7 +34,6 @@ from drfwl.graph import (
 )
 from drfwl.refine import (
     _drfwl_blocks,
-    _drfwl_multi,
     _refine_multi,
     drfwl_refine,
     fwl2_refine,
@@ -78,7 +77,7 @@ def _check_single(g: Graph, d: int, mask) -> None:
 
 def _check_pair(g1: Graph, g2: Graph, d: int, mask) -> None:
     expected = reference.drfwl_multi([g1, g2], d, mask)
-    assert _drfwl_multi([g1, g2], d, mask) == expected
+    assert _refine_multi([g1, g2], "drfwl", d, mask) == expected
     verdict = refine_pair(g1, g2, "drfwl", d=d, mask=mask)
     (ca, cb), iterations, _ = expected
     assert verdict.iterations == iterations
@@ -116,7 +115,7 @@ def test_benchmark_shaped_pair_matches_reference():
 def _check_per_channel_partition(gs: list[Graph], d: int, mask) -> None:
     """The runtime's merged multisets and the paper's per-channel ones give
     one partition: their ids pair one to one, in every graph together."""
-    merged, iterations, history = _drfwl_multi(gs, d, mask)
+    merged, iterations, history = _refine_multi(gs, "drfwl", d, mask)
     nested, want_iterations, want_history = reference.drfwl_multi(gs, d, mask, nested=True)
     ids = [c for colors in merged for c in colors]
     want = [c for colors in nested for c in colors]
@@ -140,7 +139,7 @@ def test_per_channel_multisets_give_the_same_partition_on_the_benchmark_pair():
 
 def test_witness_table_stops_at_the_largest_distance():
     # C6 has diameter 3: a larger d adds no tuple, so no witness either
-    at_3, at_50 = (_drfwl_blocks([build_index(gen_cycle(6), d)], frozenset()) for d in (3, 50))
+    at_3, at_50 = (_drfwl_blocks(build_index(gen_cycle(6), d), frozenset()) for d in (3, 50))
     assert len(at_50.a) == len(at_3.a)
     assert at_50 == at_3
 
@@ -160,7 +159,7 @@ DENSE = {"wl1": (wl1_refine, reference.wl1_multi), "fwl2": (fwl2_refine, referen
 
 
 def _check_dense(method: str, g1: Graph, g2: Graph) -> None:
-    """WL(1) or FWL(2) on g1 alone, then on g1 and g2 in lockstep."""
+    """WL(1) or FWL(2) on g1 alone, then on g1 and g2 together."""
     refine_one, reference_multi = DENSE[method]
     col = refine_one(g1)
     (colors,), iterations, history = reference_multi([g1])
@@ -187,11 +186,43 @@ def test_dense_refinements_match_reference(method, g1, g2):
 
 @pytest.mark.parametrize("method", sorted(DENSE))
 def test_dense_lockstep_of_different_sizes_matches_reference(method):
-    # lockstep ids are offset per graph; with graphs of different sizes the
-    # unit count of a graph, its channel width and the total all differ
+    # the graphs' units share one id space; with graphs of different sizes
+    # the unit count of a graph, its channel width and the total all differ
     _check_dense(method, gen_petersen(), gen_cycle(7))
     _check_dense(method, gen_cycle(7), gen_disjoint_union([gen_cycle(3), gen_petersen()]))
     _check_dense(method, gen_erdos_renyi(30, 0.1, 3), gen_erdos_renyi(25, 0.1, 4))
+
+
+EMPTY = Graph.from_edges(0, [])
+REFERENCES = {
+    "wl1": reference.wl1_multi,
+    "fwl2": reference.fwl2_multi,
+    "drfwl": lambda gs: reference.drfwl_multi(gs, 2),
+}
+
+
+@pytest.mark.parametrize("method", sorted(REFERENCES))
+@pytest.mark.parametrize(
+    "gs",
+    [
+        [EMPTY],
+        [EMPTY, gen_cycle(3)],
+        [gen_cycle(3), EMPTY],
+        [EMPTY, EMPTY],
+        [gen_cycle(3), EMPTY, gen_petersen()],
+    ],
+    ids=["E", "E-C3", "C3-E", "E-E", "C3-E-Petersen"],
+)
+def test_empty_graphs_split_like_the_reference(method, gs):
+    # a 0-node graph owns no unit, so the cut of the stable colors gives it []
+    d = 2 if method == "drfwl" else None
+    assert _refine_multi(gs, method, d) == REFERENCES[method](gs)
+
+
+def test_empty_graph_next_to_a_triangle():
+    c3 = gen_cycle(3)
+    assert _refine_multi([EMPTY, c3], "wl1") == ([[], [0, 0, 0]], 1, (1, 1))
+    assert _refine_multi([EMPTY, c3], "drfwl", 2) == ([[], [0, 1, 1, 0, 1, 1, 0, 1, 1]], 1, (2, 2))
 
 
 @settings(max_examples=60, deadline=None)

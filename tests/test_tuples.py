@@ -1,11 +1,20 @@
 from __future__ import annotations
 
+import time
+
 import pytest
 from hypothesis import given, settings
 
 import reference
 from conftest import small_graphs
-from drfwl.graph import bfs_distances, gen_complete, gen_cycle, gen_erdos_renyi, gen_random_regular
+from drfwl.graph import (
+    bfs_distances,
+    gen_complete,
+    gen_cycle,
+    gen_erdos_renyi,
+    gen_random_regular,
+    gen_star,
+)
 from drfwl.tuples import build_index, intersect
 
 
@@ -78,6 +87,20 @@ class TestBuildIndex:
         t1 = build_index(gen_cycle(100), 2).tuple_count
         t2 = build_index(gen_cycle(200), 2).tuple_count
         assert t2 == 2 * t1 == 200 * 5
+
+    @pytest.mark.parametrize("degmax", range(6))
+    def test_space_bound_equals_the_term_by_term_sum(self, degmax):
+        g = gen_star(degmax)  # max degree degmax, also 0 and 1
+        for d in range(1, 13):
+            want = g.n * (1 + sum(degmax**k for k in range(1, d + 1)))
+            assert build_index(g, d).space_bound() == want
+
+    def test_space_bound_at_a_huge_d_is_fast(self):
+        idx = build_index(gen_random_regular(20, 4, 0), 10**5)
+        start = time.process_time()
+        bound = idx.space_bound()
+        assert time.process_time() - start < 1.0
+        assert bound == 20 * ((4 ** (10**5 + 1) - 1) // 3)
 
     @settings(max_examples=40)
     @given(small_graphs())
