@@ -37,6 +37,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "tests"))  # the test-only graph helpers
 
 from drfwl.cli import main as cli_main  # noqa: E402
 from drfwl.graph import (  # noqa: E402
@@ -44,11 +45,11 @@ from drfwl.graph import (  # noqa: E402
     gen_cycle,
     gen_disjoint_union,
     gen_erdos_renyi,
-    gen_petersen,
     gen_random_regular,
     parse_edge_list,
 )
 from drfwl.refine import certificate, drfwl_refine, fwl2_refine, wl1_refine  # noqa: E402
+from graph_helpers import gen_petersen  # noqa: E402
 
 GOLDEN = ROOT / "tests" / "golden"
 

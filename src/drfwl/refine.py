@@ -3,7 +3,7 @@
 All three refinements realize injective hashing literally: each round
 gives every unit an exact composite key, sorts the distinct keys, and
 assigns dense ranks.  There is no probabilistic hashing, so two units get
-equal colors iff their keys are equal, and certificates are portable
+equal colors iff their keys are equal, and a certificate is byte-stable
 across runs and platforms.
 
 The three methods share one engine.  Every unit aggregates one multiset
@@ -87,7 +87,15 @@ class Coloring(NamedTuple):
 
 
 class Certificate(NamedTuple):
-    """Canonical multiset fingerprint of a stable coloring."""
+    """Sorted color histogram of one graph's stable coloring.
+
+    It is invariant under relabelling and byte-stable across runs.  It
+    does not compare across graphs: the histogram keeps each class's size
+    but not the key behind its rank, so two graphs that the method tells
+    apart can get equal certificates (``gen_erdos_renyi(9, 0.4, 3)`` and
+    ``gen_erdos_renyi(9, 0.4, 6)`` under wl1).  Compare two graphs with
+    ``refine_pair`` or ``distinguish``.
+    """
 
     method: str
     d: int | None

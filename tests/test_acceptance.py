@@ -10,18 +10,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+from graph_helpers import diameter, gen_complete, gen_petersen, permute
 from drfwl import oracle
 from drfwl.counting import compute_node_counts, supported_motifs
-from drfwl.graph import (
-    SplitMix64,
-    diameter,
-    gen_complete,
-    gen_cycle,
-    gen_disjoint_union,
-    gen_erdos_renyi,
-    gen_petersen,
-    permute,
-)
+from drfwl.graph import SplitMix64, gen_cycle, gen_disjoint_union, gen_erdos_renyi
 from drfwl.refine import certificate, distinguish, drfwl_refine, fwl2_refine, wl1_refine
 from drfwl.tuples import build_index
 

@@ -8,9 +8,10 @@ from pathlib import Path
 
 import pytest
 
+from graph_helpers import gen_petersen
 from drfwl import oracle
 from drfwl.cli import main
-from drfwl.graph import gen_cycle, gen_disjoint_union, gen_petersen, parse_edge_list
+from drfwl.graph import gen_cycle, gen_disjoint_union, parse_edge_list
 
 SRC_DIR = str(Path(__file__).resolve().parents[1] / "src")
 

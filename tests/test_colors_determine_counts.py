@@ -21,8 +21,9 @@ from collections import defaultdict
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
+from graph_helpers import permute
 from drfwl.counting import compute_node_counts, compute_pair_stats
-from drfwl.graph import Graph, gen_cycle, gen_disjoint_union, gen_random_regular, permute
+from drfwl.graph import Graph, gen_cycle, gen_disjoint_union, gen_random_regular
 from drfwl.refine import _refine_multi
 from drfwl.tuples import build_index
 from reference import PAIR_FIELDS, admissible_triples

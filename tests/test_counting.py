@@ -9,6 +9,8 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import small_graphs
+from graph_helpers import gen_complete, gen_path, gen_petersen, gen_star
+from pair_oracle import oracle_pair_count, walk_matrix_power
 from drfwl import oracle
 from drfwl.counting import (
     GRAPH_LEVEL_FACTOR,
@@ -23,14 +25,7 @@ from drfwl.counting import (
     supported_motifs,
 )
 from drfwl.errors import CapabilityError, InvariantError
-from drfwl.graph import (
-    gen_complete,
-    gen_cycle,
-    gen_erdos_renyi,
-    gen_path,
-    gen_petersen,
-    gen_star,
-)
+from drfwl.graph import gen_cycle, gen_erdos_renyi
 from drfwl.tuples import build_index
 
 ALL_MOTIFS = supported_motifs(2)
@@ -88,14 +83,14 @@ class TestPairwise:
             if k == 0:
                 continue
             for kind in PAIR_KINDS:
-                want = oracle.oracle_pair_count(g, kind, u, v)
+                want = oracle_pair_count(g, kind, u, v)
                 if kind == "CC2" and k == 2:
                     want = 0  # positions are adjacent; off-range pairs hold 0
                 assert pair_kind_value(s, kind, t) == want, (kind, u, v)
             if k == 1:
-                assert s.cc1[t] == oracle.oracle_pair_count(g, "CC1", u, v)
-                assert s.tr1[t] == oracle.oracle_pair_count(g, "TR1", u, v)
-            assert s.tr2[t] == oracle.oracle_pair_count(g, "TR2", u, v)
+                assert s.cc1[t] == oracle_pair_count(g, "CC1", u, v)
+                assert s.tr1[t] == oracle_pair_count(g, "TR1", u, v)
+            assert s.tr2[t] == oracle_pair_count(g, "TR2", u, v)
 
     @settings(max_examples=30)
     @given(small_graphs())
@@ -199,7 +194,7 @@ class TestNodeCounts:
         assert node_walks(gen_complete(4), 2) == [9] * 4
         for seed in range(3):
             h = gen_erdos_renyi(10, 0.3, seed)
-            mat = oracle.walk_matrix_power(h, 4)
+            mat = walk_matrix_power(h, 4)
             assert node_walks(h, 4) == [sum(row) for row in mat]
 
 

@@ -10,16 +10,9 @@ from __future__ import annotations
 
 import pytest
 
+from graph_helpers import bfs_distances, gen_complete, gen_petersen
 from drfwl.counting import compute_node_counts, compute_pair_stats, cycle7_correction_terms
-from drfwl.graph import (
-    Graph,
-    bfs_distances,
-    gen_complete,
-    gen_cycle,
-    gen_erdos_renyi,
-    gen_petersen,
-    gen_random_regular,
-)
+from drfwl.graph import Graph, gen_cycle, gen_erdos_renyi, gen_random_regular
 from drfwl.tuples import build_index
 
 # exact coincidence patterns: (3-path interior slot, 4-path interior slot)

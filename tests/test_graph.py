@@ -5,18 +5,16 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import small_graphs
+from graph_helpers import bfs_distances, gen_star, permute
 from drfwl.graph import (
     Graph,
     GraphFormatError,
-    bfs_distances,
     gen_cycle,
     gen_disjoint_union,
     gen_erdos_renyi,
     gen_random_regular,
-    gen_star,
     khop,
     parse_edge_list,
-    permute,
 )
 
 

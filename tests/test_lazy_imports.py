@@ -14,8 +14,9 @@ from pathlib import Path
 
 import pytest
 
+from graph_helpers import gen_petersen
 import drfwl
-from drfwl.graph import gen_cycle, gen_petersen
+from drfwl.graph import gen_cycle
 
 SRC_DIR = str(Path(__file__).resolve().parents[1] / "src")
 ALGORITHMS = {"drfwl.counting", "drfwl.refine", "drfwl.oracle"}

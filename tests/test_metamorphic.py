@@ -12,8 +12,9 @@ import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from conftest import small_graphs
+from graph_helpers import permute
 from drfwl.counting import compute_node_counts, counts_to_report, supported_motifs
-from drfwl.graph import Graph, gen_disjoint_union, permute
+from drfwl.graph import Graph, gen_disjoint_union
 from drfwl.tuples import build_index
 
 DEPTHS = st.integers(min_value=2, max_value=3)

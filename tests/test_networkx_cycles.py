@@ -12,8 +12,9 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import small_graphs
+from graph_helpers import gen_petersen
 from drfwl.counting import compute_node_counts, graph_level
-from drfwl.graph import Graph, gen_erdos_renyi, gen_petersen, gen_random_regular
+from drfwl.graph import Graph, gen_erdos_renyi, gen_random_regular
 from drfwl.tuples import build_index
 
 nx = pytest.importorskip("networkx")

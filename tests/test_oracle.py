@@ -6,14 +6,13 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import small_graphs
-from drfwl.graph import Graph, gen_complete, gen_cycle, gen_erdos_renyi, gen_path, gen_petersen, gen_star
-from drfwl.oracle import (
-    CapabilityError,
-    oracle_graph_count,
-    oracle_node_counts,
-    oracle_pair_count,
-    walk_matrix_power,
-)
+from graph_helpers import gen_complete, gen_path, gen_petersen, gen_star
+from pair_oracle import oracle_pair_count, walk_matrix_power
+from drfwl import oracle
+from drfwl.cli import main
+from drfwl.errors import InvariantError
+from drfwl.graph import Graph, gen_cycle, gen_erdos_renyi
+from drfwl.oracle import CapabilityError, oracle_graph_count, oracle_node_counts
 
 # motif shapes used by the generic reference counter below:
 # (vertex count, edge set, marked vertex)
@@ -118,6 +117,23 @@ class TestPairCounts:
             total = sum(oracle_pair_count(g, "C13", u, v) for v in g.adjacency[u])
             assert total == 2 * oracle_node_counts(g, "cycle4")[u]
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_p_kinds_match_ordered_interior_tuples(self, seed):
+        # a u-v path with k edges is an ordered tuple of k - 1 distinct
+        # interior nodes, none of them u or v, with every step an edge
+        g = gen_erdos_renyi(8, 0.45, seed)
+        nbr = g.neighbor_sets()
+        for u in range(g.n):
+            for v in range(g.n):
+                others = [x for x in range(g.n) if x != u and x != v]
+                for k in range(1, 5):
+                    want = 0
+                    if u != v:
+                        for interior in permutations(others, k - 1):
+                            walk = (u, *interior, v)
+                            want += all(b in nbr[a] for a, b in zip(walk, walk[1:]))
+                    assert oracle_pair_count(g, f"P{k}", u, v) == want, (k, u, v)
+
     def test_frozen_small_values(self):
         c6 = gen_cycle(6)
         assert oracle_pair_count(c6, "P3", 0, 1) == 0
@@ -145,6 +161,18 @@ class TestGuards:
         big = Graph.from_edges(600, [(i, i + 1) for i in range(599)])
         with pytest.raises(CapabilityError):
             oracle_node_counts(big, "cycle3")
+
+    @pytest.mark.parametrize("name", ["path2", "path3", "path4"])
+    def test_odd_path_total_is_an_invariant_error(self, monkeypatch, tmp_path, capsys, name):
+        # each path is counted from both ends, so an odd total is a bug
+        monkeypatch.setattr(oracle, "count_paths_from", lambda g, u, length: int(u == 0))
+        g = gen_cycle(5)
+        with pytest.raises(InvariantError, match=f"{name}: node total 1 not divisible by 2"):
+            oracle_graph_count(g, name)
+        path = tmp_path / "c5.el"
+        path.write_text(g.to_edge_list())
+        assert main(["oracle", "--motifs", name, str(path)]) == 4
+        assert "consistency check failed" in capsys.readouterr().err
 
     def test_k4_has_one_clique4(self):
         assert oracle_node_counts(gen_complete(4), "clique4") == [1] * 4

@@ -21,17 +21,10 @@ from hypothesis import given, settings
 
 import reference
 from conftest import small_graphs
+from graph_helpers import diameter, gen_petersen
 from drfwl import counting
 from drfwl.counting import compute_node_counts, compute_pair_stats, cycle7_correction_terms
-from drfwl.graph import (
-    Graph,
-    diameter,
-    gen_cycle,
-    gen_disjoint_union,
-    gen_erdos_renyi,
-    gen_petersen,
-    gen_random_regular,
-)
+from drfwl.graph import Graph, gen_cycle, gen_disjoint_union, gen_erdos_renyi, gen_random_regular
 from drfwl.refine import (
     _drfwl_blocks,
     _refine_multi,

@@ -5,17 +5,15 @@ from hypothesis import given, settings
 
 from conftest import small_graphs
 from reference import admissible_triples
+from graph_helpers import gen_complete, gen_star, permute
 from drfwl import refine
 from drfwl.errors import CapabilityError
 from drfwl.graph import (
     SplitMix64,
-    gen_complete,
     gen_cycle,
     gen_disjoint_union,
     gen_erdos_renyi,
     gen_random_regular,
-    gen_star,
-    permute,
 )
 from drfwl.refine import (
     certificate,

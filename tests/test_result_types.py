@@ -3,8 +3,9 @@ from __future__ import annotations
 
 import pytest
 
+from graph_helpers import gen_petersen
 from drfwl.counting import compute_node_counts, compute_pair_stats
-from drfwl.graph import gen_cycle, gen_petersen
+from drfwl.graph import gen_cycle
 from drfwl.refine import certificate, drfwl_refine, refine_pair
 from drfwl.tuples import build_index
 

@@ -7,14 +7,8 @@ from hypothesis import given, settings
 
 import reference
 from conftest import small_graphs
-from drfwl.graph import (
-    bfs_distances,
-    gen_complete,
-    gen_cycle,
-    gen_erdos_renyi,
-    gen_random_regular,
-    gen_star,
-)
+from graph_helpers import bfs_distances, gen_complete, gen_star
+from drfwl.graph import gen_cycle, gen_erdos_renyi, gen_random_regular
 from drfwl.tuples import build_index, intersect
 
 
