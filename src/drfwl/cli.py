@@ -139,10 +139,8 @@ def cmd_oracle(ns: argparse.Namespace) -> int:
     g = _load_graph(ns.input)
     subs = {}
     for name in motifs or counting.supported_motifs(3):
-        subs[name] = {
-            "per_node": oracle.oracle_node_counts(g, name),
-            "graph_level": oracle.oracle_graph_count(g, name),
-        }
+        per_node = oracle.oracle_node_counts(g, name)
+        subs[name] = {"per_node": per_node, "graph_level": oracle._graph_total(name, per_node)}
     _emit_report({"n": g.n, "substructures": subs}, ns.fmt, ns.output)
     return EXIT_OK
 

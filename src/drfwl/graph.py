@@ -110,13 +110,19 @@ class Graph(NamedTuple):
         return "\n".join(lines) + "\n"
 
 
+def _is_decimal(token: str) -> bool:
+    return token.isascii() and token.isdigit()
+
+
 def parse_edge_list(text: str | bytes) -> Graph:
     """Parse edge-list text: one "u v" pair per line.
 
     Lines starting with '#' and blank lines are skipped.  An optional first
     line "n <count>" forces a minimum node count (ids may leave gaps, which
-    become isolated nodes).  Duplicate edges collapse; self-loops and
-    non-integer tokens are rejected with their line number.
+    become isolated nodes).  Duplicate edges collapse.  Self-loops and
+    ids or counts that are not plain ASCII decimal digits are rejected
+    with their line number: ``int()`` alone would also take ``1_0``,
+    ``+3``, ``٠`` and ``３``.
     """
     if isinstance(text, bytes):
         try:
@@ -148,6 +154,10 @@ def parse_edge_list(text: str | bytes) -> Graph:
                 ) from None
             if forced_n < 0:
                 raise GraphFormatError(f"line {lineno}: negative node count")
+            if not _is_decimal(tokens[1]):
+                raise GraphFormatError(
+                    f"line {lineno}: node count {tokens[1]!r} is not ASCII decimal digits"
+                )
             seen_header = True
             continue
         if len(tokens) != 2:
@@ -160,6 +170,10 @@ def parse_edge_list(text: str | bytes) -> Graph:
             ) from None
         if u < 0 or v < 0:
             raise GraphFormatError(f"line {lineno}: negative node id in {line!r}")
+        if not (_is_decimal(tokens[0]) and _is_decimal(tokens[1])):
+            raise GraphFormatError(
+                f"line {lineno}: node id is not ASCII decimal digits in {line!r}"
+            )
         if u == v:
             raise GraphFormatError(f"line {lineno}: self-loop {u} {u}")
         seen_edges = True

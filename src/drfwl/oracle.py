@@ -6,6 +6,10 @@ counting pipeline beyond the Graph type itself, so the two can check each
 other.  Runtime is exponential in motif size; intended for graphs up to a
 few hundred nodes with small degree.
 
+Each motif is enumerated once, into per-node counts.  A graph count is
+the per-node total divided by the motif's orbit size (``GRAPH_FACTOR``),
+with the division checked; there is no second enumerator.
+
 Position conventions for the marked-node motifs:
 
   tailed_triangle   u is the tip of the pendant edge.
@@ -80,35 +84,6 @@ def count_cycles_per_node(g: Graph, length: int) -> list[int]:
                 path[1] = w
                 extend(s, w, 1, {w})
     return counts
-
-
-def count_cycles_graph(g: Graph, length: int) -> int:
-    """Whole-graph simple cycle count, by an enumeration independent of
-    the per-node attribution above (used for self-consistency checks)."""
-    _check_cap(g)
-    adj = g.adjacency
-    total = 0
-    second = [0]
-
-    def extend(start: int, here: int, depth: int, on_path: set[int]) -> None:
-        nonlocal total
-        if depth == length - 1:
-            for w in adj[here]:
-                if w == start and second[0] < here:
-                    total += 1
-            return
-        for w in adj[here]:
-            if w > start and w not in on_path:
-                on_path.add(w)
-                extend(start, w, depth + 1, on_path)
-                on_path.remove(w)
-
-    for s in range(g.n):
-        for w in adj[s]:
-            if w > s:
-                second[0] = w
-                extend(s, w, 1, {w})
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -218,10 +193,11 @@ def count_marked_per_node(g: Graph, name: str) -> list[int]:
 # ---------------------------------------------------------------------------
 # public surface
 
-# node occurrences per graph occurrence: a path has two end nodes (its
-# per-node counts are directed from the start), and a marked motif has
-# one per node at its marked position
+# node occurrences per graph occurrence: a k-cycle has k nodes, a path
+# two end nodes (its per-node counts are directed from the start), and a
+# marked motif one per node at its marked position
 GRAPH_FACTOR = {
+    **CYCLE_MOTIFS,
     **{name: 2 for name in PATH_MOTIFS},
     "tailed_triangle": 1,
     "chordal_cycle_cc1": 2,
@@ -239,22 +215,22 @@ def oracle_node_counts(g: Graph, name: str) -> list[int]:
         raise ValueError(f"unknown motif {name!r}")
     if name in CYCLE_MOTIFS:
         return count_cycles_per_node(g, CYCLE_MOTIFS[name])
-    if name in PATH_MOTIFS:
-        _check_cap(g)
-        k = PATH_MOTIFS[name]
-        return [count_paths_from(g, u, k) for u in range(g.n)]
+    if name in PATH_MOTIFS:  # count_paths_from checks the size cap
+        return [count_paths_from(g, u, PATH_MOTIFS[name]) for u in range(g.n)]
     return count_marked_per_node(g, name)
 
 
-def oracle_graph_count(g: Graph, name: str) -> int:
-    """Whole-graph occurrence count of the named catalog motif."""
-    if name not in MOTIF_CATALOG:
-        raise ValueError(f"unknown motif {name!r}")
-    if name in CYCLE_MOTIFS:
-        return count_cycles_graph(g, CYCLE_MOTIFS[name])
-    per_node = oracle_node_counts(g, name)
+def _graph_total(name: str, per_node: list[int]) -> int:
+    """The graph count behind ``per_node``: its total over GRAPH_FACTOR."""
     factor = GRAPH_FACTOR[name]
     total = sum(per_node)
     if total % factor:
         raise InvariantError(f"{name}: node total {total} not divisible by {factor}")
     return total // factor
+
+
+def oracle_graph_count(g: Graph, name: str) -> int:
+    """Whole-graph occurrence count of the named catalog motif: the
+    per-node total over the orbit size (``GRAPH_FACTOR``), with the
+    division checked (``InvariantError``).  No second enumerator runs."""
+    return _graph_total(name, oracle_node_counts(g, name))

@@ -47,7 +47,6 @@ yields the per-graph multisets.
 """
 from __future__ import annotations
 
-from array import array
 from collections import Counter
 from itertools import chain, compress, islice, repeat
 from operator import add, mul
@@ -126,7 +125,7 @@ def parallel_map(fn: Callable[[T], R], items: Sequence[T]) -> list[R]:
 
 
 class _WitnessTable(NamedTuple):
-    """The fixed inputs of every refinement round, as flat int arrays.
+    """The fixed inputs of every refinement round, as flat int lists.
 
     Entry p (unit after unit) reads the colors of units ``a[p]`` and
     ``b[p]``, in the one id space of all the compared graphs' units.
@@ -135,10 +134,10 @@ class _WitnessTable(NamedTuple):
     the live ones.
     """
 
-    a: array
-    b: array
+    a: list[int]
+    b: list[int]
     units: Sequence[int]
-    lengths: array
+    lengths: list[int]
 
     def sorted_codes(self, colors: list[int], live: Iterable[bool]) -> Iterator[list[int]]:
         """The sorted codes colors[a] * T + colors[b] (T = number of
@@ -153,16 +152,16 @@ class _WitnessTable(NamedTuple):
         """The table of the units whose ``live`` flag is set."""
         entries = list(chain.from_iterable(map(repeat, live, self.lengths)))
         return _WitnessTable(
-            array("q", compress(self.a, entries)),
-            array("q", compress(self.b, entries)),
-            array("q", compress(self.units, live)),
-            array("q", compress(self.lengths, live)),
+            list(compress(self.a, entries)),
+            list(compress(self.b, entries)),
+            list(compress(self.units, live)),
+            list(compress(self.lengths, live)),
         )
 
 
 def _witness_table(units: Iterable[Witnesses]) -> _WitnessTable:
     """Write the units, one after another, into one table."""
-    a, b, lengths = array("q"), array("q"), array("q")
+    a, b, lengths = [], [], []
     for ids_a, ids_b in units:
         start = len(a)
         a.extend(ids_a)
@@ -218,15 +217,17 @@ def _wl1_units(g: Graph) -> Iterator[Witnesses]:
     return ((nbrs, nbrs) for nbrs in g.adjacency)
 
 
-def _fwl2_units(graphs: Iterable[Graph]) -> Iterator[Witnesses]:
+def _fwl2_units(graphs: Sequence[Graph]) -> Iterator[Witnesses]:
     """Pair (u, v) of an n-node graph whose pairs start at id o, row-major
-    with id o + u*n + v: every node w, with a = id(w, v) and b = id(u, w)."""
+    with id o + u*n + v: every node w, with a = id(w, v) and b = id(u, w).
+    The ids are slices of one list, so the table's entries share its ints."""
+    ids = list(range(sum(g.n * g.n for g in graphs)))
     o = 0
     for g in graphs:
         n = g.n
         for u in range(n):
             for v in range(n):
-                yield range(o + v, o + n * n, n), range(o + u * n, o + u * n + n)
+                yield ids[o + v : o + n * n : n], ids[o + u * n : o + u * n + n]
         o += n * n
 
 

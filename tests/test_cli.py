@@ -247,6 +247,13 @@ class TestErrorMapping:
         assert main(["count", "--d", d, c6_file]) == 2
         assert "--d 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", ["0 1_0\n", "n +3\n0 1\n"])
+    def test_non_decimal_token_exit_2(self, text, tmp_path, capsys):
+        bad = tmp_path / "bad.el"
+        bad.write_text(text, encoding="utf-8")
+        assert main(["count", "--d", "2", str(bad)]) == 2
+        assert "line 1" in capsys.readouterr().err
+
     def test_non_utf8_input_exit_2(self, tmp_path):
         bad = tmp_path / "bad.el"
         bad.write_bytes(b"0 1\n\xff\xfe 2\n")

@@ -74,6 +74,21 @@ class TestParse:
         with pytest.raises(GraphFormatError):
             parse_edge_list("-1 2\n")
 
+    # int() reads each of these as a number: 10, 3, 0 and 3
+    NOT_DECIMAL = ["1_0", "+3", "\u0660", "\uff13"]
+
+    @pytest.mark.parametrize("token", NOT_DECIMAL)
+    def test_non_decimal_id_rejected_with_line(self, token):
+        with pytest.raises(GraphFormatError, match="line 2: node id is not ASCII decimal"):
+            parse_edge_list(f"0 1\n0 {token}\n")
+        with pytest.raises(GraphFormatError, match="line 1: node id is not ASCII decimal"):
+            parse_edge_list(f"{token} 2\n")
+
+    @pytest.mark.parametrize("token", NOT_DECIMAL)
+    def test_non_decimal_node_count_rejected_with_line(self, token):
+        with pytest.raises(GraphFormatError, match="line 2: node count .* is not ASCII decimal"):
+            parse_edge_list(f"# header\nn {token}\n0 1\n")
+
     def test_wrong_arity_rejected(self):
         with pytest.raises(GraphFormatError, match="line 1"):
             parse_edge_list("0 1 2\n")

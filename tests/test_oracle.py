@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+from collections import Counter
 from itertools import combinations, permutations
 
 import pytest
@@ -82,12 +83,24 @@ class TestCycles:
         assert oracle_node_counts(g, "cycle5") == [6] * 10
         assert oracle_graph_count(g, "cycle5") == 12
 
-    def test_node_totals_consistent_with_global(self):
-        for seed in range(5):
-            g = gen_erdos_renyi(14, 0.3, seed)
-            for k in range(3, 8):
-                per_node = oracle_node_counts(g, f"cycle{k}")
-                assert sum(per_node) == k * oracle_graph_count(g, f"cycle{k}")
+    def test_cycles_match_itertools_brute_force(self):
+        # a k-cycle is one vertex sequence with its smallest vertex first
+        # and second < last whose steps, the closing one too, are edges
+        for n in range(6, 10):
+            for seed in range(3):
+                g = gen_erdos_renyi(n, 0.6, seed)
+                nbr = g.neighbor_sets()
+                for k in range(3, min(7, n) + 1):
+                    per_node, total = [0] * n, 0
+                    for first, *rest in combinations(range(n), k):
+                        for tail in permutations(rest):
+                            cycle = (first, *tail, first)
+                            if tail[0] < tail[-1] and all(b in nbr[a] for a, b in zip(cycle, cycle[1:])):
+                                total += 1
+                                for x in cycle[:-1]:
+                                    per_node[x] += 1
+                    assert oracle_node_counts(g, f"cycle{k}") == per_node, (n, seed, k)
+                    assert oracle_graph_count(g, f"cycle{k}") == total, (n, seed, k)
 
 
 class TestPairCounts:
@@ -173,6 +186,21 @@ class TestGuards:
         path.write_text(g.to_edge_list())
         assert main(["oracle", "--motifs", name, str(path)]) == 4
         assert "consistency check failed" in capsys.readouterr().err
+
+    def test_oracle_subcommand_enumerates_each_motif_once(self, monkeypatch, tmp_path):
+        # the graph count comes from the per-node list, not a second pass
+        calls = Counter()
+        for name in ("count_cycles_per_node", "count_paths_from", "count_marked_per_node"):
+            def counted(*args, _name=name, _real=getattr(oracle, name)):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(oracle, name, counted)
+        g = gen_erdos_renyi(9, 0.5, 1)
+        path = tmp_path / "g.el"
+        path.write_text(g.to_edge_list())
+        assert main(["oracle", "--motifs", "cycle5,path3,tr1", str(path)]) == 0
+        assert calls == {"count_cycles_per_node": 1, "count_paths_from": g.n, "count_marked_per_node": 1}
 
     def test_k4_has_one_clique4(self):
         assert oracle_node_counts(gen_complete(4), "clique4") == [1] * 4
