@@ -17,7 +17,8 @@ The passes read three inputs, none of which re-intersects a shell:
   family b loop over witnesses;
 * walks over the wide channels (1,2), (2,1) and (2,2), which are never
   stored: W3, P22 and the cycle-7 families a, c, d, f, g, h, i, k walk
-  u -> w -> v through the shells and keep v when ``rows[u]`` has it, adding
+  u -> w -> v, reading the nodes near w as the slice of the index's ``vs``
+  column that ``_near`` marks, and keep v when ``rows[u]`` has it, adding
   into per-tuple or per-node accumulators.
 
 Pairwise quantities (for pairs (u, v) at distance 1..2, plus the noted
@@ -39,6 +40,7 @@ distance-3 extensions when the index was built with d >= 3):
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_right
 from itertools import accumulate, islice, repeat
 from operator import mul, sub
 from typing import Iterable, NamedTuple
@@ -110,7 +112,7 @@ def common_neighbours(idx: TupleIndex) -> CommonNeighbours:
     rows = idx.rows
     nbr = idx.graph.neighbor_sets()
     start, ws, uw, wv, rev = array("q", [0]), [], [], [], []
-    for u, v, k in idx.pairs:
+    for u, v, k in zip(idx.us, idx.vs, idx.ks):
         if 0 < k < 3:
             common = intersect(nbr[u], nbr[v])
             ws += common
@@ -121,16 +123,23 @@ def common_neighbours(idx: TupleIndex) -> CommonNeighbours:
     return CommonNeighbours(start, ws, uw, wv, rev)
 
 
-Near = list[tuple[int, tuple[int, ...]]]
+Near = list[tuple[int, list[int]]]
 
 
 def _near(idx: TupleIndex) -> Near:
     """Per node x: the id of (x, y) for the first y at distance 1, and the
-    nodes y at distance 1 or 2, whose tuples (x, y) follow in id order."""
-    return [
-        (row[x] + 1, sum(shell[1:3], ()))  # a missing shell is empty
-        for x, (row, shell) in enumerate(zip(idx.rows, idx.shells))
-    ]
+    nodes y at distance 1 or 2, whose tuples (x, y) follow in id order.
+
+    Those are the ``vs`` of x's run from that id up to the first tuple at
+    distance 3 or more; x's run is ordered by distance, so one bisection
+    of ``ks`` finds where they end."""
+    vs, ks = idx.vs, idx.ks
+    out = []
+    for x, row in enumerate(idx.rows):
+        first = row[x]
+        end = bisect_right(ks, 2, first, first + len(row))
+        out.append((first + 1, vs[first + 1 : end]))
+    return out
 
 
 class PairStats(NamedTuple):
@@ -202,7 +211,7 @@ def pairwise_w3(idx: TupleIndex, p2: list[int], near: Near) -> list[int]:
     deg = g.degrees()
     weights = ((u, w, 1) for u, nbrs in enumerate(g.adjacency) for w in nbrs)
     acc = _walk(idx, near, weights, p2)
-    return [x + deg[v] if k == 1 else x for x, (_, v, k) in zip(acc, idx.pairs)]
+    return [x + deg[v] if k == 1 else x for x, v, k in zip(acc, idx.vs, idx.ks)]
 
 
 def pairwise_p3(idx: TupleIndex, w3: list[int]) -> list[int]:
@@ -211,7 +220,10 @@ def pairwise_p3(idx: TupleIndex, w3: list[int]) -> list[int]:
     At distance >= 2 every 3-walk is already a path (and W3(u, u) = 0).
     """
     deg = idx.graph.degrees()
-    return [x - deg[u] - deg[v] + 1 if k == 1 else x for x, (u, v, k) in zip(w3, idx.pairs)]
+    return [
+        x - deg[u] - deg[v] + 1 if k == 1 else x
+        for x, u, v, k in zip(w3, idx.us, idx.vs, idx.ks)
+    ]
 
 
 def pairwise_p22(idx: TupleIndex, p2: list[int], near: Near) -> list[int]:
@@ -241,7 +253,7 @@ def pairwise_p4(
     coalesced = map(sub, cn.sums(map(deg.__getitem__, cn.w)), map(mul, p2, repeat(2)))
     return [
         a - b - (2 * c3[u] + 2 * c3[v] - 3 * x if k == 1 else 0)
-        for a, b, x, (u, v, k) in zip(p22, coalesced, p2, idx.pairs)
+        for a, b, x, u, v, k in zip(p22, coalesced, p2, idx.us, idx.vs, idx.ks)
     ]
 
 
@@ -249,7 +261,7 @@ def pairwise_w4(idx: TupleIndex, p2: list[int], p22: list[int]) -> list[int]:
     """4-walks: middle-split walks plus the walks whose midpoint is u or v
     (both terms are 0 on the diagonal)."""
     deg = idx.graph.degrees()
-    return [a + (deg[u] + deg[v]) * x for a, x, (u, v, _) in zip(p22, p2, idx.pairs)]
+    return [a + (deg[u] + deg[v]) * x for a, x, u, v in zip(p22, p2, idx.us, idx.vs)]
 
 
 def _pairwise_motifs(
@@ -257,7 +269,7 @@ def _pairwise_motifs(
 ) -> tuple[list[int], list[int], list[int], list[int]]:
     """T, CC1, CC2 and CCX from the common-neighbour segments."""
     nbr = idx.graph.neighbor_sets()
-    ks = [k for _, _, k in idx.pairs]
+    ks = idx.ks
     tail = cn.sums(map(p2.__getitem__, cn.wv))
     sum_uw = cn.sums(map(p2.__getitem__, cn.uw))
     t_arr = [a - x if k == 1 else a for a, x, k in zip(tail, p2, ks)]
@@ -299,7 +311,7 @@ def _pairwise_split_cycles(
     each occurrence appears twice, as the chord ends swap roles.  The three
     sums over x are one segment sum.
     """
-    ks = [k for _, _, k in idx.pairs]
+    ks = idx.ks
     linear = cn.sums(p3[a] + p3[b] + p2[a] * p2[b] for a, b in zip(cn.uw, cn.wv))
     c23 = [
         m * x - a - t_arr[r] if 0 < k < 3 else 0
@@ -325,7 +337,7 @@ def _pairwise_tr(
     ccx: list[int],
 ) -> tuple[list[int], list[int]]:
     """TR1 (apex / shared-edge pairs) and TR2 (shared-edge / corner pairs)."""
-    ks = [k for _, _, k in idx.pairs]
+    ks = idx.ks
     tr2 = [
         tail_vu * (x - 1) - 2 * c if 0 < k < 3 else 0
         for tail_vu, x, c, k in zip(map(t_arr.__getitem__, cn.rev), p2, ccx, ks)
@@ -429,7 +441,7 @@ def cycle7_correction_terms(
     """
     g = idx.graph
     n = g.n
-    rows, pairs = idx.rows, idx.pairs
+    rows = idx.rows
     cn = s.common
     start, ws, uw_ids, wv_ids = cn.start, cn.w, cn.uw, cn.wv
     p2, p3, p4, c23, t_arr = s.p2, s.p3, s.p4, s.c23, s.t
@@ -458,7 +470,7 @@ def cycle7_correction_terms(
     # family (b): both paths leave u for the same first vertex w; count
     # 3-paths w->v that avoid u and the pendant a exactly
     sum_b = [0] * n
-    for t, (u, v, k) in enumerate(pairs):
+    for t, (u, v, k) in enumerate(zip(idx.us, idx.vs, idx.ks)):
         if not p2[t]:
             continue
         adj = k == 1

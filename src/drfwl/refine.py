@@ -248,12 +248,12 @@ def _drfwl_units(idx: TupleIndex, masked: frozenset) -> Iterator[Witnesses]:
     """Tuple (u, v) at distance k: the w within d of both u and v (the
     common keys of ``rows[u]`` and ``rows[v]``), less each w whose
     (d(u, w), d(v, w), k) is masked, with a = id(w, v) and b = id(u, w)."""
-    rows, pairs = idx.rows, idx.pairs
-    for u, v, k in pairs:
+    rows, ks = idx.rows, idx.ks
+    for u, v, k in zip(idx.us, idx.vs, ks):
         row_u, row_v = rows[u], rows[v]
         ws = intersect(row_u.keys(), row_v.keys())
         if masked:
-            ws = [w for w in ws if (pairs[row_u[w]][2], pairs[row_v[w]][2], k) not in masked]
+            ws = [w for w in ws if (ks[row_u[w]], ks[row_v[w]], k) not in masked]
         yield [rows[w][v] for w in ws], map(row_u.__getitem__, ws)
 
 
@@ -293,7 +293,7 @@ def _refine_multi(
             raise ValueError("d must be >= 1")
         masked = _validate_mask(mask, d)
         idx = build_index(gen_disjoint_union(graphs), d)
-        init = [k for _, _, k in idx.pairs]
+        init = idx.ks
         rows = iter(idx.rows)  # a graph's tuples are the tuples of its nodes' rows
         sizes = [sum(map(len, islice(rows, g.n))) for g in graphs]
         table = _drfwl_blocks(idx, masked)

@@ -1,14 +1,15 @@
 """Distance-restricted 2-tuple index.
 
 Materializes every ordered node pair (u, v) with shortest-path distance at
-most d, together with per-node k-hop shells.  This is the shared substrate
-for distance-restricted refinement and for the closed-form counting passes.
-Refinement reads a tuple's witnesses as the common keys of ``rows[u]`` and
-``rows[v]``, the nodes within d of both; counting reads N_1(u) & N_1(v)
-and walks the shells.
+most d, as three flat columns in id order and one id map per node.  This
+is the shared substrate for distance-restricted refinement and for the
+closed-form counting passes.  Refinement reads a tuple's witnesses as the
+common keys of ``rows[u]`` and ``rows[v]``, the nodes within d of both;
+counting reads N_1(u) & N_1(v) and walks each node's run of ids.
 """
 from __future__ import annotations
 
+from itertools import count, repeat
 from typing import AbstractSet, NamedTuple
 
 from .graph import Graph, khop
@@ -19,23 +20,24 @@ class TupleIndex(NamedTuple):
 
     Tuple ids are assigned in (u, k, v) lexicographic order, so each
     node's tuples form one run of ids that starts with (u, u), and within
-    it the tuples at each distance k are contiguous.  ``pairs[t]`` is
-    (u, v, k), and ``rows[u][v]`` is the id of (u, v): one dict per node,
-    the map that every runtime pass reads.  ``shells[u][k]`` is N_k(u) as
-    a sorted tuple (``khop``), so ``shells[u][0]`` is ``(u,)``; the
-    shells stop at the last non-empty one, so a missing shell k <= d is
-    empty.
+    it the tuples at each distance k are contiguous, with v ascending.
+    Tuple t is (``us[t]``, ``vs[t]``) at distance ``ks[t]``, and
+    ``rows[u][v]`` is the id of (u, v): one dict per node, the map that
+    every runtime pass reads.  Node u's run is the ids ``rows[u][u]`` to
+    ``rows[u][u] + len(rows[u]) - 1``, so ``vs`` over a run lists
+    N_0(u), N_1(u), ... in turn.
     """
 
     graph: Graph
     d: int
-    shells: tuple[tuple[tuple[int, ...], ...], ...]
-    pairs: tuple[tuple[int, int, int], ...]
+    us: list[int]
+    vs: list[int]
+    ks: list[int]
     rows: tuple[dict[int, int], ...]
 
     @property
     def tuple_count(self) -> int:
-        return len(self.pairs)
+        return len(self.ks)
 
     def space_bound(self) -> int:
         """The n * (1 + sum_k degmax^k) ceiling on the tuple count.
@@ -53,17 +55,18 @@ def build_index(g: Graph, d: int) -> TupleIndex:
     """Index every ordered pair at distance <= d, ids ordered by (u, k, v)."""
     if d < 1:
         raise ValueError("d must be >= 1")
-    shells = tuple(khop(g, v, d) for v in range(g.n))
-    pairs: list[tuple[int, int, int]] = []
+    us: list[int] = []
+    vs: list[int] = []
+    ks: list[int] = []
     rows: list[dict[int, int]] = []
     for u in range(g.n):
-        row: dict[int, int] = {}
-        for k, shell in enumerate(shells[u]):
-            for v in shell:
-                row[v] = len(pairs)
-                pairs.append((u, v, k))
-        rows.append(row)
-    return TupleIndex(graph=g, d=d, shells=shells, pairs=tuple(pairs), rows=tuple(rows))
+        first = len(ks)
+        for k, shell in enumerate(khop(g, u, d)):
+            vs += shell
+            ks += repeat(k, len(shell))
+        us += repeat(u, len(ks) - first)
+        rows.append(dict(zip(vs[first:], count(first))))
+    return TupleIndex(graph=g, d=d, us=us, vs=vs, ks=ks, rows=tuple(rows))
 
 
 def intersect(a: AbstractSet[int], b: AbstractSet[int]) -> list[int]:

@@ -26,7 +26,7 @@ from types import SimpleNamespace
 from typing import Iterable, Sequence
 
 from drfwl.counting import NodeCounts, _exact_half
-from drfwl.graph import Graph
+from drfwl.graph import Graph, khop
 from drfwl.tuples import TupleIndex, build_index
 
 PAIR_FIELDS = (
@@ -52,9 +52,9 @@ def admissible_triples(d: int) -> list[tuple[int, int, int]]:
 
 
 def shell(idx: TupleIndex, u: int, k: int) -> tuple[int, ...]:
-    """N_k(u), for any k <= d: the index keeps no shell past the last
-    non-empty one."""
-    shells = idx.shells[u]
+    """N_k(u), for any k <= d, by BFS from u in the indexed graph, not from
+    the index under test: ``khop`` stops at the last non-empty shell."""
+    shells = khop(idx.graph, u, idx.d)
     return shells[k] if k < len(shells) else ()
 
 
@@ -169,7 +169,7 @@ def _drfwl_blocks(
     for i, j, k in admissible_triples(d):
         if (i, j, k) not in masked:
             channels_for_k[k].append((i, j))
-    for u, v, k in idx.pairs:
+    for u, v, k in zip(idx.us, idx.vs, idx.ks):
         per_pair = []
         for i, j in channels_for_k[k]:
             ws = intersect(idx, u, v, i, j)
@@ -191,7 +191,7 @@ def drfwl_multi(
     masked = frozenset(tuple(t) for t in mask or ())
     indexes = [build_index(g, d) for g in graphs]
     sizes = [idx.tuple_count for idx in indexes]
-    init = [k for idx in indexes for (_, _, k) in idx.pairs]
+    init = [k for idx in indexes for k in idx.ks]
     blocks: list[list[tuple[tuple[int, int], ...]]] = []
     for idx, offset in zip(indexes, _offsets(sizes)):
         blocks.extend(_drfwl_blocks(idx, offset, masked))
@@ -223,10 +223,10 @@ def drfwl_multi(
 
 def pairwise_p2(idx: TupleIndex) -> list[int]:
     """P2(u, v) = |N1(u) & N1(v)| for every indexed pair."""
-    pairs = idx.pairs
+    us, vs, ks = idx.us, idx.vs, idx.ks
 
     def one(t: int) -> int:
-        u, v, k = pairs[t]
+        u, v, k = us[t], vs[t], ks[t]
         if k == 0:
             return 0
         return len(intersect(idx, u, v, 1, 1))
@@ -248,12 +248,12 @@ def node_triangles(idx: TupleIndex, p2: list[int]) -> list[int]:
 def pairwise_w3(idx: TupleIndex, p2: list[int]) -> list[int]:
     """3-walk counts from the one-sided neighbor sums, averaged exactly."""
     g = idx.graph
-    pairs = idx.pairs
+    us, vs, ks = idx.us, idx.vs, idx.ks
     pid = pair_id(idx)
     deg = g.degrees()
 
     def one(t: int) -> int:
-        u, v, k = pairs[t]
+        u, v, k = us[t], vs[t], ks[t]
         if k == 0 or k > 3:
             return 0
         acc = 0
@@ -273,11 +273,11 @@ def pairwise_w3(idx: TupleIndex, p2: list[int]) -> list[int]:
 def pairwise_p3(idx: TupleIndex, w3: list[int]) -> list[int]:
     """3-paths: strip the degree-many backtracking walks on adjacent pairs."""
     g = idx.graph
-    pairs = idx.pairs
+    us, vs, ks = idx.us, idx.vs, idx.ks
     deg = g.degrees()
 
     def one(t: int) -> int:
-        u, v, k = pairs[t]
+        u, v, k = us[t], vs[t], ks[t]
         if k == 0:
             return 0
         if k == 1:
@@ -289,11 +289,11 @@ def pairwise_p3(idx: TupleIndex, w3: list[int]) -> list[int]:
 
 def pairwise_p22(idx: TupleIndex, p2: list[int]) -> list[int]:
     """Sum over middle nodes y (distinct from u, v) of P2(u,y) * P2(y,v)."""
-    pairs = idx.pairs
+    us, vs, ks = idx.us, idx.vs, idx.ks
     pid = pair_id(idx)
 
     def one(t: int) -> int:
-        u, v, k = pairs[t]
+        u, v, k = us[t], vs[t], ks[t]
         if k == 0:
             return 0
         acc = 0
@@ -314,11 +314,11 @@ def pairwise_p4(
 ) -> list[int]:
     """4-paths from the middle-split walks minus the coalescence terms."""
     g = idx.graph
-    pairs = idx.pairs
+    us, vs, ks = idx.us, idx.vs, idx.ks
     deg = g.degrees()
 
     def one(t: int) -> int:
-        u, v, k = pairs[t]
+        u, v, k = us[t], vs[t], ks[t]
         if k == 0:
             return 0
         acc = p22[t]
@@ -334,11 +334,11 @@ def pairwise_p4(
 def pairwise_w4(idx: TupleIndex, p2: list[int], p22: list[int]) -> list[int]:
     """4-walks: middle-split walks plus the walks whose midpoint is u or v."""
     g = idx.graph
-    pairs = idx.pairs
+    us, vs, ks = idx.us, idx.vs, idx.ks
     deg = g.degrees()
 
     def one(t: int) -> int:
-        u, v, k = pairs[t]
+        u, v, k = us[t], vs[t], ks[t]
         if k == 0:
             return 0
         return p22[t] + (deg[u] + deg[v]) * p2[t]
@@ -351,12 +351,12 @@ def _pairwise_motifs(
 ) -> tuple[list[int], list[int], list[int], list[int]]:
     """T, CC1, CC2 and CCX in a single pass over the common neighborhoods."""
     g = idx.graph
-    pairs = idx.pairs
+    us, vs, ks = idx.us, idx.vs, idx.ks
     pid = pair_id(idx)
     nbr = g.neighbor_sets()
 
     def one(t: int) -> tuple[int, int, int, int]:
-        u, v, k = pairs[t]
+        u, v, k = us[t], vs[t], ks[t]
         if k == 0 or k > 2:
             return (0, 0, 0, 0)
         common = intersect(idx, u, v, 1, 1)
@@ -394,11 +394,11 @@ def _pairwise_split_cycles(
     ccx: list[int],
 ) -> tuple[list[int], list[int]]:
     """C23 and C24: the path-product counts minus every coalescence."""
-    pairs = idx.pairs
+    us, vs, ks = idx.us, idx.vs, idx.ks
     pid = pair_id(idx)
 
     def one(t: int) -> tuple[int, int]:
-        u, v, k = pairs[t]
+        u, v, k = us[t], vs[t], ks[t]
         if k == 0 or k > 2:
             return (0, 0)
         p2uv = p2[t]
@@ -436,11 +436,11 @@ def _pairwise_tr(
     ccx: list[int],
 ) -> tuple[list[int], list[int]]:
     """TR1 (apex / shared-edge pairs) and TR2 (shared-edge / corner pairs)."""
-    pairs = idx.pairs
+    us, vs, ks = idx.us, idx.vs, idx.ks
     pid = pair_id(idx)
 
     def one(t: int) -> tuple[int, int]:
-        u, v, k = pairs[t]
+        u, v, k = us[t], vs[t], ks[t]
         if k == 0 or k > 2:
             return (0, 0)
         p2uv = p2[t]
@@ -519,7 +519,7 @@ def cycle7_correction_terms(
     acc_uw = [0] * n  # adjacent v: sum of P2(u,w)(P2(u,w)-1) over common w
     acc_wv = [0] * n  # adjacent v: sum of P2(w,v)(P2(w,v)-1) over common w
 
-    for t, (u, v, k) in enumerate(idx.pairs):
+    for t, (u, v, k) in enumerate(zip(idx.us, idx.vs, idx.ks)):
         if k == 0:
             continue
         prod34[u] += p3[t] * p4[t]

@@ -160,7 +160,8 @@ def test_partitions_refine_with_d_and_coarsen_under_masks(data, gs, d):
     restricted = []
     for cs, g in zip(wider, gs):
         rows = build_index(g, d + 1).rows
-        restricted += [cs[rows[u][v]] for u, v, _ in build_index(g, d).pairs]
+        idx = build_index(g, d)
+        restricted += [cs[rows[u][v]] for u, v in zip(idx.us, idx.vs)]
     assert _refines(restricted, flat)
     # a mask drops witnesses, so its partition is never finer
     mask = data.draw(st.sets(st.sampled_from(admissible_triples(d))))

@@ -79,7 +79,7 @@ class TestPairwise:
         g = gen_erdos_renyi(14, 0.3, seed)
         idx = build_index(g, 2)
         s = compute_pair_stats(idx)
-        for t, (u, v, k) in enumerate(idx.pairs):
+        for t, (u, v, k) in enumerate(zip(idx.us, idx.vs, idx.ks)):
             if k == 0:
                 continue
             for kind in PAIR_KINDS:
@@ -97,7 +97,7 @@ class TestPairwise:
     def test_symmetries(self, g):
         idx = build_index(g, 2)
         s = compute_pair_stats(idx)
-        for t, (u, v, k) in enumerate(idx.pairs):
+        for t, (u, v, k) in enumerate(zip(idx.us, idx.vs, idx.ks)):
             if k == 0:
                 continue
             rt = idx.rows[v][u]

@@ -293,7 +293,7 @@ def test_pair_stats_intersect_once_per_near_tuple(g, d):
         compute_pair_stats(idx)
     finally:
         counting.intersect = real
-    assert len(calls) == sum(1 for _, _, k in idx.pairs if 1 <= k <= 2)
+    assert len(calls) == sum(1 for k in idx.ks if 1 <= k <= 2)
 
 
 def test_node_counts_build_near_spans_and_triangles_once(monkeypatch):

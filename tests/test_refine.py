@@ -130,7 +130,7 @@ class TestDRFWL:
         monkeypatch.setattr(refine, "parallel_map", recording)
         g1, g2 = gen_random_regular(150, 4, 11), gen_random_regular(150, 4, 12)
         verdict = refine_pair(g1, g2, "drfwl", d=2)
-        units = sum(len(build_index(g, 2).pairs) for g in (g1, g2))
+        units = sum(len(build_index(g, 2).ks) for g in (g1, g2))
         assert verdict.distinguished and len(built) < verdict.iterations
         assert built[0] == units
         assert sum(built) < 0.7 * units * verdict.iterations

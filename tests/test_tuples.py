@@ -1,9 +1,12 @@
 from __future__ import annotations
 
 import time
+import tracemalloc
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import reference
 from conftest import small_graphs
@@ -35,14 +38,29 @@ class TestBuildIndex:
 
     def test_ids_dense_and_ordered(self):
         idx = build_index(gen_erdos_renyi(12, 0.3, 1), 2)
-        assert [idx.rows[u][v] for (u, v, _) in idx.pairs] == list(range(idx.tuple_count))
-        keys = [(u, k, v) for (u, v, k) in idx.pairs]
+        assert [idx.rows[u][v] for u, v in zip(idx.us, idx.vs)] == list(range(idx.tuple_count))
+        keys = list(zip(idx.us, idx.ks, idx.vs))
         assert keys == sorted(keys)
 
     def test_diagonal_present(self):
         idx = build_index(gen_cycle(5), 1)
         for u in range(5):
-            assert idx.pairs[idx.rows[u][u]] == (u, u, 0)
+            t = idx.rows[u][u]
+            assert (idx.us[t], idx.vs[t], idx.ks[t]) == (u, u, 0)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_index_memory_per_tuple(self, d):
+        # the index is the method's footprint: three id-order columns and
+        # one dict per node read about 100 B a tuple; storing each tuple
+        # again as a (u, v, k) triple and in per-node shells read 150-160 B
+        g = gen_random_regular(2000, 4, 0)
+        tracemalloc.start()
+        try:
+            idx = build_index(g, d)
+            used = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert used / idx.tuple_count <= 120
 
     def test_d_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -52,21 +70,36 @@ class TestBuildIndex:
     @given(small_graphs())
     def test_symmetry_and_distances(self, g):
         idx = build_index(g, 2)
-        for u, v, k in idx.pairs:
-            assert idx.pairs[idx.rows[v][u]] == (v, u, k)
+        for u, v, k in zip(idx.us, idx.vs, idx.ks):
+            r = idx.rows[v][u]
+            assert (idx.us[r], idx.vs[r], idx.ks[r]) == (v, u, k)
             dist = bfs_distances(g, u)
             assert dist[v] == k
+
+    @settings(max_examples=40)
+    @given(small_graphs(), st.integers(min_value=1, max_value=3))
+    def test_columns(self, g, d):
+        idx = build_index(g, d)
+        assert len(idx.us) == len(idx.vs) == len(idx.ks) == idx.tuple_count
+        dist = [bfs_distances(g, u) for u in range(g.n)]
+        for t, (u, v, k) in enumerate(zip(idx.us, idx.vs, idx.ks)):
+            assert idx.rows[u][v] == t
+            assert k == dist[u][v]
+            assert idx.ks[idx.rows[v][u]] == k
+        keys = list(zip(idx.us, idx.ks, idx.vs))
+        assert keys == sorted(keys)
+        assert idx.tuple_count == sum(0 <= x <= d for row in dist for x in row)
 
     @settings(max_examples=40)
     @given(small_graphs())
     def test_rows_and_distance(self, g):
         idx = build_index(g, 2)
         for u in range(g.n):
-            assert idx.rows[u] == {v: t for t, (a, v, _) in enumerate(idx.pairs) if a == u}
+            assert idx.rows[u] == {v: t for t, (a, v) in enumerate(zip(idx.us, idx.vs)) if a == u}
             dist = bfs_distances(g, u)
             for v in range(g.n):
                 t = idx.rows[u].get(v)
-                assert (-1 if t is None else idx.pairs[t][2]) == (dist[v] if 0 <= dist[v] <= 2 else -1)
+                assert (-1 if t is None else idx.ks[t]) == (dist[v] if 0 <= dist[v] <= 2 else -1)
 
     def test_regular_graph_space_bound_exact_form(self):
         for seed in range(5):
@@ -136,7 +169,7 @@ class TestIntersect:
     @given(small_graphs())
     def test_symmetric_and_bounded(self, g):
         idx = build_index(g, 2)
-        for u, v, _ in idx.pairs[: 40]:
+        for u, v in islice(zip(idx.us, idx.vs), 40):
             for i in range(3):
                 for j in range(3):
                     a = _common(idx, u, v, i, j)
@@ -147,7 +180,7 @@ class TestIntersect:
     @given(small_graphs())
     def test_triangle_inequality_pruning(self, g):
         idx = build_index(g, 2)
-        for u, v, k in idx.pairs:
+        for u, v, k in zip(idx.us, idx.vs, idx.ks):
             for i in range(3):
                 for j in range(3):
                     if abs(i - j) > k or i + j < k:
