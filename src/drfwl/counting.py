@@ -49,34 +49,28 @@ from .errors import CapabilityError, InvariantError
 from .graph import Graph
 from .tuples import TupleIndex, intersect
 
-COUNT_MOTIFS_D2 = (
-    "cycle3",
-    "cycle4",
-    "cycle5",
-    "cycle6",
-    "path2",
-    "path3",
-    "path4",
-    "tailed_triangle",
-    "chordal_cycle_cc1",
-    "chordal_cycle_cc2",
-    "tr1",
-    "tr2",
-    "tr3",
-)
-COUNT_MOTIFS_D3 = COUNT_MOTIFS_D2 + ("cycle7",)
-
+# The count catalog in report order, each motif with its orbit factor:
+# the node occurrences per graph occurrence (a k-cycle has k nodes, a
+# path two end nodes, a marked motif the size of its marked orbit).
+# cycle7, the one motif that needs d >= 3, comes last.
 GRAPH_LEVEL_FACTOR = {
-    # marked-position motifs divide by the size of the marked orbit
+    "cycle3": 3,
+    "cycle4": 4,
+    "cycle5": 5,
+    "cycle6": 6,
+    "path2": 2,
+    "path3": 2,
+    "path4": 2,
     "tailed_triangle": 1,
     "chordal_cycle_cc1": 2,
     "chordal_cycle_cc2": 2,
     "tr1": 1,
     "tr2": 2,
     "tr3": 2,
+    "cycle7": 7,
 }
-GRAPH_LEVEL_FACTOR.update({f"cycle{k}": k for k in range(3, 8)})
-GRAPH_LEVEL_FACTOR.update({f"path{k}": 2 for k in range(2, 5)})
+COUNT_MOTIFS_D3 = tuple(GRAPH_LEVEL_FACTOR)
+COUNT_MOTIFS_D2 = COUNT_MOTIFS_D3[:-1]
 
 
 def _exact_half(x: int) -> int:
@@ -384,32 +378,28 @@ def node_walks(g: Graph, k: int) -> list[int]:
 
 
 class NodeCounts(NamedTuple):
-    """Per-node counts over the supported catalog (cycle7 needs d >= 3)."""
+    """Per-node counts of the catalog, one field per motif under its
+    catalog name (cycle7 needs d >= 3 and is None below)."""
 
     n: int
     d: int
-    deg: list[int]
     cycle3: list[int]
     cycle4: list[int]
     cycle5: list[int]
     cycle6: list[int]
-    cycle7: list[int] | None
     path2: list[int]
     path3: list[int]
     path4: list[int]
     tailed_triangle: list[int]
-    cc1: list[int]
-    cc2: list[int]
+    chordal_cycle_cc1: list[int]
+    chordal_cycle_cc2: list[int]
     tr1: list[int]
     tr2: list[int]
     tr3: list[int]
+    cycle7: list[int] | None
 
     def by_name(self, name: str) -> list[int]:
-        field = {
-            "chordal_cycle_cc1": "cc1",
-            "chordal_cycle_cc2": "cc2",
-        }.get(name, name)
-        value = getattr(self, field) if name in GRAPH_LEVEL_FACTOR else None
+        value = getattr(self, name) if name in GRAPH_LEVEL_FACTOR else None
         if value is None:
             if name == "cycle7":
                 raise CapabilityError("cycle7 counts require an index with d >= 3")
@@ -550,13 +540,13 @@ def cycle7_correction_terms(
         "b": sum_b,
         "c": sum_c,
         "d": [
-            sum_d[u] - acc_uw[u] - 4 * nc.cc1[u] - 4 * nc.tr3[u] for u in range(n)
+            sum_d[u] - acc_uw[u] - 4 * nc.chordal_cycle_cc1[u] - 4 * nc.tr3[u] for u in range(n)
         ],
         "e": [
             sum_e[u]
             - 2 * acc_wv[u]
-            + 2 * nc.cc1[u]
-            - 2 * nc.cc2[u]
+            + 2 * nc.chordal_cycle_cc1[u]
+            - 2 * nc.chordal_cycle_cc2[u]
             - nc.tr2[u]
             - 2 * nc.tr3[u]
             for u in range(n)
@@ -565,7 +555,7 @@ def cycle7_correction_terms(
         "g": sum_g,
         "h": [sum_h[u] - 4 * nc.tailed_triangle[u] for u in range(n)],
         "i": sum_i,
-        "j": [acc_wv[u] - 4 * nc.cc1[u] for u in range(n)],
+        "j": [acc_wv[u] - 4 * nc.chordal_cycle_cc1[u] for u in range(n)],
         "k": sum_k,
         "l": list(nc.tr3),
     }
@@ -634,21 +624,20 @@ def compute_node_counts(idx: TupleIndex) -> NodeCounts:
     counts = NodeCounts(
         n=n,
         d=idx.d,
-        deg=deg,
         cycle3=cycle3,
         cycle4=cycle4,
         cycle5=cycle5,
         cycle6=cycle6,
-        cycle7=None,
         path2=path2,
         path3=path3,
         path4=path4,
         tailed_triangle=tailed,
-        cc1=cc1_node,
-        cc2=cc2_node,
+        chordal_cycle_cc1=cc1_node,
+        chordal_cycle_cc2=cc2_node,
         tr1=tr1_node,
         tr2=tr2_node,
         tr3=tr3,
+        cycle7=None,
     )
     if idx.d >= 3:
         counts = counts._replace(cycle7=_node_cycle7(idx, stats, counts))

@@ -249,9 +249,6 @@ def gen_random_regular(n: int, r: int, seed: int) -> Graph:
             u = stubs.pop()
             redraws = 0
             while True:
-                if not stubs:
-                    ok = False
-                    break
                 j = rng.below(len(stubs))
                 v = stubs[j]
                 key = (u, v) if u < v else (v, u)

@@ -26,18 +26,24 @@ from .graph import Graph
 
 ORACLE_NODE_CAP = 512
 
-CYCLE_MOTIFS = {f"cycle{k}": k for k in range(3, 13)}
+CYCLE_MOTIFS = {f"cycle{k}": k for k in range(3, 8)}
 PATH_MOTIFS = {f"path{k}": k for k in range(2, 5)}
-MARKED_MOTIFS = (
-    "tailed_triangle",
-    "chordal_cycle_cc1",
-    "chordal_cycle_cc2",
-    "tr1",
-    "tr2",
-    "tr3",
-    "clique4",
-)
-MOTIF_CATALOG = tuple(CYCLE_MOTIFS) + tuple(PATH_MOTIFS) + MARKED_MOTIFS
+# The oracle's catalog, each motif with its orbit factor: the node
+# occurrences per graph occurrence (a k-cycle has k nodes, a path two end
+# nodes, its per-node counts directed from the start, and a marked motif
+# the size of its marked orbit).  It is the count catalog plus clique4.
+GRAPH_FACTOR = {
+    **CYCLE_MOTIFS,
+    **dict.fromkeys(PATH_MOTIFS, 2),
+    "tailed_triangle": 1,
+    "chordal_cycle_cc1": 2,
+    "chordal_cycle_cc2": 2,
+    "tr1": 1,
+    "tr2": 2,
+    "tr3": 2,
+    "clique4": 4,
+}
+MOTIF_CATALOG = tuple(GRAPH_FACTOR)
 
 
 def _check_cap(g: Graph) -> None:
@@ -192,21 +198,6 @@ def count_marked_per_node(g: Graph, name: str) -> list[int]:
 
 # ---------------------------------------------------------------------------
 # public surface
-
-# node occurrences per graph occurrence: a k-cycle has k nodes, a path
-# two end nodes (its per-node counts are directed from the start), and a
-# marked motif one per node at its marked position
-GRAPH_FACTOR = {
-    **CYCLE_MOTIFS,
-    **{name: 2 for name in PATH_MOTIFS},
-    "tailed_triangle": 1,
-    "chordal_cycle_cc1": 2,
-    "chordal_cycle_cc2": 2,
-    "tr1": 1,
-    "tr2": 2,
-    "tr3": 2,
-    "clique4": 4,
-}
 
 
 def oracle_node_counts(g: Graph, name: str) -> list[int]:

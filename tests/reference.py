@@ -603,13 +603,13 @@ def cycle7_correction_terms(
         "b": sum_b,
         "c": sum_c,
         "d": [
-            sum_d[u] - acc_uw[u] - 4 * nc.cc1[u] - 4 * nc.tr3[u] for u in range(n)
+            sum_d[u] - acc_uw[u] - 4 * nc.chordal_cycle_cc1[u] - 4 * nc.tr3[u] for u in range(n)
         ],
         "e": [
             sum_e[u]
             - 2 * acc_wv[u]
-            + 2 * nc.cc1[u]
-            - 2 * nc.cc2[u]
+            + 2 * nc.chordal_cycle_cc1[u]
+            - 2 * nc.chordal_cycle_cc2[u]
             - nc.tr2[u]
             - 2 * nc.tr3[u]
             for u in range(n)
@@ -618,7 +618,7 @@ def cycle7_correction_terms(
         "g": sum_g,
         "h": [sum_h[u] - 4 * nc.tailed_triangle[u] for u in range(n)],
         "i": sum_i,
-        "j": [acc_wv[u] - 4 * nc.cc1[u] for u in range(n)],
+        "j": [acc_wv[u] - 4 * nc.chordal_cycle_cc1[u] for u in range(n)],
         "k": sum_k,
         "l": list(nc.tr3),
     }

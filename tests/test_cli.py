@@ -11,6 +11,7 @@ import pytest
 from graph_helpers import gen_petersen
 from drfwl import oracle
 from drfwl.cli import main
+from drfwl.counting import COUNT_MOTIFS_D3
 from drfwl.graph import gen_cycle, gen_disjoint_union, parse_edge_list
 
 SRC_DIR = str(Path(__file__).resolve().parents[1] / "src")
@@ -54,6 +55,11 @@ class TestCount:
         assert report["substructures"]["cycle3"]["graph_level"] == 0
         assert report["substructures"]["cycle6"]["graph_level"] == 1
         assert report["substructures"]["cycle6"]["per_node"] == [1] * 6
+
+    def test_full_d3_report_follows_the_catalog(self, petersen_file):
+        code, out, _ = run_cli("count", "--d", "3", petersen_file)
+        assert code == 0
+        assert tuple(json.loads(out)["substructures"]) == COUNT_MOTIFS_D3
 
     def test_cycle7_at_d2_is_capability_error(self, c6_file):
         code, _, err = run_cli("count", "--motifs", "cycle7", "--d", "2", c6_file)

@@ -13,6 +13,8 @@ from graph_helpers import gen_complete, gen_path, gen_petersen, gen_star
 from pair_oracle import oracle_pair_count, walk_matrix_power
 from drfwl import oracle
 from drfwl.counting import (
+    COUNT_MOTIFS_D2,
+    COUNT_MOTIFS_D3,
     GRAPH_LEVEL_FACTOR,
     common_neighbours,
     compute_node_counts,
@@ -221,7 +223,11 @@ class TestGraphLevel:
             assert graph_level(nc, name) == oracle.oracle_graph_count(g, name), name
 
     def test_factor_table_covers_catalog(self):
-        assert set(supported_motifs(3)) <= set(GRAPH_LEVEL_FACTOR)
+        # the factor table is the catalog: the same names in report order,
+        # with cycle7, the one motif that needs d >= 3, last
+        assert supported_motifs(3) == COUNT_MOTIFS_D3 == tuple(GRAPH_LEVEL_FACTOR)
+        assert supported_motifs(2) == COUNT_MOTIFS_D2 == COUNT_MOTIFS_D3[:-1]
+        assert COUNT_MOTIFS_D3[-1] == "cycle7"
 
 
 class TestReport:

@@ -11,6 +11,7 @@ from graph_helpers import gen_complete, gen_path, gen_petersen, gen_star
 from pair_oracle import oracle_pair_count, walk_matrix_power
 from drfwl import oracle
 from drfwl.cli import main
+from drfwl.counting import COUNT_MOTIFS_D3
 from drfwl.errors import InvariantError
 from drfwl.graph import Graph, gen_cycle, gen_erdos_renyi
 from drfwl.oracle import CapabilityError, oracle_graph_count, oracle_node_counts
@@ -160,6 +161,18 @@ class TestGuards:
     def test_unknown_motif(self):
         with pytest.raises(ValueError):
             oracle_node_counts(gen_cycle(5), "cycle99")
+
+    def test_catalog_is_the_count_catalog_plus_clique4(self):
+        assert set(oracle.MOTIF_CATALOG) == set(COUNT_MOTIFS_D3) | {"clique4"}
+
+    def test_cycles_stop_at_seven(self, tmp_path, capsys):
+        g = gen_cycle(8)
+        with pytest.raises(ValueError, match="unknown motif 'cycle8'"):
+            oracle_node_counts(g, "cycle8")
+        path = tmp_path / "c8.el"
+        path.write_text(g.to_edge_list())
+        assert main(["oracle", "--motifs", "cycle8", str(path)]) == 2
+        assert "unknown motif 'cycle8'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("n", [5, 600])
     @pytest.mark.parametrize("entry", [oracle_node_counts, oracle_graph_count])

@@ -102,6 +102,16 @@ class TestDRFWL:
         with pytest.raises(ValueError):  # a bool is not an int here, though True == 1
             drfwl_refine(gen_cycle(6), 2, mask=[(True, 1, 0)])
 
+    @pytest.mark.parametrize("method", ["wl1", "fwl2"])
+    @pytest.mark.parametrize("mask", ["junk", [(1, 1, 1)], []])
+    def test_mask_refused_for_other_methods(self, method, mask):
+        # a mask drops d-DRFWL(2) witnesses; wl1 and fwl2 have none to drop
+        g1, g2 = double_cycle(3), gen_cycle(6)
+        with pytest.raises(ValueError, match="mask applies to method 'drfwl' only"):
+            refine_pair(g1, g2, method, mask=mask)
+        with pytest.raises(ValueError, match="mask applies to method 'drfwl' only"):
+            distinguish(g1, g2, method, mask=mask)
+
     def test_admissible_triples_obey_triangle_inequality(self):
         for i, j, k in admissible_triples(3):
             assert abs(i - j) <= k <= i + j

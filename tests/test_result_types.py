@@ -4,7 +4,7 @@ from __future__ import annotations
 import pytest
 
 from graph_helpers import gen_petersen
-from drfwl.counting import compute_node_counts, compute_pair_stats
+from drfwl.counting import COUNT_MOTIFS_D3, NodeCounts, compute_node_counts, compute_pair_stats
 from drfwl.graph import gen_cycle
 from drfwl.refine import certificate, drfwl_refine, refine_pair
 from drfwl.tuples import build_index
@@ -40,10 +40,15 @@ def test_fields_cannot_be_set(name):
 def test_node_counts_by_name_reads_only_the_catalog():
     counts = compute_node_counts(build_index(gen_cycle(6), 2))
     assert counts.by_name("cycle6") == [1] * 6
-    assert counts.by_name("chordal_cycle_cc1") == counts.cc1
+    assert counts.by_name("chordal_cycle_cc1") == counts.chordal_cycle_cc1
     for name in ("count", "index", "n", "deg", "cc1"):
         with pytest.raises(ValueError, match="unknown substructure"):
             counts.by_name(name)
+
+
+def test_node_counts_fields_are_the_catalog():
+    # one field per catalog motif, under its catalog name, and nothing else
+    assert NodeCounts._fields == ("n", "d", *COUNT_MOTIFS_D3)
 
 
 def test_node_counts_carry_cycle7_only_from_d3():
