@@ -34,11 +34,10 @@ sorted color pairs), and the ranks are those of that key.
 
 A unit alone in its color class is settled: a singleton class never
 splits, and no other key starts with its color, so the key (color, ())
-gets the same rank as its full key would.  A round still builds and
-sorts the codes of every unit in the table, and drops the settled
-units' codes afterwards; once more than half of the table's units are
-settled, the table is compacted to the live ones.  A round on a
-discrete partition computes nothing.
+gets the same rank as its full key would.  A round encodes the whole
+table in one pass but cuts and sorts the codes of the live units only;
+the table itself never changes.  A round on a discrete partition
+computes nothing.
 
 Graphs are compared by refining their disjoint union in one id space: WL(1)
 and d-DRFWL(2) refine ``gen_disjoint_union(graphs)``, and dense FWL(2),
@@ -50,7 +49,7 @@ yields the per-graph multisets.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import chain, compress, islice, repeat
+from itertools import compress, islice, repeat
 from operator import add, mul
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
@@ -130,46 +129,32 @@ class _WitnessTable(NamedTuple):
     """The fixed inputs of every refinement round, as flat int lists.
 
     Entry p (unit after unit) reads the colors of units ``a[p]`` and
-    ``b[p]``, in the one id space of all the compared graphs' units.
-    ``units[i]`` is the id of the table's i-th unit and ``lengths[i]`` its
-    number of witnesses.  A fresh table holds every unit; ``compact`` keeps
-    the live ones.
+    ``b[p]``, in the one id space of all the compared graphs' units.  Unit
+    i's entries are ``starts[i]:starts[i + 1]``.
     """
 
     a: list[int]
     b: list[int]
-    units: Sequence[int]
-    lengths: list[int]
+    starts: list[int]
 
-    def sorted_codes(self, colors: list[int], live: Iterable[bool]) -> Iterator[list[int]]:
+    def sorted_codes(self, colors: list[int], units: Iterable[int]) -> list[list[int]]:
         """The sorted codes colors[a] * T + colors[b] (T = number of
-        units) of each table unit whose ``live`` flag is set, in table
-        order."""
+        units) of each of the given units, in their order."""
         high = list(map(mul, colors, repeat(len(colors))))
         codes = list(map(add, map(high.__getitem__, self.a), map(colors.__getitem__, self.b)))
-        # sorted drains each unit's islice, so a dropped unit keeps the cut aligned
-        return compress(map(sorted, map(islice, repeat(iter(codes)), self.lengths)), live)
-
-    def compact(self, live: list[bool]) -> _WitnessTable:
-        """The table of the units whose ``live`` flag is set."""
-        entries = list(chain.from_iterable(map(repeat, live, self.lengths)))
-        return _WitnessTable(
-            list(compress(self.a, entries)),
-            list(compress(self.b, entries)),
-            list(compress(self.units, live)),
-            list(compress(self.lengths, live)),
-        )
+        del high  # else its T ints stay alive through the sorts and raise the peak
+        starts = self.starts
+        return [sorted(codes[starts[i] : starts[i + 1]]) for i in units]
 
 
 def _witness_table(units: Iterable[Witnesses]) -> _WitnessTable:
     """Write the units, one after another, into one table."""
-    a, b, lengths = [], [], []
+    a, b, starts = [], [], [0]
     for ids_a, ids_b in units:
-        start = len(a)
         a.extend(ids_a)
         b.extend(ids_b)
-        lengths.append(len(a) - start)
-    return _WitnessTable(a, b, range(len(lengths)), lengths)
+        starts.append(len(a))
+    return _WitnessTable(a, b, starts)
 
 
 def _refine_to_stability(
@@ -182,9 +167,8 @@ def _refine_to_stability(
     refines the previous partition; stability within #units rounds
     follows.  A live unit's key is (color, its sorted codes), and
     parallel_map builds the code tuples of the live units only.  A settled
-    unit, alone in its class, gets the key (color, ()).  Once more than
-    half of the table's units are settled, the table is compacted to the
-    live ones.  A discrete round counts as a round but builds no key.
+    unit, alone in its class, gets the key (color, ()) and its codes are
+    never sorted.  A discrete round counts as a round but builds no key.
     """
     total = len(init_keys)
     if total == 0:
@@ -195,20 +179,9 @@ def _refine_to_stability(
         new_classes = classes
         if classes < total:
             sizes = Counter(colors)
-            live = list(map((1).__lt__, map(sizes.__getitem__, map(colors.__getitem__, table.units))))
-            units = list(compress(table.units, live))
-            # Compact only once more than half of the table is settled.
-            # Compacting whenever any unit settles copies the table in most
-            # rounds.  On FWL(2) with gen_random_regular(64, 4, 0) against
-            # seed 1, that raised the tracemalloc peak from 35.8 to 44.4 MB
-            # and the median process time from 0.77 to 0.86 s, slower in 8
-            # of 10 alternating pairs (2 shared vCPUs, Python 3.11).  At
-            # d=2 on n=1000 (seeds 0 and 1) it was level in time and raised
-            # the peak from 22.4 to 27.6 MB.
-            if 2 * len(units) < len(live):
-                table, live = table.compact(live), repeat(True)
+            live = list(compress(range(total), map((1).__lt__, map(sizes.__getitem__, colors))))
             tails = [()] * total
-            for unit, codes in zip(units, parallel_map(tuple, list(table.sorted_codes(colors, live)))):
+            for unit, codes in zip(live, parallel_map(tuple, table.sorted_codes(colors, live))):
                 tails[unit] = codes
             colors, new_classes = _compress(list(zip(colors, tails)))
         history.append(new_classes)
@@ -273,6 +246,12 @@ def _drfwl_blocks(idx: TupleIndex, masked: frozenset) -> _WitnessTable:
     return _witness_table(_drfwl_units(idx, masked))
 
 
+def _check_d(d: object) -> None:
+    """Refuse a d that is not an int >= 1 (a bool is not an int here)."""
+    if type(d) is not int or d < 1:
+        raise ValueError(f"d must be an int >= 1, not {d!r}")
+
+
 def _refine_multi(
     graphs: Sequence[Graph],
     method: str,
@@ -302,8 +281,7 @@ def _refine_multi(
         ]
         table, sizes = _witness_table(_fwl2_units(graphs)), [g.n * g.n for g in graphs]
     elif method == "drfwl":
-        if d < 1:
-            raise ValueError("d must be >= 1")
+        _check_d(d)
         masked = _validate_mask(mask, d)
         idx = build_index(gen_disjoint_union(graphs), d)
         init = idx.ks
@@ -394,7 +372,11 @@ def refine_pair(
     d: int = 2,
     mask: Iterable[tuple[int, int, int]] | None = None,
 ) -> PairVerdict:
-    """Refines the two graphs in one id space; compares per-graph multisets."""
+    """Refines the two graphs in one id space; compares per-graph multisets.
+
+    ``d`` must be an int >= 1 for every method, though only drfwl reads it.
+    """
+    _check_d(d)
     d_out = d if method == "drfwl" else None
     (ca, cb), iterations, _ = _refine_multi([g1, g2], method, d_out, mask)
     ha = _histogram(ca)

@@ -145,6 +145,52 @@ class TestDRFWL:
         assert built[0] == units
         assert sum(built) < 0.7 * units * verdict.iterations
 
+    def test_settled_units_are_never_sorted(self, monkeypatch):
+        # a round sorts the codes of the live units handed to parallel_map
+        # and of no other unit; _compress's one sort per ranking is left out,
+        # and _refine_multi skips refine_pair's histogram sorts
+        sorts, rankings, live = [0], [0], [0]
+        plain_map, plain_compress = refine.parallel_map, refine._compress
+
+        def counting_sorted(items):
+            sorts[0] += 1
+            return sorted(items)
+
+        def counting_compress(keys):
+            rankings[0] += 1
+            return plain_compress(keys)
+
+        def counting_map(fn, items):
+            live[0] += len(items)
+            return plain_map(fn, items)
+
+        monkeypatch.setattr(refine, "sorted", counting_sorted, raising=False)
+        monkeypatch.setattr(refine, "_compress", counting_compress)
+        monkeypatch.setattr(refine, "parallel_map", counting_map)
+        g1, g2 = gen_random_regular(150, 4, 11), gen_random_regular(150, 4, 12)
+        refine._refine_multi([g1, g2], "drfwl", 2)
+        assert sorts[0] - rankings[0] == live[0] == 13_091
+
+    @pytest.mark.parametrize("method", ["wl1", "fwl2", "drfwl"])
+    @pytest.mark.parametrize("d", [0, -5, "junk", 2.5, True], ids=repr)
+    def test_d_refused_for_every_method(self, monkeypatch, method, d):
+        # wl1 and fwl2 do not read d, but an invalid one is still refused,
+        # before any refinement runs
+        def no_work(*args):
+            raise AssertionError("refined with an invalid d")
+
+        monkeypatch.setattr(refine, "_refine_multi", no_work)
+        c6 = gen_cycle(6)
+        with pytest.raises(ValueError, match="d must be an int >= 1"):
+            refine_pair(c6, c6, method, d=d)
+        with pytest.raises(ValueError, match="d must be an int >= 1"):
+            distinguish(c6, c6, method, d=d)
+
+    @pytest.mark.parametrize("d", [0, "junk", 2.5, True], ids=repr)
+    def test_drfwl_refine_refuses_invalid_d(self, d):
+        with pytest.raises(ValueError, match="d must be an int >= 1"):
+            drfwl_refine(gen_cycle(6), d)
+
 
 class TestCertificates:
     def test_serialization_shape(self):
