@@ -88,9 +88,11 @@ def _parse_mask(spec: str | None) -> list[tuple[int, int, int]] | None:
 def _parse_motifs(spec: str | None, allow_clique: bool) -> list[str] | None:
     from . import counting
 
-    if not spec:
+    if spec is None:
         return None
     names = [m.strip() for m in spec.split(",") if m.strip()]
+    if not names:
+        raise GraphFormatError(f"--motifs {spec!r} names no motif")
     catalog = set(counting.COUNT_MOTIFS_D3)
     if allow_clique:
         catalog.add("clique4")

@@ -18,8 +18,8 @@ The passes read three inputs, none of which re-intersects a shell:
 * walks over the wide channels (1,2), (2,1) and (2,2), which are never
   stored: W3, P22 and the cycle-7 families a, c, d, f, g, h, i, k walk
   u -> w -> v, reading the nodes near w as the slice of the index's ``vs``
-  column that ``_near`` marks, and keep v when ``rows[u]`` has it, adding
-  into per-tuple or per-node accumulators.
+  column over w's ``TupleIndex.span`` at distance 1 or 2, and keep v when
+  ``rows[u]`` has it, adding into per-tuple or per-node accumulators.
 
 Pairwise quantities (for pairs (u, v) at distance 1..2, plus the noted
 distance-3 extensions when the index was built with d >= 3):
@@ -40,7 +40,6 @@ distance-3 extensions when the index was built with d >= 3):
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_right
 from itertools import accumulate, islice, repeat
 from operator import mul, sub
 from typing import Iterable, NamedTuple
@@ -117,32 +116,16 @@ def common_neighbours(idx: TupleIndex) -> CommonNeighbours:
     return CommonNeighbours(start, ws, uw, wv, rev)
 
 
-Near = list[tuple[int, list[int]]]
-
-
-def _near(idx: TupleIndex) -> Near:
-    """Per node x: the id of (x, y) for the first y at distance 1, and the
-    nodes y at distance 1 or 2, whose tuples (x, y) follow in id order.
-
-    Those are the ``vs`` of x's run from that id up to the first tuple at
-    distance 3 or more; x's run is ordered by distance, so one bisection
-    of ``ks`` finds where they end."""
-    vs, ks = idx.vs, idx.ks
-    out = []
-    for x, row in enumerate(idx.rows):
-        first = row[x]
-        end = bisect_right(ks, 2, first, first + len(row))
-        out.append((first + 1, vs[first + 1 : end]))
-    return out
+Spans = list[tuple[int, int]]
 
 
 class PairStats(NamedTuple):
     """Per-pair statistics, one slot per TupleIndex tuple id, and what they
-    were computed from: the common-neighbour table, the ``_near`` spans of
-    every node, and C3, the triangles at every node."""
+    were computed from: the common-neighbour table, every node's span of
+    tuples at distance 1 or 2, and C3, the triangles at every node."""
 
     common: CommonNeighbours
-    near: Near
+    near: Spans
     c3: list[int]
     p2: list[int]
     w3: list[int]
@@ -168,15 +151,13 @@ def pairwise_p2(idx: TupleIndex, cn: CommonNeighbours) -> list[int]:
 
 def node_triangles(idx: TupleIndex, p2: list[int]) -> list[int]:
     """C3(u): each triangle at u is seen once per incident triangle edge."""
-    return [
-        _exact_half(sum(p2[row[u] + 1 : row[u] + 1 + len(nbrs)]))
-        for u, (row, nbrs) in enumerate(zip(idx.rows, idx.graph.adjacency))
-    ]
+    spans = (idx.span(u, 1, 1) for u in range(idx.graph.n))
+    return [_exact_half(sum(p2[lo:hi])) for lo, hi in spans]
 
 
 def _walk(
     idx: TupleIndex,
-    near: Near,
+    near: Spans,
     weights: Iterable[tuple[int, int, int]],
     p2: list[int],
 ) -> list[int]:
@@ -186,19 +167,19 @@ def _walk(
     The walk keeps v when (u, v) is in the index: v = u and the v beyond
     distance d land on (u, u), which is reset to 0 at the end.
     """
-    rows = idx.rows
+    rows, vs = idx.rows, idx.vs
     acc = [0] * idx.tuple_count
     for u, y, c in weights:
-        first, ys = near[y]
+        lo, hi = near[y]
         row = rows[u]
-        for t, x in zip(map(row.get, ys, repeat(row[u])), p2[first : first + len(ys)]):
+        for t, x in zip(map(row.get, vs[lo:hi], repeat(row[u])), p2[lo:hi]):
             acc[t] += c * x
     for u, row in enumerate(rows):
         acc[row[u]] = 0
     return acc
 
 
-def pairwise_w3(idx: TupleIndex, p2: list[int], near: Near) -> list[int]:
+def pairwise_w3(idx: TupleIndex, p2: list[int], near: Spans) -> list[int]:
     """3-walks u->v: the sum of 2-walks w->v over the neighbours w of u,
     which is P2(w, v) for w != v and deg(v) for w = v."""
     g = idx.graph
@@ -220,15 +201,16 @@ def pairwise_p3(idx: TupleIndex, w3: list[int]) -> list[int]:
     ]
 
 
-def pairwise_p22(idx: TupleIndex, p2: list[int], near: Near) -> list[int]:
+def pairwise_p22(idx: TupleIndex, p2: list[int], near: Spans) -> list[int]:
     """Sum over middle nodes y (distinct from u, v) of P2(u,y) * P2(y,v).
 
     y runs over the nodes at distance 1 or 2 from u with P2(u, y) > 0.
     """
+    vs = idx.vs
     weights = (
         (u, y, c)
-        for u, (first, ys) in enumerate(near)
-        for y, c in zip(ys, p2[first : first + len(ys)])
+        for u, (lo, hi) in enumerate(near)
+        for y, c in zip(vs[lo:hi], p2[lo:hi])
         if c
     )
     return _walk(idx, near, weights, p2)
@@ -351,7 +333,7 @@ def compute_pair_stats(idx: TupleIndex) -> PairStats:
     if idx.d < 2:
         raise ValueError(f"closed-form counts need an index with d >= 2, got d={idx.d}")
     cn = common_neighbours(idx)
-    near = _near(idx)
+    near = [idx.span(x, 1, 2) for x in range(idx.graph.n)]
     p2 = pairwise_p2(idx, cn)
     c3 = node_triangles(idx, p2)
     w3 = pairwise_w3(idx, p2, near)
@@ -431,24 +413,26 @@ def cycle7_correction_terms(
     """
     g = idx.graph
     n = g.n
-    rows = idx.rows
+    rows, vs = idx.rows, idx.vs
     cn = s.common
     start, ws, uw_ids, wv_ids = cn.start, cn.w, cn.uw, cn.wv
     p2, p3, p4, c23, t_arr = s.p2, s.p3, s.p4, s.c23, s.t
     nbr = g.neighbor_sets()
     near = s.near
-    # node u's tuples are the ids first[u] .. first[u+1]-1; witnessed[u] and
-    # adjacent[u] are the entry ranges of their witnesses, and of those of
-    # its tuples at distance 1
-    first = [row[u] for u, row in enumerate(rows)] + [idx.tuple_count]
-    witnessed = list(zip(map(start.__getitem__, first), map(start.__getitem__, first[1:])))
-    adjacent = [(start[a + 1], start[a + 1 + len(nbrs)]) for a, nbrs in zip(first, g.adjacency)]
+    # edges[u] spans node u's tuples at distance 1; witnessed[u] and
+    # adjacent[u] are the entry ranges of the witnesses of its tuples at
+    # distance 1 or 2, and at distance 1 (no other tuple has witnesses)
+    edges = [idx.span(u, 1, 1) for u in range(n)]
+    witnessed = [(start[a], start[b]) for a, b in near]
+    adjacent = [(start[a], start[b]) for a, b in edges]
 
     def squares(ids: list[int]) -> int:
         return sum(x * (x - 1) for x in map(p2.__getitem__, ids))
 
-    # sum over v of P3(u,v) * P4(u,v), distances 1..3 (P3(u,u) = 0)
-    prod34 = [sum(map(mul, p3[a:b], p4[a:b])) for a, b in zip(first, first[1:])]
+    # sum over v of P3(u,v) * P4(u,v), distances 1..3
+    prod34 = [
+        sum(map(mul, p3[a:b], p4[a:b])) for a, b in (idx.span(u, 1, 3) for u in range(n))
+    ]
     sum_e = [
         sum(map(mul, map(p3.__getitem__, uw_ids[a:b]), map(p2.__getitem__, wv_ids[a:b])))
         for a, b in witnessed
@@ -482,9 +466,8 @@ def cycle7_correction_terms(
     sum_a, sum_c, sum_g, sum_i, sum_k = [0] * n, [0] * n, [0] * n, [0] * n, [0] * n
     # walk u -> w in N1(u) -> v at distance 1 or 2 from w, by middle node w;
     # only the v with P2(w, v) > 0 add anything
-    for w, (lo, vs) in enumerate(near):
-        hi = lo + len(vs)
-        live = [(v, t, x) for v, t, x in zip(vs, range(lo, hi), p2[lo:hi]) if x]
+    for w, (lo, hi) in enumerate(near):
+        live = [(v, t, x) for v, t, x in zip(vs[lo:hi], range(lo, hi), p2[lo:hi]) if x]
         nbrw = nbr[w]
         for u in g.adjacency[w]:
             row_u = rows[u]
@@ -524,11 +507,10 @@ def cycle7_correction_terms(
     for u, row_u in enumerate(rows):
         # walk u -> w at distance 1 or 2 -> v in N1(w)
         acc_d = acc_f = acc_h = 0
-        lo_u, ws_u = near[u]
-        for w, tuw in zip(ws_u, range(lo_u, lo_u + len(ws_u))):
-            lo = near[w][0]
-            nbrs = g.adjacency[w]
-            kept = [x for v, x in zip(nbrs, p2[lo : lo + len(nbrs)]) if v != u and v in row_u]
+        lo_u, hi_u = near[u]
+        for w, tuw in zip(vs[lo_u:hi_u], range(lo_u, hi_u)):
+            lo, hi = edges[w]
+            kept = [x for v, x in zip(vs[lo:hi], p2[lo:hi]) if v != u and v in row_u]
             p2uw = p2[tuw]
             acc_d += p2uw * (p2uw - 1) * sum(kept)
             acc_f += c23[tuw] * len(kept)
@@ -578,16 +560,15 @@ def compute_node_counts(idx: TupleIndex) -> NodeCounts:
     stats = compute_pair_stats(idx)
     deg = g.degrees()
     rev = stats.common.rev
-    # node u's tuples at distance 1 are the ids lo .. hi-1, one per
-    # neighbour; those at distance 1 or 2 run on to the end of near[u]
-    spans = [(row[u] + 1, row[u] + 1 + deg[u]) for u, row in enumerate(idx.rows)]
-    near = [(lo, lo + len(ys)) for lo, ys in stats.near]
+    # node u's tuples at distance 1, one per neighbour, and at distance 1 or 2
+    spans = [idx.span(u, 1, 1) for u in range(n)]
+    near = stats.near
 
-    def around(values: list[int], spans: list[tuple[int, int]] = spans) -> list[int]:
+    def around(values: list[int], spans: Spans = spans) -> list[int]:
         """Per node u, the sum of values at (u, v) over v in its span."""
         return [sum(values[lo:hi]) for lo, hi in spans]
 
-    def toward(values: list[int], spans: list[tuple[int, int]] = spans) -> list[int]:
+    def toward(values: list[int], spans: Spans = spans) -> list[int]:
         """Per node u, the sum of values at (v, u) over v in its span."""
         return [sum(map(values.__getitem__, rev[lo:hi])) for lo, hi in spans]
 

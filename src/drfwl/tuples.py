@@ -5,10 +5,12 @@ most d, as three flat columns in id order and one id map per node.  This
 is the shared substrate for distance-restricted refinement and for the
 closed-form counting passes.  Refinement reads a tuple's witnesses as the
 common keys of ``rows[u]`` and ``rows[v]``, the nodes within d of both;
-counting reads N_1(u) & N_1(v) and walks each node's run of ids.
+counting reads N_1(u) & N_1(v) and each node's ids at a distance range
+through ``TupleIndex.span``.
 """
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from itertools import count, repeat
 from typing import AbstractSet, NamedTuple
 
@@ -23,9 +25,9 @@ class TupleIndex(NamedTuple):
     it the tuples at each distance k are contiguous, with v ascending.
     Tuple t is (``us[t]``, ``vs[t]``) at distance ``ks[t]``, and
     ``rows[u][v]`` is the id of (u, v): one dict per node, the map that
-    every runtime pass reads.  Node u's run is the ids ``rows[u][u]`` to
-    ``rows[u][u] + len(rows[u]) - 1``, so ``vs`` over a run lists
-    N_0(u), N_1(u), ... in turn.
+    every runtime pass reads.  Outside ``build_index``, ``span`` is the one
+    reader of this run order: it turns a node and a distance range into
+    ids, so ``vs`` over a span lists the nodes at those distances.
     """
 
     graph: Graph
@@ -38,6 +40,18 @@ class TupleIndex(NamedTuple):
     @property
     def tuple_count(self) -> int:
         return len(self.ks)
+
+    def span(self, u: int, lo: int, hi: int) -> tuple[int, int]:
+        """The ids of u's tuples at distance lo..hi, as one half-open range.
+
+        Node u's run is the ids ``rows[u][u]`` to ``rows[u][u] +
+        len(rows[u]) - 1``, ordered by distance, so two bisections of
+        ``ks`` inside it find the range.
+        """
+        row = self.rows[u]
+        first = row[u]
+        end = first + len(row)
+        return bisect_left(self.ks, lo, first, end), bisect_right(self.ks, hi, first, end)
 
     def space_bound(self) -> int:
         """The n * (1 + sum_k degmax^k) ceiling on the tuple count.

@@ -280,6 +280,16 @@ class TestErrorMapping:
             main(["distinguish", petersen_file, petersen_file])
 
 
+@pytest.mark.parametrize("command", ["count", "oracle"])
+@pytest.mark.parametrize("spec", [",", ""])
+def test_motifs_naming_no_motif_is_exit_2(command, spec, c6_file, capsys):
+    # an empty list is malformed input, not a request for the whole catalog
+    assert main([command, "--motifs", spec, c6_file]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "names no motif" in err
+
+
 class TestOracle:
     def test_clique4_allowed(self, tmp_path):
         p = tmp_path / "k4.el"

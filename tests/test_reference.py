@@ -33,7 +33,7 @@ from drfwl.refine import (
     refine_pair,
     wl1_refine,
 )
-from drfwl.tuples import build_index, intersect
+from drfwl.tuples import TupleIndex, build_index, intersect
 
 DEPTHS = st.integers(min_value=1, max_value=3)
 
@@ -302,12 +302,19 @@ def test_pair_stats_intersect_once_per_near_tuple(g, d):
 def test_node_counts_build_near_spans_and_triangles_once(monkeypatch):
     # compute_pair_stats keeps both on PairStats; the later passes read them
     calls = Counter()
-    for name in ("_near", "node_triangles"):
+    real_triangles, real_span = counting.node_triangles, TupleIndex.span
 
-        def counted(*args, _real=getattr(counting, name), _name=name):
-            calls[_name] += 1
-            return _real(*args)
+    def triangles(*args):
+        calls["node_triangles"] += 1
+        return real_triangles(*args)
 
-        monkeypatch.setattr(counting, name, counted)
-    compute_node_counts(build_index(gen_random_regular(30, 4, 1), 3))
-    assert calls == {"_near": 1, "node_triangles": 1}
+    def span(idx, u, lo, hi):
+        calls[lo, hi] += 1
+        return real_span(idx, u, lo, hi)
+
+    monkeypatch.setattr(counting, "node_triangles", triangles)
+    monkeypatch.setattr(TupleIndex, "span", span)
+    g = gen_random_regular(30, 4, 1)
+    compute_node_counts(build_index(g, 3))
+    assert calls["node_triangles"] == 1
+    assert calls[1, 2] == g.n  # one span at distance 1 or 2 per node

@@ -5,13 +5,13 @@ import tracemalloc
 from itertools import islice
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference
 from conftest import small_graphs
 from graph_helpers import bfs_distances, gen_complete, gen_star
-from drfwl.graph import gen_cycle, gen_erdos_renyi, gen_random_regular
+from drfwl.graph import Graph, gen_cycle, gen_erdos_renyi, gen_random_regular
 from drfwl.tuples import build_index, intersect
 
 
@@ -100,6 +100,20 @@ class TestBuildIndex:
             for v in range(g.n):
                 t = idx.rows[u].get(v)
                 assert (-1 if t is None else idx.ks[t]) == (dist[v] if 0 <= dist[v] <= 2 else -1)
+
+    @settings(max_examples=60)
+    @given(small_graphs(), st.integers(min_value=1, max_value=4))
+    # node 3 is isolated, and the BFS from 0 stops at depth 2 of 4
+    @example(Graph.from_edges(4, [(0, 1), (1, 2)]), 4)
+    def test_span_is_the_ids_at_a_distance_range(self, g, d):
+        idx = build_index(g, d)
+        for u in range(g.n):
+            for lo in range(d + 2):
+                for hi in range(lo, d + 2):
+                    want = [
+                        t for t, (a, k) in enumerate(zip(idx.us, idx.ks)) if a == u and lo <= k <= hi
+                    ]
+                    assert list(range(*idx.span(u, lo, hi))) == want
 
     def test_regular_graph_space_bound_exact_form(self):
         for seed in range(5):
