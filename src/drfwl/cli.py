@@ -7,10 +7,14 @@ family).
 
 Exit codes: 0 success, 2 malformed input (or a file that cannot be read
 or written), 3 capability or size limit, 4 a failed internal check
-(InvariantError, a bug).  Only a GraphFormatError means malformed input;
-the subcommands raise it for every user error they detect.  Any other
-exception is a bug too: it propagates (exit 1).
+(InvariantError, a bug).  Only a GraphFormatError means malformed input.
+Any other exception is a bug too: it propagates (exit 1).
 JSON output is a stability contract; the text format is for humans.
+
+The legs judge requests and the CLI parses flags and maps errors: before
+reading any input, ``count`` and ``distinguish`` call their leg's check
+(``counting.check_motifs``, ``refine.check_request``) once, and only that
+call turns a ValueError into a GraphFormatError.
 
 Each subcommand imports the algorithm module it runs (``counting``,
 ``refine`` or ``oracle``) when it runs, so an invocation loads only its
@@ -22,7 +26,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .errors import METHODS, CapabilityError, InvariantError
 from .graph import (
@@ -85,25 +89,22 @@ def _parse_mask(spec: str | None) -> list[tuple[int, int, int]] | None:
     return triples
 
 
-def _parse_motifs(spec: str | None, allow_clique: bool) -> list[str] | None:
-    from . import counting
-
+def _parse_motifs(spec: str | None) -> list[str] | None:
     if spec is None:
         return None
     names = [m.strip() for m in spec.split(",") if m.strip()]
     if not names:
         raise GraphFormatError(f"--motifs {spec!r} names no motif")
-    catalog = set(counting.COUNT_MOTIFS_D3)
-    if allow_clique:
-        catalog.add("clique4")
-    for name in names:
-        if name == "clique4" and not allow_clique:
-            raise CapabilityError(
-                "clique4 has no closed form; use the oracle subcommand"
-            )
-        if name not in catalog:
-            raise GraphFormatError(f"unknown motif {name!r}")
     return names
+
+
+def _check(rule: Callable, *request: object) -> object:
+    """A leg's verdict on a request, before any input is read.  Its
+    ValueError is malformed input; this is the one call that maps it."""
+    try:
+        return rule(*request)
+    except ValueError as exc:
+        raise GraphFormatError(str(exc)) from None
 
 
 def _emit_report(report: dict, fmt: str, output: str | None) -> None:
@@ -120,27 +121,25 @@ def _emit_report(report: dict, fmt: str, output: str | None) -> None:
 def cmd_count(ns: argparse.Namespace) -> int:
     from . import counting
 
-    motifs = _parse_motifs(ns.motifs, allow_clique=False)
+    motifs = _check(counting.check_motifs, ns.d, _parse_motifs(ns.motifs))
     resolve_threads(ns.threads)
-    if ns.d < 2:
-        raise GraphFormatError("count needs --d 2 or higher")
     g = _load_graph(ns.input)
-    motifs = motifs or list(counting.supported_motifs(ns.d))
-    if "cycle7" in motifs and ns.d < 3:
-        raise CapabilityError("cycle7 requires --d 3 or higher")
     idx = build_index(g, ns.d)
     counts = counting.compute_node_counts(idx)
-    _emit_report(counting.counts_to_report(counts, tuple(motifs)), ns.fmt, ns.output)
+    _emit_report(counting.counts_to_report(counts, motifs), ns.fmt, ns.output)
     return EXIT_OK
 
 
 def cmd_oracle(ns: argparse.Namespace) -> int:
     from . import counting, oracle
 
-    motifs = _parse_motifs(ns.motifs, allow_clique=True)
+    motifs = dict.fromkeys(_parse_motifs(ns.motifs) or counting.supported_motifs(3))
+    for name in motifs:
+        if name not in oracle.MOTIF_CATALOG:
+            raise GraphFormatError(f"unknown motif {name!r}")
     g = _load_graph(ns.input)
     subs = {}
-    for name in motifs or counting.supported_motifs(3):
+    for name in motifs:
         per_node = oracle.oracle_node_counts(g, name)
         subs[name] = {"per_node": per_node, "graph_level": oracle._graph_total(name, per_node)}
     _emit_report({"n": g.n, "substructures": subs}, ns.fmt, ns.output)
@@ -151,15 +150,7 @@ def cmd_distinguish(ns: argparse.Namespace) -> int:
     from . import refine
 
     mask = _parse_mask(ns.mask)
-    if ns.d < 1:
-        raise GraphFormatError("--d must be >= 1")
-    if mask and ns.method != "drfwl":
-        raise GraphFormatError(f"--mask applies to --method drfwl only, not {ns.method}")
-    if ns.method == "drfwl":
-        try:
-            refine._validate_mask(mask, ns.d)
-        except ValueError as exc:
-            raise GraphFormatError(str(exc)) from None
+    _check(refine.check_request, ns.method, ns.d, mask)
     resolve_threads(ns.threads)
     g1 = _load_graph(ns.input1)
     g2 = _load_graph(ns.input2)

@@ -330,8 +330,7 @@ def _pairwise_tr(
 def compute_pair_stats(idx: TupleIndex) -> PairStats:
     """Build the common-neighbour table, then run every pairwise pass in
     dependency order."""
-    if idx.d < 2:
-        raise ValueError(f"closed-form counts need an index with d >= 2, got d={idx.d}")
+    check_motifs(idx.d)
     cn = common_neighbours(idx)
     near = [idx.span(x, 1, 2) for x in range(idx.graph.n)]
     p2 = pairwise_p2(idx, cn)
@@ -381,16 +380,8 @@ class NodeCounts(NamedTuple):
     cycle7: list[int] | None
 
     def by_name(self, name: str) -> list[int]:
-        value = getattr(self, name) if name in GRAPH_LEVEL_FACTOR else None
-        if value is None:
-            if name == "cycle7":
-                raise CapabilityError("cycle7 counts require an index with d >= 3")
-            if name == "clique4":
-                raise CapabilityError(
-                    "4-cliques have no closed form here; use the oracle"
-                )
-            raise ValueError(f"unknown substructure {name!r}")
-        return value
+        check_motifs(self.d, [name])
+        return getattr(self, name)
 
 
 def cycle7_correction_terms(
@@ -458,9 +449,8 @@ def cycle7_correction_terms(
                 if a == v:
                     continue
                 a_adj_v = a in nbrv
-                tav = rows[a].get(v)
-                p2av = 0 if tav is None else p2[tav]
-                acc += base - (p2av - 1) - a_adj_v * (p2[wv_ids[q]] - 1) + a_adj_v
+                # a ~ w ~ v, so d(a, v) <= 2 <= d and (a, v) is indexed
+                acc += base - (p2[rows[a][v]] - 1) - a_adj_v * (p2[wv_ids[q]] - 1) + a_adj_v
         sum_b[u] += acc
 
     sum_a, sum_c, sum_g, sum_i, sum_k = [0] * n, [0] * n, [0] * n, [0] * n, [0] * n
@@ -639,12 +629,28 @@ def supported_motifs(d: int) -> tuple[str, ...]:
     return COUNT_MOTIFS_D3 if d >= 3 else COUNT_MOTIFS_D2
 
 
-def counts_to_report(counts: NodeCounts, motifs: tuple[str, ...] | None = None) -> dict:
-    """JSON-ready report in the stable output schema."""
-    if motifs is None:
-        motifs = supported_motifs(counts.d)
-    subs = {}
+def check_motifs(d: int, names: Iterable[str] | None = None) -> tuple[str, ...]:
+    """The motifs that counts at ``d`` report for ``names``: each once, in
+    first-seen order, or all those supported at d if names is None.  Refuses
+    each name in turn (clique4, a name outside the catalog), then d < 2
+    (the closed forms read distance-2 shells), then cycle7 below d = 3."""
+    motifs = supported_motifs(d) if names is None else tuple(dict.fromkeys(names))
     for name in motifs:
+        if name == "clique4":
+            raise CapabilityError("clique4 has no closed form; use the oracle")
+        if name not in GRAPH_LEVEL_FACTOR:
+            raise ValueError(f"unknown substructure {name!r}")
+    if d < 2:
+        raise ValueError(f"closed-form counts need d >= 2, got d={d}")
+    if d < 3 and "cycle7" in motifs:
+        raise CapabilityError(f"cycle7 counts need d >= 3, got d={d}")
+    return motifs
+
+
+def counts_to_report(counts: NodeCounts, motifs: Iterable[str] | None = None) -> dict:
+    """JSON-ready report in the stable output schema."""
+    subs = {}
+    for name in check_motifs(counts.d, motifs):
         per_node = counts.by_name(name)
         subs[name] = {"per_node": list(per_node), "graph_level": graph_level(counts, name)}
     return {"n": counts.n, "substructures": subs}

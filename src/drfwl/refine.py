@@ -214,19 +214,6 @@ def _fwl2_units(graphs: Sequence[Graph]) -> Iterator[Witnesses]:
         o += n * n
 
 
-def _validate_mask(mask: Iterable[tuple[int, int, int]] | None, d: int) -> frozenset:
-    if mask is None:
-        return frozenset()
-    out = set()
-    for triple in mask:
-        t = tuple(triple)
-        ok = len(t) == 3 and all(type(x) is int and 0 <= x <= d for x in t)
-        if not (ok and abs(t[0] - t[1]) <= t[2] <= t[0] + t[1]):
-            raise ValueError(f"invalid mask triple {triple!r} for d={d}")
-        out.add(t)
-    return frozenset(out)
-
-
 def _drfwl_units(idx: TupleIndex, masked: frozenset) -> Iterator[Witnesses]:
     """Tuple (u, v) at distance k: the w within d of both u and v (the
     common keys of ``rows[u]`` and ``rows[v]``), less each w whose
@@ -246,23 +233,16 @@ def _drfwl_blocks(idx: TupleIndex, masked: frozenset) -> _WitnessTable:
     return _witness_table(_drfwl_units(idx, masked))
 
 
-def _check_d(d: object) -> None:
-    """Refuse a d that is not an int >= 1 (a bool is not an int here)."""
-    if type(d) is not int or d < 1:
-        raise ValueError(f"d must be an int >= 1, not {d!r}")
-
-
 def _refine_multi(
     graphs: Sequence[Graph],
     method: str,
     d: int | None = None,
-    mask: Iterable[tuple[int, int, int]] | None = None,
+    masked: frozenset = frozenset(),
 ) -> tuple[list[list[int]], int, tuple[int, ...]]:
     """Refinement of the graphs' units in one id space under ``method``:
-    per-graph stable colors, rounds, and class counts per round.  A
-    ``mask`` applies to d-DRFWL(2) only; with wl1 or fwl2 it is refused."""
-    if mask is not None and method in ("wl1", "fwl2"):
-        raise ValueError(f"a mask applies to method 'drfwl' only, not {method!r}")
+    per-graph stable colors, rounds, and class counts per round.  The
+    request is one that ``check_request`` passed, and ``masked`` the
+    triples it returned; wl1 and fwl2 read neither d nor ``masked``."""
     if method == "wl1":
         sizes = [g.n for g in graphs]
         init, table = [0] * sum(sizes), _witness_table(_wl1_units(gen_disjoint_union(graphs)))
@@ -280,17 +260,13 @@ def _refine_multi(
             for v in range(g.n)
         ]
         table, sizes = _witness_table(_fwl2_units(graphs)), [g.n * g.n for g in graphs]
-    elif method == "drfwl":
-        _check_d(d)
-        masked = _validate_mask(mask, d)
+    else:  # drfwl
         idx = build_index(gen_disjoint_union(graphs), d)
         init = idx.ks
         rows = iter(idx.rows)  # a graph's tuples are the tuples of its nodes' rows
         sizes = [sum(map(len, islice(rows, g.n))) for g in graphs]
         table = _drfwl_blocks(idx, masked)
         del idx, rows  # the rounds read only the table; freeing the index lowers peak memory
-    else:
-        raise ValueError(f"unknown method {method!r}")
     colors, iterations, history = _refine_to_stability(init, table)
     stable = iter(colors)
     return [list(islice(stable, size)) for size in sizes], iterations, history
@@ -300,13 +276,38 @@ def _refine_multi(
 # public operations
 
 
+def check_request(
+    method: str, d: object, mask: Iterable[tuple[int, int, int]] | None = None
+) -> frozenset:
+    """The masked triples of a request, or ValueError for a d that is not an
+    int >= 1 (a bool is not an int here; wl1 and fwl2 refuse it too), an
+    unknown method, any mask with wl1 or fwl2, or a mask triple (i, j, k)
+    outside 0..d or against the triangle inequality."""
+    if type(d) is not int or d < 1:
+        raise ValueError(f"d must be an int >= 1, not {d!r}")
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}")
+    if mask is None:
+        return frozenset()
+    if method != "drfwl":
+        raise ValueError(f"a mask applies to method 'drfwl' only, not {method!r}")
+    out = set()
+    for triple in mask:
+        t = tuple(triple)
+        ok = len(t) == 3 and all(type(x) is int and 0 <= x <= d for x in t)
+        if not (ok and abs(t[0] - t[1]) <= t[2] <= t[0] + t[1]):
+            raise ValueError(f"invalid mask triple {triple!r} for d={d}")
+        out.add(t)
+    return frozenset(out)
+
+
 def _coloring(
     g: Graph,
     method: str,
     d: int | None = None,
-    mask: Iterable[tuple[int, int, int]] | None = None,
+    masked: frozenset = frozenset(),
 ) -> Coloring:
-    (colors,), iterations, history = _refine_multi([g], method, d, mask)
+    (colors,), iterations, history = _refine_multi([g], method, d, masked)
     return Coloring(method, d, tuple(colors), iterations, history)
 
 
@@ -338,7 +339,7 @@ def drfwl_refine(
     refine distances, so the merged multiset splits the tuples exactly as
     the paper's per-channel multisets do.
     """
-    return _coloring(g, "drfwl", d, mask=mask)
+    return _coloring(g, "drfwl", d, check_request("drfwl", d, mask))
 
 
 def _histogram(colors: Sequence[int]) -> tuple[tuple[int, int], ...]:
@@ -374,11 +375,11 @@ def refine_pair(
 ) -> PairVerdict:
     """Refines the two graphs in one id space; compares per-graph multisets.
 
-    ``d`` must be an int >= 1 for every method, though only drfwl reads it.
+    ``check_request`` refuses a bad request before any work.
     """
-    _check_d(d)
+    masked = check_request(method, d, mask)
     d_out = d if method == "drfwl" else None
-    (ca, cb), iterations, _ = _refine_multi([g1, g2], method, d_out, mask)
+    (ca, cb), iterations, _ = _refine_multi([g1, g2], method, d_out, masked)
     ha = _histogram(ca)
     hb = _histogram(cb)
     return PairVerdict(

@@ -11,8 +11,10 @@ import pytest
 from graph_helpers import gen_petersen
 from drfwl import oracle
 from drfwl.cli import main
-from drfwl.counting import COUNT_MOTIFS_D3
+from drfwl.counting import COUNT_MOTIFS_D3, check_motifs
+from drfwl.errors import CapabilityError
 from drfwl.graph import gen_cycle, gen_disjoint_union, parse_edge_list
+from drfwl.refine import check_request
 
 SRC_DIR = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -88,6 +90,12 @@ class TestCount:
         a = json.loads(out1)["substructures"]["cycle5"]
         b = json.loads(out2)["substructures"]["cycle5"]
         assert a == b
+
+    def test_repeated_motif_is_reported_once(self, petersen_file, capsys):
+        assert main(["count", "--motifs", "cycle5,path2", petersen_file]) == 0
+        plain = capsys.readouterr().out
+        assert main(["count", "--motifs", "cycle5,path2,cycle5", petersen_file]) == 0
+        assert capsys.readouterr().out == plain
 
     def test_text_format(self, c6_file):
         code, out, _ = run_cli("count", "--motifs", "cycle6", "--format", "text", c6_file)
@@ -202,13 +210,55 @@ class TestErrorMapping:
     @pytest.mark.parametrize("method", ["wl1", "fwl2", "drfwl"])
     def test_distinguish_d_below_1_exit_2_for_every_method(self, method, c6_file, capsys):
         assert main(["distinguish", "--method", method, "--d", "0", c6_file, c6_file]) == 2
-        assert "--d must be >= 1" in capsys.readouterr().err
+        assert "d must be an int >= 1" in capsys.readouterr().err
 
     @pytest.mark.parametrize("method", ["wl1", "fwl2"])
     def test_distinguish_mask_without_drfwl_exit_2(self, method, c6_file, capsys):
         argv = ["distinguish", "--method", method, "--mask", "9,9,9", c6_file, c6_file]
         assert main(argv) == 2
-        assert "--mask applies to --method drfwl only" in capsys.readouterr().err
+        assert "a mask applies to method 'drfwl' only" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("method", ["wl1", "fwl2"])
+    @pytest.mark.parametrize("mask", [" ", ";"], ids=["space", "semicolon"])
+    def test_distinguish_mask_naming_no_triple_without_drfwl_exit_2(
+        self, method, mask, c6_file, capsys
+    ):
+        # an empty mask is still a mask, which wl1 and fwl2 refuse
+        argv = ["distinguish", "--method", method, "--mask", mask, c6_file, c6_file]
+        assert main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "argv, check, request_",
+        [
+            (["distinguish", "--d", "0"], check_request, ("drfwl", 0, None)),
+            (["distinguish", "--method", "wl1", "--d", "-1"], check_request, ("wl1", -1, None)),
+            (["distinguish", "--method", "wl1", "--mask", "1,1,1"], check_request, ("wl1", 2, [(1, 1, 1)])),
+            (["distinguish", "--method", "fwl2", "--mask", "1,1,1"], check_request, ("fwl2", 2, [(1, 1, 1)])),
+            (["distinguish", "--mask", "0,0,2"], check_request, ("drfwl", 2, [(0, 0, 2)])),
+            (["distinguish", "--d", "1", "--mask", "2,2,2"], check_request, ("drfwl", 1, [(2, 2, 2)])),
+            (["count", "--d", "1"], check_motifs, (1, None)),
+            (["count", "--d", "1", "--motifs", "cycle3"], check_motifs, (1, ["cycle3"])),
+            (["count", "--motifs", "cycle7"], check_motifs, (2, ["cycle7"])),
+            (["count", "--motifs", "clique4"], check_motifs, (2, ["clique4"])),
+            (["count", "--motifs", "cycle3,cycle9"], check_motifs, (2, ["cycle3", "cycle9"])),
+            (["count", "--d", "1", "--motifs", "clique4"], check_motifs, (1, ["clique4"])),
+        ],
+        ids=[
+            "d0", "wl1-d-1", "wl1-mask", "fwl2-mask", "bad-triple", "triple-above-d",
+            "count-d1", "count-d1-cycle3", "cycle7-d2", "clique4", "unknown", "clique4-d1",
+        ],
+    )
+    def test_exit_code_is_the_legs_refusal(self, argv, check, request_, tmp_path, capsys):
+        # the leg's ValueError exits 2 and its CapabilityError 3, with the
+        # leg's message; the input is never read (it does not exist)
+        with pytest.raises((ValueError, CapabilityError)) as refusal:
+            check(*request_)
+        want = 3 if isinstance(refusal.value, CapabilityError) else 2
+        missing = [str(tmp_path / "missing.el")] * (2 if argv[0] == "distinguish" else 1)
+        assert main([*argv, *missing]) == want
+        assert capsys.readouterr().err == f"error: {refusal.value}\n"
 
     @pytest.mark.parametrize(
         "args",
@@ -251,7 +301,7 @@ class TestErrorMapping:
     @pytest.mark.parametrize("d", ["0", "1"])
     def test_count_below_d2_exit_2(self, d, c6_file, capsys):
         assert main(["count", "--d", d, c6_file]) == 2
-        assert "--d 2" in capsys.readouterr().err
+        assert "d >= 2" in capsys.readouterr().err
 
     @pytest.mark.parametrize("text", ["0 1_0\n", "n +3\n0 1\n"])
     def test_non_decimal_token_exit_2(self, text, tmp_path, capsys):

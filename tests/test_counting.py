@@ -20,6 +20,7 @@ from drfwl.counting import (
     compute_node_counts,
     compute_pair_stats,
     _exact_half,
+    check_motifs,
     counts_to_report,
     graph_level,
     node_walks,
@@ -248,6 +249,27 @@ class TestReport:
         )
         assert list(report["substructures"]) == ["cycle3", "cycle6"]
         assert report["substructures"]["cycle6"]["graph_level"] == 1
+
+    def test_check_motifs_names_each_motif_once_in_first_seen_order(self):
+        assert check_motifs(3, ["cycle7", "path2", "cycle7", "cycle3", "path2"]) == (
+            "cycle7", "path2", "cycle3",
+        )
+        assert check_motifs(2) == COUNT_MOTIFS_D2
+        assert check_motifs(7) == COUNT_MOTIFS_D3
+
+    @pytest.mark.parametrize(
+        "d, names, error, match",
+        [
+            (1, ["clique4"], CapabilityError, "clique4"),  # each name before d
+            (1, ["cycle9"], ValueError, "unknown substructure 'cycle9'"),
+            (1, None, ValueError, "d >= 2"),
+            (1, ["cycle7"], ValueError, "d >= 2"),  # d < 2 before cycle7
+            (2, ["cycle3", "cycle7"], CapabilityError, "cycle7"),
+        ],
+    )
+    def test_check_motifs_refusal_order(self, d, names, error, match):
+        with pytest.raises(error, match=match):
+            check_motifs(d, names)
 
 
 class TestInvariants:

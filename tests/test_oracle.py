@@ -212,7 +212,7 @@ class TestGuards:
         g = gen_erdos_renyi(9, 0.5, 1)
         path = tmp_path / "g.el"
         path.write_text(g.to_edge_list())
-        assert main(["oracle", "--motifs", "cycle5,path3,tr1", str(path)]) == 0
+        assert main(["oracle", "--motifs", "cycle5,path3,tr1,cycle5", str(path)]) == 0
         assert calls == {"count_cycles_per_node": 1, "count_paths_from": g.n, "count_marked_per_node": 1}
 
     def test_k4_has_one_clique4(self):

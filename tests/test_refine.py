@@ -112,6 +112,13 @@ class TestDRFWL:
         with pytest.raises(ValueError, match="mask applies to method 'drfwl' only"):
             distinguish(g1, g2, method, mask=mask)
 
+    def test_mask_is_read_once(self):
+        # check_request reads the mask once; a one-shot iterator masks the same
+        g1, g2 = double_cycle(3), gen_cycle(6)
+        listed = refine_pair(g1, g2, "drfwl", mask=[(1, 1, 1), (2, 2, 2)])
+        assert refine_pair(g1, g2, "drfwl", mask=iter([(1, 1, 1), (2, 2, 2)])) == listed
+        assert refine.check_request("drfwl", 2, iter([(1, 1, 1), (1, 1, 1)])) == {(1, 1, 1)}
+
     def test_admissible_triples_obey_triangle_inequality(self):
         for i, j, k in admissible_triples(3):
             assert abs(i - j) <= k <= i + j
