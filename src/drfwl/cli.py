@@ -12,9 +12,10 @@ Any other exception is a bug too: it propagates (exit 1).
 JSON output is a stability contract; the text format is for humans.
 
 The legs judge requests and the CLI parses flags and maps errors: before
-reading any input, ``count`` and ``distinguish`` call their leg's check
-(``counting.check_motifs``, ``refine.check_request``) once, and only that
-call turns a ValueError into a GraphFormatError.
+reading any input, ``count``, ``oracle`` and ``distinguish`` call their
+leg's check (``counting.check_motifs``, ``oracle.check_motifs``,
+``refine.check_request``) once, and only that call turns a ValueError into
+a GraphFormatError.
 
 Each subcommand imports the algorithm module it runs (``counting``,
 ``refine`` or ``oracle``) when it runs, so an invocation loads only its
@@ -131,17 +132,14 @@ def cmd_count(ns: argparse.Namespace) -> int:
 
 
 def cmd_oracle(ns: argparse.Namespace) -> int:
-    from . import counting, oracle
+    from . import oracle
 
-    motifs = dict.fromkeys(_parse_motifs(ns.motifs) or counting.supported_motifs(3))
-    for name in motifs:
-        if name not in oracle.MOTIF_CATALOG:
-            raise GraphFormatError(f"unknown motif {name!r}")
+    motifs = _check(oracle.check_motifs, _parse_motifs(ns.motifs))
     g = _load_graph(ns.input)
     subs = {}
     for name in motifs:
         per_node = oracle.oracle_node_counts(g, name)
-        subs[name] = {"per_node": per_node, "graph_level": oracle._graph_total(name, per_node)}
+        subs[name] = {"per_node": per_node, "graph_level": oracle.graph_total(name, per_node)}
     _emit_report({"n": g.n, "substructures": subs}, ns.fmt, ns.output)
     return EXIT_OK
 

@@ -68,6 +68,8 @@ class Graph(NamedTuple):
     @staticmethod
     def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
         """Build a graph from undirected edges; duplicates collapse."""
+        if n < 0:
+            raise GraphFormatError(f"node count must be >= 0, got n={n}")
         neighbor_sets: list[set[int]] = [set() for _ in range(n)]
         for u, v in edges:
             if u == v:
@@ -164,6 +166,13 @@ def parse_edge_list(text: str | bytes) -> Graph:
     return Graph.from_edges(n, edges)
 
 
+def check_d(d: object) -> None:
+    """The one rule for a distance bound d: ValueError unless it is an int
+    >= 1 (a bool is not an int here)."""
+    if type(d) is not int or d < 1:
+        raise ValueError(f"d must be an int >= 1, not {d!r}")
+
+
 def khop(g: Graph, v: int, d: int) -> tuple[tuple[int, ...], ...]:
     """K-hop shells of v by BFS truncated at depth d.
 
@@ -174,8 +183,7 @@ def khop(g: Graph, v: int, d: int) -> tuple[tuple[int, ...], ...]:
     """
     if not (0 <= v < g.n):
         raise ValueError(f"node {v} out of range for n={g.n}")
-    if d < 1:
-        raise ValueError("d must be >= 1")
+    check_d(d)
     seen = {v}
     frontier = [v]
     shells: list[tuple[int, ...]] = [(v,)]

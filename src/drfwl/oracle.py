@@ -21,6 +21,8 @@ Position conventions for the marked-node motifs:
 """
 from __future__ import annotations
 
+from typing import Iterable
+
 from .errors import CapabilityError, InvariantError
 from .graph import Graph
 
@@ -28,12 +30,16 @@ ORACLE_NODE_CAP = 512
 
 CYCLE_MOTIFS = {f"cycle{k}": k for k in range(3, 8)}
 PATH_MOTIFS = {f"path{k}": k for k in range(2, 5)}
-# The oracle's catalog, each motif with its orbit factor: the node
-# occurrences per graph occurrence (a k-cycle has k nodes, a path two end
-# nodes, its per-node counts directed from the start, and a marked motif
-# the size of its marked orbit).  It is the count catalog plus clique4.
+# The oracle's catalog in report order, each motif with its orbit factor:
+# the node occurrences per graph occurrence (a k-cycle has k nodes, a path
+# two end nodes, its per-node counts directed from the start, and a marked
+# motif the size of its marked orbit).  It is the count catalog in count's
+# order, cycle7 after tr3, with clique4 last.
 GRAPH_FACTOR = {
-    **CYCLE_MOTIFS,
+    "cycle3": 3,
+    "cycle4": 4,
+    "cycle5": 5,
+    "cycle6": 6,
     **dict.fromkeys(PATH_MOTIFS, 2),
     "tailed_triangle": 1,
     "chordal_cycle_cc1": 2,
@@ -41,9 +47,9 @@ GRAPH_FACTOR = {
     "tr1": 1,
     "tr2": 2,
     "tr3": 2,
+    "cycle7": 7,
     "clique4": 4,
 }
-MOTIF_CATALOG = tuple(GRAPH_FACTOR)
 
 
 def _check_cap(g: Graph) -> None:
@@ -200,10 +206,23 @@ def count_marked_per_node(g: Graph, name: str) -> list[int]:
 # public surface
 
 
+def check_motifs(names: Iterable[str] | None = None) -> tuple[str, ...]:
+    """The motifs that an oracle report lists for ``names``: each once, in
+    first-seen order, or, if names is None, every catalog motif but clique4
+    (what ``count --d 3`` reports, in its order).  Refuses a name outside
+    the catalog."""
+    if names is None:
+        return tuple(GRAPH_FACTOR)[:-1]
+    motifs = tuple(dict.fromkeys(names))
+    for name in motifs:
+        if name not in GRAPH_FACTOR:
+            raise ValueError(f"unknown motif {name!r}")
+    return motifs
+
+
 def oracle_node_counts(g: Graph, name: str) -> list[int]:
     """Exact per-node counts of the named catalog motif, for all nodes at once."""
-    if name not in MOTIF_CATALOG:
-        raise ValueError(f"unknown motif {name!r}")
+    check_motifs([name])
     if name in CYCLE_MOTIFS:
         return count_cycles_per_node(g, CYCLE_MOTIFS[name])
     if name in PATH_MOTIFS:  # count_paths_from checks the size cap
@@ -211,8 +230,9 @@ def oracle_node_counts(g: Graph, name: str) -> list[int]:
     return count_marked_per_node(g, name)
 
 
-def _graph_total(name: str, per_node: list[int]) -> int:
-    """The graph count behind ``per_node``: its total over GRAPH_FACTOR."""
+def graph_total(name: str, per_node: list[int]) -> int:
+    """The graph count behind ``per_node``, the oracle's per-node counts of
+    ``name``: their total over GRAPH_FACTOR, with the division checked."""
     factor = GRAPH_FACTOR[name]
     total = sum(per_node)
     if total % factor:
@@ -224,4 +244,4 @@ def oracle_graph_count(g: Graph, name: str) -> int:
     """Whole-graph occurrence count of the named catalog motif: the
     per-node total over the orbit size (``GRAPH_FACTOR``), with the
     division checked (``InvariantError``).  No second enumerator runs."""
-    return _graph_total(name, oracle_node_counts(g, name))
+    return graph_total(name, oracle_node_counts(g, name))

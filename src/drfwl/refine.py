@@ -54,7 +54,7 @@ from operator import add, mul
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
 from .errors import METHODS, CapabilityError, InvariantError
-from .graph import Graph, gen_disjoint_union
+from .graph import Graph, check_d, gen_disjoint_union
 from .tuples import TupleIndex, build_index, intersect
 
 # n = 96 keeps a dense FWL(2) pair near 200 MB of peak memory; the table
@@ -283,8 +283,7 @@ def check_request(
     int >= 1 (a bool is not an int here; wl1 and fwl2 refuse it too), an
     unknown method, any mask with wl1 or fwl2, or a mask triple (i, j, k)
     outside 0..d or against the triangle inequality."""
-    if type(d) is not int or d < 1:
-        raise ValueError(f"d must be an int >= 1, not {d!r}")
+    check_d(d)
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
     if mask is None:

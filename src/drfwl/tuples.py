@@ -14,7 +14,7 @@ from bisect import bisect_left, bisect_right
 from itertools import count, repeat
 from typing import AbstractSet, NamedTuple
 
-from .graph import Graph, khop
+from .graph import Graph, check_d, khop
 
 
 class TupleIndex(NamedTuple):
@@ -67,8 +67,7 @@ class TupleIndex(NamedTuple):
 
 def build_index(g: Graph, d: int) -> TupleIndex:
     """Index every ordered pair at distance <= d, ids ordered by (u, k, v)."""
-    if d < 1:
-        raise ValueError("d must be >= 1")
+    check_d(d)
     us: list[int] = []
     vs: list[int] = []
     ks: list[int] = []

@@ -244,10 +244,14 @@ class TestErrorMapping:
             (["count", "--motifs", "clique4"], check_motifs, (2, ["clique4"])),
             (["count", "--motifs", "cycle3,cycle9"], check_motifs, (2, ["cycle3", "cycle9"])),
             (["count", "--d", "1", "--motifs", "clique4"], check_motifs, (1, ["clique4"])),
+            (["oracle", "--motifs", "cycle8"], oracle.check_motifs, (["cycle8"],)),
+            (["oracle", "--motifs", "cycle3,tr9"], oracle.check_motifs, (["cycle3", "tr9"],)),
+            (["oracle", "--motifs", "clique4,cycle99"], oracle.check_motifs, (["clique4", "cycle99"],)),
         ],
         ids=[
             "d0", "wl1-d-1", "wl1-mask", "fwl2-mask", "bad-triple", "triple-above-d",
             "count-d1", "count-d1-cycle3", "cycle7-d2", "clique4", "unknown", "clique4-d1",
+            "oracle-cycle8", "oracle-tr9", "oracle-cycle99",
         ],
     )
     def test_exit_code_is_the_legs_refusal(self, argv, check, request_, tmp_path, capsys):

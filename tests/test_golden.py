@@ -67,3 +67,11 @@ def test_cli_output(key, tmp_path):
     out = tmp_path / "out.json"
     assert main([*argv, "--output", str(out)]) == 0
     assert out.read_bytes() == (GOLDEN / "outputs" / f"{key}.json").read_bytes()
+
+
+@pytest.mark.parametrize("graph", MANIFEST["graphs"])
+def test_oracle_default_report_is_the_count_report_at_d3(graph, tmp_path):
+    # the brute-force report, with no --motifs, byte for byte
+    out = tmp_path / "out.json"
+    assert main(["oracle", str(GOLDEN / "graphs" / f"{graph}.el"), "--output", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / "outputs" / f"count-{graph}-d3.json").read_bytes()

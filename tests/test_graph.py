@@ -74,6 +74,10 @@ class TestParse:
         with pytest.raises(GraphFormatError):
             parse_edge_list("-1 2\n")
 
+    def test_negative_node_count_rejected(self):
+        with pytest.raises(GraphFormatError, match="n=-2"):
+            Graph.from_edges(-2, [])
+
     # int() reads each of these as a number: 10, 3, 0 and 3
     NOT_DECIMAL = ["1_0", "+3", "\u0660", "\uff13"]
 

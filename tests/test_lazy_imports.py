@@ -65,7 +65,11 @@ def test_reading_a_name_loads_only_its_home_module():
             {"drfwl.refine"},
             {"drfwl.counting", "drfwl.oracle"},
         ),
-        (["oracle", "--motifs", "cycle5", "{a}", "--output", "{out}"], {"drfwl.oracle"}, {"drfwl.refine"}),
+        (
+            ["oracle", "--motifs", "cycle5", "{a}", "--output", "{out}"],
+            {"drfwl.oracle"},
+            {"drfwl.counting", "drfwl.refine"},
+        ),
         (["gen", "cycle", "5", "--out", "{out}"], set(), ALGORITHMS),
     ],
     ids=["count", "distinguish", "oracle", "gen"],

@@ -62,9 +62,13 @@ class TestBuildIndex:
             tracemalloc.stop()
         assert used / idx.tuple_count <= 120
 
-    def test_d_must_be_positive(self):
-        with pytest.raises(ValueError):
-            build_index(gen_cycle(3), 0)
+    # the rule is checked before any node is read, so an empty graph refuses too
+    @pytest.mark.parametrize("n", [0, 3])
+    @pytest.mark.parametrize("d", [0, -1, True, 2.0, "2"])
+    def test_d_must_be_an_int_at_least_1(self, d, n):
+        g = gen_cycle(n) if n else Graph.from_edges(0, [])
+        with pytest.raises(ValueError, match="d must be an int >= 1"):
+            build_index(g, d)
 
     @settings(max_examples=40)
     @given(small_graphs())
