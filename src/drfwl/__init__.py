@@ -25,12 +25,12 @@ _HOMES = {
     "counting": (
         "NodeCounts",
         "PairStats",
+        "check_motifs",
         "compute_node_counts",
         "compute_pair_stats",
         "counts_to_report",
         "graph_level",
         "node_walks",
-        "supported_motifs",
     ),
     "errors": ("CapabilityError", "InvariantError"),
     "graph": (

@@ -33,6 +33,7 @@ from .errors import METHODS, CapabilityError, InvariantError
 from .graph import (
     Graph,
     GraphFormatError,
+    check_d,
     gen_cycle,
     gen_disjoint_union,
     gen_erdos_renyi,
@@ -193,8 +194,7 @@ def cmd_gen(ns: argparse.Namespace) -> int:
     elif kind == "separation":
         if ns.args:
             raise GraphFormatError(f"gen separation takes no arguments, got {len(ns.args)}")
-        if ns.d < 1:
-            raise GraphFormatError("--d must be >= 1")
+        _check(check_d, ns.d)
         k = 3 * ns.d + 1
         double = gen_disjoint_union([gen_cycle(k), gen_cycle(k)])
         single = gen_cycle(2 * k)

@@ -68,8 +68,6 @@ GRAPH_LEVEL_FACTOR = {
     "tr3": 2,
     "cycle7": 7,
 }
-COUNT_MOTIFS_D3 = tuple(GRAPH_LEVEL_FACTOR)
-COUNT_MOTIFS_D2 = COUNT_MOTIFS_D3[:-1]
 
 
 def _exact_half(x: int) -> int:
@@ -122,10 +120,12 @@ Spans = list[tuple[int, int]]
 class PairStats(NamedTuple):
     """Per-pair statistics, one slot per TupleIndex tuple id, and what they
     were computed from: the common-neighbour table, every node's span of
-    tuples at distance 1 or 2, and C3, the triangles at every node."""
+    tuples at distance 1 or 2 (``near``) and at distance 1 (``edges``, one
+    tuple per neighbour), and C3, the triangles at every node."""
 
     common: CommonNeighbours
     near: Spans
+    edges: Spans
     c3: list[int]
     p2: list[int]
     w3: list[int]
@@ -149,10 +149,15 @@ def pairwise_p2(idx: TupleIndex, cn: CommonNeighbours) -> list[int]:
     return list(map(sub, islice(start, 1, None), start))
 
 
-def node_triangles(idx: TupleIndex, p2: list[int]) -> list[int]:
-    """C3(u): each triangle at u is seen once per incident triangle edge."""
-    spans = (idx.span(u, 1, 1) for u in range(idx.graph.n))
-    return [_exact_half(sum(p2[lo:hi])) for lo, hi in spans]
+def _around(values: list[int], spans: Spans) -> list[int]:
+    """Per node u, the sum of values at (u, v) over v in its span."""
+    return [sum(values[lo:hi]) for lo, hi in spans]
+
+
+def node_triangles(p2: list[int], edges: Spans) -> list[int]:
+    """C3(u), half the sum of P2(u, v) over u's edges: each triangle at u
+    is seen once per incident triangle edge."""
+    return [_exact_half(x) for x in _around(p2, edges)]
 
 
 def _walk(
@@ -328,13 +333,14 @@ def _pairwise_tr(
 
 
 def compute_pair_stats(idx: TupleIndex) -> PairStats:
-    """Build the common-neighbour table, then run every pairwise pass in
-    dependency order."""
+    """Build the common-neighbour table and every node's spans, then run
+    every pairwise pass in dependency order."""
     check_motifs(idx.d)
     cn = common_neighbours(idx)
     near = [idx.span(x, 1, 2) for x in range(idx.graph.n)]
+    edges = [idx.span(x, 1, 1) for x in range(idx.graph.n)]
     p2 = pairwise_p2(idx, cn)
-    c3 = node_triangles(idx, p2)
+    c3 = node_triangles(p2, edges)
     w3 = pairwise_w3(idx, p2, near)
     p3 = pairwise_p3(idx, w3)
     p22 = pairwise_p22(idx, p2, near)
@@ -344,7 +350,7 @@ def compute_pair_stats(idx: TupleIndex) -> PairStats:
     c23, c24 = _pairwise_split_cycles(idx, cn, p2, p3, p4, t_arr, cc1, ccx)
     tr1, tr2 = _pairwise_tr(idx, cn, p2, p3, t_arr, cc1, ccx)
     return PairStats(
-        cn, near, c3, p2, w3, p3, p22, p4, w4, t_arr, cc1, cc2, ccx, tr1, tr2, c23, c24
+        cn, near, edges, c3, p2, w3, p3, p22, p4, w4, t_arr, cc1, cc2, ccx, tr1, tr2, c23, c24
     )
 
 
@@ -409,11 +415,10 @@ def cycle7_correction_terms(
     start, ws, uw_ids, wv_ids = cn.start, cn.w, cn.uw, cn.wv
     p2, p3, p4, c23, t_arr = s.p2, s.p3, s.p4, s.c23, s.t
     nbr = g.neighbor_sets()
-    near = s.near
-    # edges[u] spans node u's tuples at distance 1; witnessed[u] and
-    # adjacent[u] are the entry ranges of the witnesses of its tuples at
-    # distance 1 or 2, and at distance 1 (no other tuple has witnesses)
-    edges = [idx.span(u, 1, 1) for u in range(n)]
+    near, edges = s.near, s.edges
+    # witnessed[u] and adjacent[u] are the entry ranges of the witnesses of
+    # node u's tuples at distance 1 or 2, and at distance 1 (no other tuple
+    # has witnesses)
     witnessed = [(start[a], start[b]) for a, b in near]
     adjacent = [(start[a], start[b]) for a, b in edges]
 
@@ -550,39 +555,33 @@ def compute_node_counts(idx: TupleIndex) -> NodeCounts:
     stats = compute_pair_stats(idx)
     deg = g.degrees()
     rev = stats.common.rev
-    # node u's tuples at distance 1, one per neighbour, and at distance 1 or 2
-    spans = [idx.span(u, 1, 1) for u in range(n)]
-    near = stats.near
+    edges, near = stats.edges, stats.near
 
-    def around(values: list[int], spans: Spans = spans) -> list[int]:
-        """Per node u, the sum of values at (u, v) over v in its span."""
-        return [sum(values[lo:hi]) for lo, hi in spans]
-
-    def toward(values: list[int], spans: Spans = spans) -> list[int]:
+    def toward(values: list[int], spans: Spans = edges) -> list[int]:
         """Per node u, the sum of values at (v, u) over v in its span."""
         return [sum(map(values.__getitem__, rev[lo:hi])) for lo, hi in spans]
 
     cycle3 = stats.c3
-    cycle4 = [_exact_half(x) for x in around(stats.p3)]
-    cycle5 = [_exact_half(x) for x in around(stats.p4)]
-    cycle6 = [_exact_half(x) for x in around(stats.c24, near)]
-    path2, path3, path4 = (around(x, near) for x in (stats.p2, stats.p3, stats.p4))
-    near_w3 = around(stats.w3, near)  # sum of W3(u, v) over v at distance 1..2
-    near_w4 = around(stats.w4, near)
+    cycle4 = [_exact_half(x) for x in _around(stats.p3, edges)]
+    cycle5 = [_exact_half(x) for x in _around(stats.p4, edges)]
+    cycle6 = [_exact_half(x) for x in _around(stats.c24, near)]
+    path2, path3, path4 = (_around(x, near) for x in (stats.p2, stats.p3, stats.p4))
+    near_w3 = _around(stats.w3, near)  # sum of W3(u, v) over v at distance 1..2
+    near_w4 = _around(stats.w4, near)
     tr3 = toward(stats.tr2, near)
 
+    # the sum of P2 over u's edges is 2 C3(u)
     tailed = [
-        sum(map(cycle3.__getitem__, nbrs)) - x
-        for nbrs, x in zip(g.adjacency, around(stats.p2))
+        sum(map(cycle3.__getitem__, nbrs)) - 2 * c for nbrs, c in zip(g.adjacency, cycle3)
     ]
     cc1_node = [_exact_half(x) for x in toward(stats.cc1)]
-    cc2_node = [_exact_half(x) for x in around(stats.cc1)]
-    if cc2_node != around(stats.cc2):
+    cc2_node = [_exact_half(x) for x in _around(stats.cc1, edges)]
+    if cc2_node != _around(stats.cc2, edges):
         raise InvariantError("chordal-cycle aggregation routes disagree")
 
-    tr1_node = [_exact_half(x) for x in around(stats.tr1)]
+    tr1_node = [_exact_half(x) for x in _around(stats.tr1, edges)]
     tr2_node = toward(stats.tr1)
-    if tr2_node != around(stats.tr2, near):
+    if tr2_node != _around(stats.tr2, near):
         raise InvariantError("triangle-rectangle aggregation routes disagree")
 
     w3_node = node_walks(g, 3)
@@ -625,16 +624,15 @@ def graph_level(counts: NodeCounts, name: str) -> int:
     return total // factor
 
 
-def supported_motifs(d: int) -> tuple[str, ...]:
-    return COUNT_MOTIFS_D3 if d >= 3 else COUNT_MOTIFS_D2
-
-
 def check_motifs(d: int, names: Iterable[str] | None = None) -> tuple[str, ...]:
     """The motifs that counts at ``d`` report for ``names``: each once, in
-    first-seen order, or all those supported at d if names is None.  Refuses
-    each name in turn (clique4, a name outside the catalog), then d < 2
-    (the closed forms read distance-2 shells), then cycle7 below d = 3."""
-    motifs = supported_motifs(d) if names is None else tuple(dict.fromkeys(names))
+    first-seen order, or the catalog in report order (less cycle7 below
+    d = 3) if names is None.  Refuses each name in turn (clique4, a name
+    outside the catalog), then d < 2 (the closed forms read distance-2
+    shells), then cycle7 below d = 3."""
+    if names is None:
+        names = [name for name in GRAPH_LEVEL_FACTOR if d >= 3 or name != "cycle7"]
+    motifs = tuple(dict.fromkeys(names))
     for name in motifs:
         if name == "clique4":
             raise CapabilityError("clique4 has no closed form; use the oracle")

@@ -12,12 +12,12 @@ from pathlib import Path
 
 from graph_helpers import diameter, gen_complete, gen_petersen, permute
 from drfwl import oracle
-from drfwl.counting import compute_node_counts, supported_motifs
+from drfwl.counting import check_motifs, compute_node_counts
 from drfwl.graph import SplitMix64, gen_cycle, gen_disjoint_union, gen_erdos_renyi
 from drfwl.refine import certificate, distinguish, drfwl_refine, fwl2_refine, wl1_refine
 from drfwl.tuples import build_index
 
-D2_MOTIFS = supported_motifs(2)
+D2_MOTIFS = check_motifs(2)
 
 
 def report(number: int, ok: bool, description: str) -> None:
@@ -133,7 +133,7 @@ def test_criterion_6_permutation_invariance():
 
 # Counts and certificates of criterion 7's graphs, printed as one line.
 DETERMINISM_SCRIPT = """
-from drfwl.counting import compute_node_counts, supported_motifs
+from drfwl.counting import check_motifs, compute_node_counts
 from drfwl.graph import gen_erdos_renyi
 from drfwl.refine import certificate, drfwl_refine, fwl2_refine
 from drfwl.tuples import build_index
@@ -142,7 +142,7 @@ out = []
 for seed in range(20):
     g = gen_erdos_renyi(16, 0.3, 3000 + seed)
     counts = compute_node_counts(build_index(g, 2))
-    out.append([counts.by_name(name) for name in supported_motifs(2)])
+    out.append([counts.by_name(name) for name in check_motifs(2)])
     out.append(certificate(drfwl_refine(g, 2)).serialize())
     out.append(certificate(fwl2_refine(g)).serialize())
 print(out)

@@ -11,7 +11,7 @@ import pytest
 from graph_helpers import gen_petersen
 from drfwl import oracle
 from drfwl.cli import main
-from drfwl.counting import COUNT_MOTIFS_D3, check_motifs
+from drfwl.counting import check_motifs
 from drfwl.errors import CapabilityError
 from drfwl.graph import gen_cycle, gen_disjoint_union, parse_edge_list
 from drfwl.refine import check_request
@@ -61,7 +61,7 @@ class TestCount:
     def test_full_d3_report_follows_the_catalog(self, petersen_file):
         code, out, _ = run_cli("count", "--d", "3", petersen_file)
         assert code == 0
-        assert tuple(json.loads(out)["substructures"]) == COUNT_MOTIFS_D3
+        assert tuple(json.loads(out)["substructures"]) == check_motifs(3)
 
     def test_cycle7_at_d2_is_capability_error(self, c6_file):
         code, _, err = run_cli("count", "--motifs", "cycle7", "--d", "2", c6_file)
@@ -205,7 +205,10 @@ class TestErrorMapping:
     )
     def test_gen_user_errors_exit_2(self, args, tmp_path, capsys):
         assert main(["gen", *args, "--out", str(tmp_path / "g")]) == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        if args[0] == "separation":  # d goes through graph.check_d
+            assert err == "error: d must be an int >= 1, not 0\n"
 
     @pytest.mark.parametrize("method", ["wl1", "fwl2", "drfwl"])
     def test_distinguish_d_below_1_exit_2_for_every_method(self, method, c6_file, capsys):

@@ -13,8 +13,6 @@ from graph_helpers import gen_complete, gen_path, gen_petersen, gen_star
 from pair_oracle import oracle_pair_count, walk_matrix_power
 from drfwl import oracle
 from drfwl.counting import (
-    COUNT_MOTIFS_D2,
-    COUNT_MOTIFS_D3,
     GRAPH_LEVEL_FACTOR,
     common_neighbours,
     compute_node_counts,
@@ -25,13 +23,12 @@ from drfwl.counting import (
     graph_level,
     node_walks,
     pairwise_p2,
-    supported_motifs,
 )
 from drfwl.errors import CapabilityError, InvariantError
 from drfwl.graph import gen_cycle, gen_erdos_renyi
 from drfwl.tuples import build_index
 
-ALL_MOTIFS = supported_motifs(2)
+ALL_MOTIFS = check_motifs(2)
 PAIR_KINDS = ("P2", "P3", "P4", "W3", "W4", "T", "CC2", "C23", "C24")
 
 
@@ -151,7 +148,7 @@ class TestNodeCounts:
     def test_node_counts_match_oracle_d3(self, seed):
         g = gen_erdos_renyi(13, 0.3, 80 + seed)
         nc = compute_node_counts(build_index(g, 3))
-        for name in supported_motifs(3):
+        for name in check_motifs(3):
             assert nc.by_name(name) == oracle.oracle_node_counts(g, name), name
 
     def test_petersen(self):
@@ -164,7 +161,7 @@ class TestNodeCounts:
     @given(small_graphs(max_n=8))
     def test_full_catalog_matches_oracle_on_arbitrary_graphs(self, g):
         nc = compute_node_counts(build_index(g, 3))
-        for name in supported_motifs(3):
+        for name in check_motifs(3):
             assert nc.by_name(name) == oracle.oracle_node_counts(g, name), name
 
     def test_cycle7_requires_d3(self):
@@ -220,24 +217,27 @@ class TestGraphLevel:
     def test_factors_agree_with_oracle_everywhere(self, seed):
         g = gen_erdos_renyi(14, 0.33, 60 + seed)
         nc = compute_node_counts(build_index(g, 3))
-        for name in supported_motifs(3):
+        for name in check_motifs(3):
             assert graph_level(nc, name) == oracle.oracle_graph_count(g, name), name
 
     def test_factor_table_covers_catalog(self):
         # the factor table is the catalog: the same names in report order,
         # with cycle7, the one motif that needs d >= 3, last
-        assert supported_motifs(3) == COUNT_MOTIFS_D3 == tuple(GRAPH_LEVEL_FACTOR)
-        assert supported_motifs(2) == COUNT_MOTIFS_D2 == COUNT_MOTIFS_D3[:-1]
-        assert COUNT_MOTIFS_D3[-1] == "cycle7"
+        catalog = tuple(GRAPH_LEVEL_FACTOR)
+        assert check_motifs(3) == catalog
+        assert check_motifs(2) == catalog[:-1]
+        assert catalog[-1] == "cycle7"
 
 
 class TestReport:
-    def test_schema(self):
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_schema(self, d):
+        # the report prints check_motifs(d), in its order
         g = gen_erdos_renyi(10, 0.3, 0)
-        report = counts_to_report(compute_node_counts(build_index(g, 2)))
+        report = counts_to_report(compute_node_counts(build_index(g, d)))
         assert set(report) == {"n", "substructures"}
         assert report["n"] == 10
-        assert set(report["substructures"]) == set(ALL_MOTIFS)
+        assert tuple(report["substructures"]) == check_motifs(d)
         for entry in report["substructures"].values():
             assert set(entry) == {"per_node", "graph_level"}
             assert len(entry["per_node"]) == 10
@@ -254,8 +254,8 @@ class TestReport:
         assert check_motifs(3, ["cycle7", "path2", "cycle7", "cycle3", "path2"]) == (
             "cycle7", "path2", "cycle3",
         )
-        assert check_motifs(2) == COUNT_MOTIFS_D2
-        assert check_motifs(7) == COUNT_MOTIFS_D3
+        assert check_motifs(2) == tuple(GRAPH_LEVEL_FACTOR)[:-1]
+        assert check_motifs(7) == tuple(GRAPH_LEVEL_FACTOR)
 
     @pytest.mark.parametrize(
         "d, names, error, match",

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 
 from conftest import small_graphs
 from graph_helpers import permute
-from drfwl.counting import compute_node_counts, counts_to_report, supported_motifs
+from drfwl.counting import check_motifs, compute_node_counts, counts_to_report
 from drfwl.graph import Graph, gen_disjoint_union
 from drfwl.tuples import build_index
 
@@ -22,7 +22,7 @@ DEPTHS = st.integers(min_value=2, max_value=3)
 
 def per_node(g: Graph, d: int) -> dict[str, list[int]]:
     counts = compute_node_counts(build_index(g, d))
-    return {name: counts.by_name(name) for name in supported_motifs(d)}
+    return {name: counts.by_name(name) for name in check_motifs(d)}
 
 
 def totals(g: Graph, d: int) -> dict[str, int]:
@@ -35,7 +35,7 @@ def totals(g: Graph, d: int) -> dict[str, int]:
 def test_disjoint_union_concatenates_reports(g1, g2, d):
     a, b = per_node(g1, d), per_node(g2, d)
     union = per_node(gen_disjoint_union([g1, g2]), d)
-    for name in supported_motifs(d):
+    for name in check_motifs(d):
         assert union[name] == a[name] + b[name], name
     ta, tb = totals(g1, d), totals(g2, d)
     assert totals(gen_disjoint_union([g1, g2]), d) == {k: ta[k] + tb[k] for k in ta}
@@ -46,7 +46,7 @@ def test_disjoint_union_concatenates_reports(g1, g2, d):
 def test_isolated_nodes_add_zero_rows(g, d, extra):
     before = per_node(g, d)
     after = per_node(Graph.from_edges(g.n + extra, g.edges()), d)
-    for name in supported_motifs(d):
+    for name in check_motifs(d):
         assert after[name] == before[name] + [0] * extra, name
 
 
@@ -56,6 +56,6 @@ def test_relabelling_permutes_rows(data, g, d):
     perm = data.draw(st.permutations(range(g.n)))
     before = per_node(g, d)
     after = per_node(permute(g, perm), d)
-    for name in supported_motifs(d):
+    for name in check_motifs(d):
         # node u of g is node perm[u] of the relabelled graph
         assert [after[name][perm[u]] for u in range(g.n)] == before[name], name

@@ -9,9 +9,8 @@ from hypothesis import given, settings
 from conftest import small_graphs
 from graph_helpers import gen_complete, gen_path, gen_petersen, gen_star
 from pair_oracle import oracle_pair_count, walk_matrix_power
-from drfwl import oracle
+from drfwl import counting, oracle
 from drfwl.cli import main
-from drfwl.counting import COUNT_MOTIFS_D3, supported_motifs
 from drfwl.errors import InvariantError
 from drfwl.graph import Graph, gen_cycle, gen_erdos_renyi
 from drfwl.oracle import CapabilityError, oracle_graph_count, oracle_node_counts
@@ -163,10 +162,10 @@ class TestGuards:
             oracle_node_counts(gen_cycle(5), "cycle99")
 
     def test_catalog_is_the_count_catalog_plus_clique4(self):
-        assert tuple(oracle.GRAPH_FACTOR) == (*COUNT_MOTIFS_D3, "clique4")
+        assert tuple(oracle.GRAPH_FACTOR) == (*counting.GRAPH_LEVEL_FACTOR, "clique4")
 
     def test_default_report_is_the_count_report_at_d3(self):
-        assert oracle.check_motifs() == supported_motifs(3)
+        assert oracle.check_motifs() == counting.check_motifs(3)
 
     def test_check_motifs_names_each_motif_once_in_first_seen_order(self):
         names = ["clique4", "cycle7", "path2", "cycle7", "clique4"]

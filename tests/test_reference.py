@@ -300,7 +300,7 @@ def test_pair_stats_intersect_once_per_near_tuple(g, d):
 
 
 def test_node_counts_build_near_spans_and_triangles_once(monkeypatch):
-    # compute_pair_stats keeps both on PairStats; the later passes read them
+    # compute_pair_stats keeps the spans and C3 on PairStats; the later passes read them
     calls = Counter()
     real_triangles, real_span = counting.node_triangles, TupleIndex.span
 
@@ -318,3 +318,4 @@ def test_node_counts_build_near_spans_and_triangles_once(monkeypatch):
     compute_node_counts(build_index(g, 3))
     assert calls["node_triangles"] == 1
     assert calls[1, 2] == g.n  # one span at distance 1 or 2 per node
+    assert calls[1, 1] == g.n  # and one at distance 1

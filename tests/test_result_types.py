@@ -4,7 +4,7 @@ from __future__ import annotations
 import pytest
 
 from graph_helpers import gen_petersen
-from drfwl.counting import COUNT_MOTIFS_D3, NodeCounts, compute_node_counts, compute_pair_stats
+from drfwl.counting import GRAPH_LEVEL_FACTOR, NodeCounts, compute_node_counts, compute_pair_stats
 from drfwl.graph import gen_cycle
 from drfwl.refine import certificate, drfwl_refine, refine_pair
 from drfwl.tuples import build_index
@@ -48,7 +48,7 @@ def test_node_counts_by_name_reads_only_the_catalog():
 
 def test_node_counts_fields_are_the_catalog():
     # one field per catalog motif, under its catalog name, and nothing else
-    assert NodeCounts._fields == ("n", "d", *COUNT_MOTIFS_D3)
+    assert NodeCounts._fields == ("n", "d", *GRAPH_LEVEL_FACTOR)
 
 
 def test_node_counts_carry_cycle7_only_from_d3():
