@@ -82,7 +82,8 @@ class CommonNeighbours(NamedTuple):
     Tuple t's witnesses are entries start[t] .. start[t+1]-1 (none for a
     tuple at any other distance); entry p holds the witness ``w[p]``,
     ``uw[p] = id(u, w)`` and ``wv[p] = id(w, v)``.  ``rev[t]`` is the id
-    of the reversed tuple (v, u).
+    of the reversed tuple (v, u).  ``nbr`` keeps the N1 sets the table was
+    intersected from, one per node.
     """
 
     start: array
@@ -90,6 +91,7 @@ class CommonNeighbours(NamedTuple):
     uw: list[int]
     wv: list[int]
     rev: list[int]
+    nbr: list[frozenset[int]]
 
     def sums(self, values: Iterable[int]) -> list[int]:
         """Per tuple, the sum of ``values`` (one per entry) over its witnesses."""
@@ -111,7 +113,7 @@ def common_neighbours(idx: TupleIndex) -> CommonNeighbours:
             wv += [rows[w][v] for w in common]
         start.append(len(ws))
         rev.append(rows[v][u])
-    return CommonNeighbours(start, ws, uw, wv, rev)
+    return CommonNeighbours(start, ws, uw, wv, rev, nbr)
 
 
 Spans = list[tuple[int, int]]
@@ -121,7 +123,8 @@ class PairStats(NamedTuple):
     """Per-pair statistics, one slot per TupleIndex tuple id, and what they
     were computed from: the common-neighbour table, every node's span of
     tuples at distance 1 or 2 (``near``) and at distance 1 (``edges``, one
-    tuple per neighbour), and C3, the triangles at every node."""
+    tuple per neighbour), C3, the triangles at every node, and ``deg``,
+    every node's degree."""
 
     common: CommonNeighbours
     near: Spans
@@ -141,6 +144,7 @@ class PairStats(NamedTuple):
     tr2: list[int]
     c23: list[int]
     c24: list[int]
+    deg: list[int]
 
 
 def pairwise_p2(idx: TupleIndex, cn: CommonNeighbours) -> list[int]:
@@ -184,22 +188,19 @@ def _walk(
     return acc
 
 
-def pairwise_w3(idx: TupleIndex, p2: list[int], near: Spans) -> list[int]:
+def pairwise_w3(idx: TupleIndex, p2: list[int], near: Spans, deg: list[int]) -> list[int]:
     """3-walks u->v: the sum of 2-walks w->v over the neighbours w of u,
     which is P2(w, v) for w != v and deg(v) for w = v."""
-    g = idx.graph
-    deg = g.degrees()
-    weights = ((u, w, 1) for u, nbrs in enumerate(g.adjacency) for w in nbrs)
+    weights = ((u, w, 1) for u, nbrs in enumerate(idx.graph.adjacency) for w in nbrs)
     acc = _walk(idx, near, weights, p2)
     return [x + deg[v] if k == 1 else x for x, v, k in zip(acc, idx.vs, idx.ks)]
 
 
-def pairwise_p3(idx: TupleIndex, w3: list[int]) -> list[int]:
+def pairwise_p3(idx: TupleIndex, w3: list[int], deg: list[int]) -> list[int]:
     """3-paths: strip the degree-many backtracking walks on adjacent pairs.
 
     At distance >= 2 every 3-walk is already a path (and W3(u, u) = 0).
     """
-    deg = idx.graph.degrees()
     return [
         x - deg[u] - deg[v] + 1 if k == 1 else x
         for x, u, v, k in zip(w3, idx.us, idx.vs, idx.ks)
@@ -227,9 +228,9 @@ def pairwise_p4(
     p2: list[int],
     p22: list[int],
     c3: list[int],
+    deg: list[int],
 ) -> list[int]:
     """4-paths from the middle-split walks minus the coalescence terms."""
-    deg = idx.graph.degrees()
     # sum of deg(x) - 2 over the common neighbours x of u and v
     coalesced = map(sub, cn.sums(map(deg.__getitem__, cn.w)), map(mul, p2, repeat(2)))
     return [
@@ -238,10 +239,9 @@ def pairwise_p4(
     ]
 
 
-def pairwise_w4(idx: TupleIndex, p2: list[int], p22: list[int]) -> list[int]:
+def pairwise_w4(idx: TupleIndex, p2: list[int], p22: list[int], deg: list[int]) -> list[int]:
     """4-walks: middle-split walks plus the walks whose midpoint is u or v
     (both terms are 0 on the diagonal)."""
-    deg = idx.graph.degrees()
     return [a + (deg[u] + deg[v]) * x for a, x, u, v in zip(p22, p2, idx.us, idx.vs)]
 
 
@@ -249,8 +249,7 @@ def _pairwise_motifs(
     idx: TupleIndex, cn: CommonNeighbours, p2: list[int]
 ) -> tuple[list[int], list[int], list[int], list[int]]:
     """T, CC1, CC2 and CCX from the common-neighbour segments."""
-    nbr = idx.graph.neighbor_sets()
-    ks = idx.ks
+    nbr, ks = cn.nbr, idx.ks
     tail = cn.sums(map(p2.__getitem__, cn.wv))
     sum_uw = cn.sums(map(p2.__getitem__, cn.uw))
     t_arr = [a - x if k == 1 else a for a, x, k in zip(tail, p2, ks)]
@@ -339,18 +338,19 @@ def compute_pair_stats(idx: TupleIndex) -> PairStats:
     cn = common_neighbours(idx)
     near = [idx.span(x, 1, 2) for x in range(idx.graph.n)]
     edges = [idx.span(x, 1, 1) for x in range(idx.graph.n)]
+    deg = idx.graph.degrees()
     p2 = pairwise_p2(idx, cn)
     c3 = node_triangles(p2, edges)
-    w3 = pairwise_w3(idx, p2, near)
-    p3 = pairwise_p3(idx, w3)
+    w3 = pairwise_w3(idx, p2, near, deg)
+    p3 = pairwise_p3(idx, w3, deg)
     p22 = pairwise_p22(idx, p2, near)
-    p4 = pairwise_p4(idx, cn, p2, p22, c3)
-    w4 = pairwise_w4(idx, p2, p22)
+    p4 = pairwise_p4(idx, cn, p2, p22, c3, deg)
+    w4 = pairwise_w4(idx, p2, p22, deg)
     t_arr, cc1, cc2, ccx = _pairwise_motifs(idx, cn, p2)
     c23, c24 = _pairwise_split_cycles(idx, cn, p2, p3, p4, t_arr, cc1, ccx)
     tr1, tr2 = _pairwise_tr(idx, cn, p2, p3, t_arr, cc1, ccx)
     return PairStats(
-        cn, near, edges, c3, p2, w3, p3, p22, p4, w4, t_arr, cc1, cc2, ccx, tr1, tr2, c23, c24
+        cn, near, edges, c3, p2, w3, p3, p22, p4, w4, t_arr, cc1, cc2, ccx, tr1, tr2, c23, c24, deg
     )
 
 
@@ -414,8 +414,7 @@ def cycle7_correction_terms(
     cn = s.common
     start, ws, uw_ids, wv_ids = cn.start, cn.w, cn.uw, cn.wv
     p2, p3, p4, c23, t_arr = s.p2, s.p3, s.p4, s.c23, s.t
-    nbr = g.neighbor_sets()
-    near, edges = s.near, s.edges
+    nbr, near, edges = cn.nbr, s.near, s.edges
     # witnessed[u] and adjacent[u] are the entry ranges of the witnesses of
     # node u's tuples at distance 1 or 2, and at distance 1 (no other tuple
     # has witnesses)
@@ -553,7 +552,7 @@ def compute_node_counts(idx: TupleIndex) -> NodeCounts:
     g = idx.graph
     n = g.n
     stats = compute_pair_stats(idx)
-    deg = g.degrees()
+    deg = stats.deg
     rev = stats.common.rev
     edges, near = stats.edges, stats.near
 

@@ -127,9 +127,8 @@ def count_paths_from(g: Graph, u: int, length: int) -> int:
 # marked motifs, enumerated globally and attributed to positions
 
 
-def _triangles(g: Graph) -> list[tuple[int, int, int]]:
+def _triangles(g: Graph, nbr: list[frozenset[int]]) -> list[tuple[int, int, int]]:
     out = []
-    nbr = g.neighbor_sets()
     for a, b in g.edges():
         for c in g.adjacency[a]:
             if c > b and c in nbr[b]:
@@ -145,7 +144,7 @@ def count_marked_per_node(g: Graph, name: str) -> list[int]:
     counts = [0] * n
 
     if name == "tailed_triangle":
-        for a, b, c in _triangles(g):
+        for a, b, c in _triangles(g, nbr):
             for w in (a, b, c):
                 for t in g.adjacency[w]:
                     if t != a and t != b and t != c:
@@ -192,7 +191,7 @@ def count_marked_per_node(g: Graph, name: str) -> list[int]:
         return counts
 
     if name == "clique4":
-        for a, b, c in _triangles(g):
+        for a, b, c in _triangles(g, nbr):
             for w in nbr[a] & nbr[b] & nbr[c]:
                 if w > c:
                     for x in (a, b, c, w):

@@ -226,6 +226,20 @@ class TestGuards:
     def test_k4_has_one_clique4(self):
         assert oracle_node_counts(gen_complete(4), "clique4") == [1] * 4
 
+    @pytest.mark.parametrize("name", ["clique4", "tailed_triangle"])
+    def test_triangle_motifs_build_neighbour_sets_once(self, monkeypatch, name):
+        # the triangle list reads the caller's neighbour sets
+        calls = []
+        real = Graph.neighbor_sets
+
+        def counted(g):
+            calls.append(g)
+            return real(g)
+
+        monkeypatch.setattr(Graph, "neighbor_sets", counted)
+        assert sum(oracle_node_counts(gen_complete(5), name)) > 0
+        assert len(calls) == 1
+
     @settings(max_examples=25)
     @given(small_graphs(max_n=7))
     def test_paths_start_count_reversal(self, g):

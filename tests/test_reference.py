@@ -300,7 +300,8 @@ def test_pair_stats_intersect_once_per_near_tuple(g, d):
 
 
 def test_node_counts_build_near_spans_and_triangles_once(monkeypatch):
-    # compute_pair_stats keeps the spans and C3 on PairStats; the later passes read them
+    # compute_pair_stats keeps the spans, C3 and the degrees on PairStats, and
+    # the common-neighbour table keeps the neighbour sets; the later passes read them
     calls = Counter()
     real_triangles, real_span = counting.node_triangles, TupleIndex.span
 
@@ -312,10 +313,21 @@ def test_node_counts_build_near_spans_and_triangles_once(monkeypatch):
         calls[lo, hi] += 1
         return real_span(idx, u, lo, hi)
 
+    for name in ("degrees", "neighbor_sets"):
+        def counted(g, _name=name, _real=getattr(Graph, name)):
+            calls[_name] += 1
+            return _real(g)
+
+        monkeypatch.setattr(Graph, name, counted)
     monkeypatch.setattr(counting, "node_triangles", triangles)
     monkeypatch.setattr(TupleIndex, "span", span)
     g = gen_random_regular(30, 4, 1)
-    compute_node_counts(build_index(g, 3))
-    assert calls["node_triangles"] == 1
-    assert calls[1, 2] == g.n  # one span at distance 1 or 2 per node
-    assert calls[1, 1] == g.n  # and one at distance 1
+    for d in (2, 3):
+        idx = build_index(g, d)
+        calls.clear()
+        compute_node_counts(idx)
+        assert calls["node_triangles"] == 1
+        assert calls[1, 2] == g.n  # one span at distance 1 or 2 per node
+        assert calls[1, 1] == g.n  # and one at distance 1
+        assert calls["degrees"] == 1
+        assert calls["neighbor_sets"] == 1
