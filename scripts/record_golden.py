@@ -15,20 +15,22 @@ Writes, under tests/golden/:
   graph (every unit its own class) it cannot see a relabelled colouring;
   these lines can;
 * ``outputs/<name>.json`` — the exact stdout of ``count --d 2``,
-  ``count --d 3`` and ``count --d 4`` on every graph (d=4 reaches the
-  distance-3 and distance-4 branches of the W3 and P22 passes) and
-  ``distinguish`` on every pair;
+  ``count --d 3`` and ``count --d 4`` on every graph (``count`` builds its
+  index only as far as its motifs read, so d=4 prints the d=3 bytes; the
+  distance-3 and distance-4 branches of the W3 and P22 passes are checked
+  in process by tests/test_reference.py) and ``distinguish`` on every pair;
 * ``manifest.json`` — the CLI arguments behind each output file.
 
-The corpus pins colour ids and reports byte for byte, so an optimisation
-that changes either shows up as a diff.  Re-record only on purpose (a
+The variant dispatch and the colouring line come from
+tests/golden_variants.py, which tests/test_golden.py also reads.  The
+corpus pins colour ids and reports byte for byte, so an optimisation that
+changes either shows up as a diff.  Re-record only on purpose (a
 versioned output change), never to make a failing test pass:
 
     python3 scripts/record_golden.py
 """
 from __future__ import annotations
 
-import hashlib
 import io
 import json
 import sys
@@ -37,7 +39,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
-sys.path.insert(0, str(ROOT / "tests"))  # the test-only graph helpers
+sys.path.insert(0, str(ROOT / "tests"))  # the test-only helpers
 
 from drfwl.cli import main as cli_main  # noqa: E402
 from drfwl.graph import (  # noqa: E402
@@ -48,7 +50,8 @@ from drfwl.graph import (  # noqa: E402
     gen_random_regular,
     parse_edge_list,
 )
-from drfwl.refine import certificate, drfwl_refine, fwl2_refine, wl1_refine  # noqa: E402
+from drfwl.refine import certificate  # noqa: E402
+from golden_variants import coloring_line, refine  # noqa: E402
 from graph_helpers import gen_petersen  # noqa: E402
 
 GOLDEN = ROOT / "tests" / "golden"
@@ -90,15 +93,6 @@ PAIRS = {
 }
 
 
-def refine(g: Graph, method: str, d: int | None, mask: list | None):
-    """The stable colouring of one variant (tests/test_golden.py mirrors this)."""
-    if method == "wl1":
-        return wl1_refine(g)
-    if method == "fwl2":
-        return fwl2_refine(g)
-    return drfwl_refine(g, d, mask=[tuple(t) for t in mask] if mask else None)
-
-
 def _flags(method: str, d: int | None, mask: list | None) -> list[str]:
     flags = ["--method", method]
     if d is not None:
@@ -106,13 +100,6 @@ def _flags(method: str, d: int | None, mask: list | None) -> list[str]:
     if mask:
         flags += ["--mask", " ".join(",".join(map(str, t)) for t in mask)]
     return flags
-
-
-def coloring_line(col) -> str:
-    """``<iterations> <class counts> <sha256 of the colour ids>``."""
-    ids = ",".join(map(str, col.colors)).encode("ascii")
-    counts = ",".join(map(str, col.class_counts))
-    return f"{col.iterations} {counts} {hashlib.sha256(ids).hexdigest()}"
 
 
 def _graph_path(name: str) -> str:

@@ -15,7 +15,8 @@ The legs judge requests and the CLI parses flags and maps errors: before
 reading any input, ``count``, ``oracle`` and ``distinguish`` call their
 leg's check (``counting.check_motifs``, ``oracle.check_motifs``,
 ``refine.check_request``) once, and only that call turns a ValueError into
-a GraphFormatError.
+a GraphFormatError.  ``count`` then indexes only as far as its motifs read
+(``counting.index_depth``), which is never past ``--d``.
 
 Each subcommand imports the algorithm module it runs (``counting``,
 ``refine`` or ``oracle``) when it runs, so an invocation loads only its
@@ -126,7 +127,7 @@ def cmd_count(ns: argparse.Namespace) -> int:
     motifs = _check(counting.check_motifs, ns.d, _parse_motifs(ns.motifs))
     resolve_threads(ns.threads)
     g = _load_graph(ns.input)
-    idx = build_index(g, ns.d)
+    idx = build_index(g, counting.index_depth(motifs))
     counts = counting.compute_node_counts(idx)
     _emit_report(counting.counts_to_report(counts, motifs), ns.fmt, ns.output)
     return EXIT_OK

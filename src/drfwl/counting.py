@@ -21,8 +21,8 @@ The passes read three inputs, none of which re-intersects a shell:
   column over w's ``TupleIndex.span`` at distance 1 or 2, and keep v when
   ``rows[u]`` has it, adding into per-tuple or per-node accumulators.
 
-Pairwise quantities (for pairs (u, v) at distance 1..2, plus the noted
-distance-3 extensions when the index was built with d >= 3):
+Pairwise quantities (pairs (u, v) at distance 1..2, plus the noted distance-3
+extensions when the index reaches distance 3; see ``index_depth``):
 
   P2     2-paths u->v, i.e. |N1(u) & N1(v)|
   W3/P3  3-walks / 3-paths u->v
@@ -42,7 +42,7 @@ from __future__ import annotations
 from array import array
 from itertools import accumulate, islice, repeat
 from operator import mul, sub
-from typing import Iterable, NamedTuple
+from typing import Collection, Iterable, NamedTuple
 
 from .errors import CapabilityError, InvariantError
 from .graph import Graph
@@ -51,7 +51,7 @@ from .tuples import TupleIndex, intersect
 # The count catalog in report order, each motif with its orbit factor:
 # the node occurrences per graph occurrence (a k-cycle has k nodes, a
 # path two end nodes, a marked motif the size of its marked orbit).
-# cycle7, the one motif that needs d >= 3, comes last.
+# cycle7, whose closed form reads past distance 2 (``index_depth``), comes last.
 GRAPH_LEVEL_FACTOR = {
     "cycle3": 3,
     "cycle4": 4,
@@ -366,7 +366,7 @@ def node_walks(g: Graph, k: int) -> list[int]:
 
 class NodeCounts(NamedTuple):
     """Per-node counts of the catalog, one field per motif under its
-    catalog name (cycle7 needs d >= 3 and is None below)."""
+    catalog name (cycle7 is None on an index shallower than it reads)."""
 
     n: int
     d: int
@@ -584,7 +584,7 @@ def compute_node_counts(idx: TupleIndex) -> NodeCounts:
         raise InvariantError("triangle-rectangle aggregation routes disagree")
 
     w3_node = node_walks(g, 3)
-    w4_node = node_walks(g, 4)
+    w4_node = [sum(map(w3_node.__getitem__, nbrs)) for nbrs in g.adjacency]
     for u in range(n):
         path3[u] += w3_node[u] - 2 * cycle3[u] - near_w3[u]
         closed4 = 2 * cycle4[u] + deg[u] * deg[u] + path2[u]
@@ -608,7 +608,7 @@ def compute_node_counts(idx: TupleIndex) -> NodeCounts:
         tr3=tr3,
         cycle7=None,
     )
-    if idx.d >= 3:
+    if "cycle7" in check_motifs(idx.d):
         counts = counts._replace(cycle7=_node_cycle7(idx, stats, counts))
     return counts
 
@@ -625,12 +625,12 @@ def graph_level(counts: NodeCounts, name: str) -> int:
 
 def check_motifs(d: int, names: Iterable[str] | None = None) -> tuple[str, ...]:
     """The motifs that counts at ``d`` report for ``names``: each once, in
-    first-seen order, or the catalog in report order (less cycle7 below
-    d = 3) if names is None.  Refuses each name in turn (clique4, a name
-    outside the catalog), then d < 2 (the closed forms read distance-2
-    shells), then cycle7 below d = 3."""
+    first-seen order, or the catalog in report order (less each motif that
+    reads past d) if names is None.  Refuses each name in turn (clique4, a
+    name outside the catalog), then d < 2 (the closed forms read distance-2
+    shells), then a motif whose ``index_depth`` is past d."""
     if names is None:
-        names = [name for name in GRAPH_LEVEL_FACTOR if d >= 3 or name != "cycle7"]
+        names = [name for name in GRAPH_LEVEL_FACTOR if index_depth([name]) <= d]
     motifs = tuple(dict.fromkeys(names))
     for name in motifs:
         if name == "clique4":
@@ -639,9 +639,15 @@ def check_motifs(d: int, names: Iterable[str] | None = None) -> tuple[str, ...]:
             raise ValueError(f"unknown substructure {name!r}")
     if d < 2:
         raise ValueError(f"closed-form counts need d >= 2, got d={d}")
-    if d < 3 and "cycle7" in motifs:
-        raise CapabilityError(f"cycle7 counts need d >= 3, got d={d}")
+    for name in motifs:
+        if index_depth([name]) > d:
+            raise CapabilityError(f"{name} counts need d >= {index_depth([name])}, got d={d}")
     return motifs
+
+
+def index_depth(motifs: Collection[str]) -> int:
+    """The farthest distance the closed forms of ``motifs`` read: 3 for cycle7, else 2."""
+    return 3 if "cycle7" in motifs else 2
 
 
 def counts_to_report(counts: NodeCounts, motifs: Iterable[str] | None = None) -> dict:

@@ -13,7 +13,7 @@ from drfwl import oracle
 from drfwl.cli import main
 from drfwl.counting import check_motifs
 from drfwl.errors import CapabilityError
-from drfwl.graph import gen_cycle, gen_disjoint_union, parse_edge_list
+from drfwl.graph import gen_cycle, gen_disjoint_union, gen_random_regular, parse_edge_list
 from drfwl.refine import check_request
 
 SRC_DIR = str(Path(__file__).resolve().parents[1] / "src")
@@ -434,6 +434,22 @@ def test_huge_d_costs_what_the_diameter_does(c6_file, command):
         reports[d] = json.loads(out)
         assert reports[d].pop("d", d) == d
     assert reports[3] == reports[10**6]
+
+
+def test_count_with_huge_d_builds_only_the_depth_its_motifs_read(tmp_path):
+    # n = 1000, 4-regular: an index as deep as the diameter takes about
+    # 190 MB by d = 6 and does not fit in 128 MB of address space; the
+    # depth-3 index the motifs read peaks near 28 MB and does
+    resource = pytest.importorskip("resource")
+    path = tmp_path / "regular.el"
+    path.write_text(gen_random_regular(1000, 4, 1).to_edge_list())
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (128 << 20, 128 << 20))
+
+    code, out, err = run_cli("count", "--d", "1000000", str(path), preexec_fn=limit_memory)
+    assert code == 0, err
+    assert out == run_cli("count", "--d", "3", str(path))[1]
 
 
 class TestGen:

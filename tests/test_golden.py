@@ -6,15 +6,15 @@ change is versioned on purpose.
 """
 from __future__ import annotations
 
-import hashlib
 import json
 from pathlib import Path
 
 import pytest
 
+from golden_variants import coloring_line, refine
 from drfwl.cli import main
 from drfwl.graph import parse_edge_list
-from drfwl.refine import certificate, drfwl_refine, fwl2_refine, wl1_refine
+from drfwl.refine import certificate
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 MANIFEST = json.loads((GOLDEN / "manifest.json").read_text(encoding="utf-8"))
@@ -30,13 +30,7 @@ def _lines(name: str) -> dict[tuple[str, str], str]:
 
 def _refine(graph: str, variant: str):
     g = parse_edge_list((GOLDEN / "graphs" / f"{graph}.el").read_bytes())
-    spec = MANIFEST["variants"][variant]
-    if spec["method"] == "wl1":
-        return wl1_refine(g)
-    if spec["method"] == "fwl2":
-        return fwl2_refine(g)
-    mask = [tuple(t) for t in spec["mask"]] if spec["mask"] else None
-    return drfwl_refine(g, spec["d"], mask=mask)
+    return refine(g, **MANIFEST["variants"][variant])
 
 
 CERTIFICATES = _lines("certificates.txt")
@@ -55,10 +49,7 @@ def test_corpus_is_complete():
 def test_certificate_and_coloring(graph, variant):
     col = _refine(graph, variant)
     assert certificate(col).serialize() == CERTIFICATES[(graph, variant)]
-    ids = ",".join(map(str, col.colors)).encode("ascii")
-    counts = ",".join(map(str, col.class_counts))
-    line = f"{col.iterations} {counts} {hashlib.sha256(ids).hexdigest()}"
-    assert line == COLORINGS[(graph, variant)]
+    assert coloring_line(col) == COLORINGS[(graph, variant)]
 
 
 @pytest.mark.parametrize("key", sorted(MANIFEST["outputs"]))

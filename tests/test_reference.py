@@ -301,13 +301,19 @@ def test_pair_stats_intersect_once_per_near_tuple(g, d):
 
 def test_node_counts_build_near_spans_and_triangles_once(monkeypatch):
     # compute_pair_stats keeps the spans, C3 and the degrees on PairStats, and
-    # the common-neighbour table keeps the neighbour sets; the later passes read them
+    # the common-neighbour table keeps the neighbour sets; the later passes read
+    # them.  W4 is read off W3, so the node walks run once
     calls = Counter()
     real_triangles, real_span = counting.node_triangles, TupleIndex.span
+    real_walks = counting.node_walks
 
     def triangles(*args):
         calls["node_triangles"] += 1
         return real_triangles(*args)
+
+    def walks(*args):
+        calls["node_walks"] += 1
+        return real_walks(*args)
 
     def span(idx, u, lo, hi):
         calls[lo, hi] += 1
@@ -320,6 +326,7 @@ def test_node_counts_build_near_spans_and_triangles_once(monkeypatch):
 
         monkeypatch.setattr(Graph, name, counted)
     monkeypatch.setattr(counting, "node_triangles", triangles)
+    monkeypatch.setattr(counting, "node_walks", walks)
     monkeypatch.setattr(TupleIndex, "span", span)
     g = gen_random_regular(30, 4, 1)
     for d in (2, 3):
@@ -331,3 +338,4 @@ def test_node_counts_build_near_spans_and_triangles_once(monkeypatch):
         assert calls[1, 1] == g.n  # and one at distance 1
         assert calls["degrees"] == 1
         assert calls["neighbor_sets"] == 1
+        assert calls["node_walks"] == 1
