@@ -52,9 +52,9 @@ EXIT_INVARIANT = 4
 def resolve_threads(threads: int | None = None) -> int:
     """Worker count of a run, which is always 1.
 
-    Every pass runs in order on the calling thread.  ``--threads`` is
-    still accepted for compatibility; it has no effect, and results are
-    identical for every value.
+    Every pass runs in order on the calling thread.  ``count`` and
+    ``distinguish`` still accept ``--threads`` for compatibility; it has
+    no effect, and results are identical for every value.
     """
     return 1
 
@@ -217,15 +217,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
+    def common(p: argparse.ArgumentParser, threads: bool = True) -> None:
         p.add_argument("--format", choices=("json", "text"), default="json", dest="fmt")
         p.add_argument("--output", default=None)
-        p.add_argument(
-            "--threads",
-            type=int,
-            default=None,
-            help="accepted for compatibility; no effect, runs are serial",
-        )
+        if threads:
+            p.add_argument(
+                "--threads",
+                type=int,
+                default=None,
+                help="accepted for compatibility; no effect, runs are serial",
+            )
 
     p = sub.add_parser("count", help="closed-form substructure counts")
     p.set_defaults(run=cmd_count)
@@ -238,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=cmd_oracle)
     p.add_argument("input")
     p.add_argument("--motifs", default=None)
-    common(p)
+    common(p, threads=False)
 
     p = sub.add_parser("distinguish", help="compare two graphs under a refinement")
     p.set_defaults(run=cmd_distinguish)

@@ -6,18 +6,13 @@ counting pipeline beyond the Graph type itself, so the two can check each
 other.  Runtime is exponential in motif size; intended for graphs up to a
 few hundred nodes with small degree.
 
-Each motif is enumerated once, into per-node counts.  A graph count is
-the per-node total divided by the motif's orbit size (``GRAPH_FACTOR``),
-with the division checked; there is no second enumerator.
-
-Position conventions for the marked-node motifs:
-
-  tailed_triangle   u is the tip of the pendant edge.
-  chordal_cycle_cc1 u is one of the two off-chord (degree-2) vertices.
-  chordal_cycle_cc2 u is one of the two chord endpoints.
-  tr1               u is the triangle apex (not on the shared edge).
-  tr2               u is one of the two shared-edge vertices.
-  tr3               u is a rectangle vertex off the shared edge.
+Each motif is a pattern: a row of edges in ``PATTERNS``.  One matcher
+counts its occurrences (subgraphs, not necessarily induced) into per-node
+counts: a node's count is the number of occurrences in which it sits in
+the orbit of the pattern's vertex 0, the marked position.  The orbit and
+its size (``GRAPH_FACTOR``) come from matching each pattern into itself,
+and a graph count is the per-node total over that size, with the division
+checked; there is no second enumerator.
 """
 from __future__ import annotations
 
@@ -28,27 +23,42 @@ from .graph import Graph
 
 ORACLE_NODE_CAP = 512
 
-CYCLE_MOTIFS = {f"cycle{k}": k for k in range(3, 8)}
-PATH_MOTIFS = {f"path{k}": k for k in range(2, 5)}
-# The oracle's catalog in report order, each motif with its orbit factor:
-# the node occurrences per graph occurrence (a k-cycle has k nodes, a path
-# two end nodes, its per-node counts directed from the start, and a marked
-# motif the size of its marked orbit).  It is the count catalog in count's
-# order, cycle7 after tr3, with clique4 last.
-GRAPH_FACTOR = {
-    "cycle3": 3,
-    "cycle4": 4,
-    "cycle5": 5,
-    "cycle6": 6,
-    **dict.fromkeys(PATH_MOTIFS, 2),
-    "tailed_triangle": 1,
-    "chordal_cycle_cc1": 2,
-    "chordal_cycle_cc2": 2,
-    "tr1": 1,
-    "tr2": 2,
-    "tr3": 2,
-    "cycle7": 7,
-    "clique4": 4,
+
+def _cycle(k: int) -> tuple[tuple[int, int], ...]:
+    return (*((i, i + 1) for i in range(k - 1)), (0, k - 1))
+
+
+def _path(k: int) -> tuple[tuple[int, int], ...]:
+    return tuple((i, i + 1) for i in range(k))
+
+
+# The oracle's catalog in report order: the count catalog in count's
+# order, cycle7 after tr3, with clique4 last.  Each pattern is its edges
+# over vertices 0..k-1; vertex 0 is the marked position, and every later
+# vertex has a smaller neighbour.
+PATTERNS = {
+    "cycle3": _cycle(3),  # 0 is any cycle vertex
+    "cycle4": _cycle(4),
+    "cycle5": _cycle(5),
+    "cycle6": _cycle(6),
+    "path2": _path(2),  # 0 is an end; pathk has k edges
+    "path3": _path(3),
+    "path4": _path(4),
+    # 0 is the tip of the pendant edge on the triangle 1-2-3
+    "tailed_triangle": ((0, 1), (1, 2), (1, 3), (2, 3)),
+    # the 4-cycle 0-1-3-2 with the chord 1-2: 0 is off the chord
+    "chordal_cycle_cc1": ((0, 1), (0, 2), (1, 2), (1, 3), (2, 3)),
+    # the 4-cycle 0-2-1-3 with the chord 0-1: 0 is a chord endpoint
+    "chordal_cycle_cc2": ((0, 1), (0, 2), (1, 2), (0, 3), (1, 3)),
+    # a triangle and a rectangle sharing an edge: 0 is the triangle's apex,
+    # 1-2 the shared edge and 1-3-4-2 the rectangle
+    "tr1": ((0, 1), (0, 2), (1, 2), (1, 3), (3, 4), (2, 4)),
+    # 0 is on the shared edge 0-1, 2 the apex, 0-3-4-1 the rectangle
+    "tr2": ((0, 1), (0, 2), (1, 2), (0, 3), (3, 4), (1, 4)),
+    # 0 is on the rectangle 0-1-3-2 off the shared edge 1-3, 4 the apex
+    "tr3": ((0, 1), (0, 2), (2, 3), (1, 3), (1, 4), (3, 4)),
+    "cycle7": _cycle(7),
+    "clique4": ((0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (2, 3)),
 }
 
 
@@ -59,146 +69,60 @@ def _check_cap(g: Graph) -> None:
         )
 
 
-# ---------------------------------------------------------------------------
-# cycles
+def _graph(edges: tuple[tuple[int, int], ...]) -> Graph:
+    return Graph.from_edges(1 + max(map(max, edges)), edges)
 
 
-def count_cycles_per_node(g: Graph, length: int) -> list[int]:
-    """C_length(u) for every u: simple cycles through u, each counted once.
+def match_pattern(g: Graph, edges: tuple[tuple[int, int], ...], orbit: tuple[int, ...]) -> list[int]:
+    """Per node, how often an ``orbit`` vertex lands on it, over all
+    injective maps of the pattern into g that keep its edges and put every
+    ``orbit`` vertex but 0 above vertex 0's image."""
+    pattern = _graph(edges).adjacency
+    k = len(pattern)
+    # vertex i goes to a common neighbour of its smaller neighbours' images
+    below = [[j for j in pattern[i] if j < i] for i in range(k)]
+    steps = [None] + [(below[i][-1], below[i][:-1], i in orbit) for i in range(1, k)]
+    adj, nbr = g.adjacency, g.neighbor_sets()
+    hits = [0] * g.n
+    img = [0] * k
+    used = [False] * g.n
 
-    Enumerates each cycle from its smallest vertex, walking only larger
-    vertices, in one rotational direction (second vertex < last vertex).
-    """
-    _check_cap(g)
-    counts = [0] * g.n
-    adj = g.adjacency
-    path = [0] * (length + 1)
-
-    def extend(start: int, here: int, depth: int, on_path: set[int]) -> None:
-        if depth == length - 1:
-            for w in adj[here]:
-                if w == start and path[1] < here:
-                    for x in on_path:
-                        counts[x] += 1
-                    counts[start] += 1
+    def extend(i: int) -> None:
+        if i == k:
+            for o in orbit:
+                hits[img[o]] += 1
             return
-        for w in adj[here]:
-            if w > start and w not in on_path:
-                path[depth + 1] = w
-                on_path.add(w)
-                extend(start, w, depth + 1, on_path)
-                on_path.remove(w)
+        anchor, back, above = steps[i]
+        low = img[0] if above else -1
+        cands = adj[img[anchor]]
+        for j in back:
+            cands = nbr[img[j]].intersection(cands)
+        for x in cands:
+            if x <= low or used[x]:
+                continue
+            img[i] = x
+            used[x] = True
+            extend(i + 1)
+            used[x] = False
 
-    for s in range(g.n):
-        path[0] = s
-        for w in adj[s]:
-            if w > s:
-                path[1] = w
-                extend(s, w, 1, {w})
-    return counts
-
-
-# ---------------------------------------------------------------------------
-# paths
-
-
-def count_paths_from(g: Graph, u: int, length: int) -> int:
-    """Simple paths with ``length`` edges starting at u (directed from u)."""
-    _check_cap(g)
-    adj = g.adjacency
-    total = 0
-
-    def extend(here: int, depth: int, visited: set[int]) -> None:
-        nonlocal total
-        if depth == length:
-            total += 1
-            return
-        for w in adj[here]:
-            if w not in visited:
-                visited.add(w)
-                extend(w, depth + 1, visited)
-                visited.remove(w)
-
-    extend(u, 0, {u})
-    return total
+    for v in range(g.n):
+        img[0] = v
+        used[v] = True
+        extend(1)
+        used[v] = False
+    return hits
 
 
-# ---------------------------------------------------------------------------
-# marked motifs, enumerated globally and attributed to positions
+def _symmetry(edges: tuple[tuple[int, int], ...]) -> tuple[tuple[int, ...], int]:
+    """Vertex 0's orbit under the pattern's automorphisms, and how many of
+    them fix vertex 0: the pattern matched into itself."""
+    images = match_pattern(_graph(edges), edges, (0,))
+    return tuple(v for v, hits in enumerate(images) if hits), images[0]
 
 
-def _triangles(g: Graph, nbr: list[frozenset[int]]) -> list[tuple[int, int, int]]:
-    out = []
-    for a, b in g.edges():
-        for c in g.adjacency[a]:
-            if c > b and c in nbr[b]:
-                out.append((a, b, c))
-    return out
-
-
-def count_marked_per_node(g: Graph, name: str) -> list[int]:
-    """Per-node counts for every position-marked motif in the catalog."""
-    _check_cap(g)
-    n = g.n
-    nbr = g.neighbor_sets()
-    counts = [0] * n
-
-    if name == "tailed_triangle":
-        for a, b, c in _triangles(g, nbr):
-            for w in (a, b, c):
-                for t in g.adjacency[w]:
-                    if t != a and t != b and t != c:
-                        counts[t] += 1
-        return counts
-
-    if name in ("chordal_cycle_cc1", "chordal_cycle_cc2"):
-        for a, b in g.edges():  # the chord
-            common = sorted(nbr[a] & nbr[b])
-            for i, c in enumerate(common):
-                for dd in common[i + 1 :]:
-                    if name == "chordal_cycle_cc2":
-                        counts[a] += 1
-                        counts[b] += 1
-                    else:
-                        counts[c] += 1
-                        counts[dd] += 1
-        return counts
-
-    if name in ("tr1", "tr2", "tr3"):
-        for q, r in g.edges():  # the shared edge
-            apexes = nbr[q] & nbr[r]
-            for x in g.adjacency[q]:
-                if x == r:
-                    continue
-                for y in nbr[x]:
-                    if y == q or y == r or y == x:
-                        continue
-                    if r not in nbr[y]:
-                        continue
-                    # rectangle q-x-y-r-q on the shared edge q-r; each
-                    # edge-set occurrence is reached exactly once because
-                    # x is forced to be the cycle neighbor of q
-                    for p in apexes:
-                        if p != x and p != y:
-                            if name == "tr1":
-                                counts[p] += 1
-                            elif name == "tr2":
-                                counts[q] += 1
-                                counts[r] += 1
-                            else:
-                                counts[x] += 1
-                                counts[y] += 1
-        return counts
-
-    if name == "clique4":
-        for a, b, c in _triangles(g, nbr):
-            for w in nbr[a] & nbr[b] & nbr[c]:
-                if w > c:
-                    for x in (a, b, c, w):
-                        counts[x] += 1
-        return counts
-
-    raise ValueError(f"not a marked motif: {name!r}")
+_SYMMETRY = {name: _symmetry(edges) for name, edges in PATTERNS.items()}
+# node occurrences per graph occurrence: the size of vertex 0's orbit
+GRAPH_FACTOR = {name: len(orbit) for name, (orbit, _) in _SYMMETRY.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -220,13 +144,16 @@ def check_motifs(names: Iterable[str] | None = None) -> tuple[str, ...]:
 
 
 def oracle_node_counts(g: Graph, name: str) -> list[int]:
-    """Exact per-node counts of the named catalog motif, for all nodes at once."""
+    """Exact per-node counts of the named catalog motif, for all nodes at
+    once: each occurrence is matched once per automorphism that fixes
+    vertex 0, so the matcher's counts are divided by that number, checked."""
     check_motifs([name])
-    if name in CYCLE_MOTIFS:
-        return count_cycles_per_node(g, CYCLE_MOTIFS[name])
-    if name in PATH_MOTIFS:  # count_paths_from checks the size cap
-        return [count_paths_from(g, u, PATH_MOTIFS[name]) for u in range(g.n)]
-    return count_marked_per_node(g, name)
+    _check_cap(g)
+    orbit, fixing = _SYMMETRY[name]
+    hits = match_pattern(g, PATTERNS[name], orbit)
+    if any(h % fixing for h in hits):
+        raise InvariantError(f"{name}: a node's match count is not divisible by {fixing}")
+    return [h // fixing for h in hits]
 
 
 def graph_total(name: str, per_node: list[int]) -> int:

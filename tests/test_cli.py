@@ -355,6 +355,12 @@ class TestOracle:
         assert code == 0
         assert json.loads(out)["substructures"]["clique4"]["graph_level"] == 1
 
+    def test_threads_is_not_an_oracle_flag(self, c6_file):
+        # the oracle never read it; count and distinguish still accept it
+        code, out, err = run_cli("oracle", "--threads", "1", c6_file)
+        assert (code, out) == (2, "")
+        assert "unrecognized arguments: --threads" in err
+
 
 class TestDistinguish:
     def test_wl1_indistinguishable(self, tmp_path):

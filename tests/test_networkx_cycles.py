@@ -1,8 +1,8 @@
 """A third, independent cycle counter: networkx's bounded simple_cycles.
 
 It shares no code with either the closed-form counts or the oracle, so
-agreement of graph-level cycle totals is a check on both.  Skipped when
-networkx is not installed.
+agreement of graph-level cycle totals (3 to 7) is a check on both.
+Skipped when networkx is not installed.
 """
 from __future__ import annotations
 
@@ -15,6 +15,7 @@ from conftest import small_graphs
 from graph_helpers import gen_petersen
 from drfwl.counting import compute_node_counts, graph_level
 from drfwl.graph import Graph, gen_erdos_renyi, gen_random_regular
+from drfwl.oracle import oracle_graph_count
 from drfwl.tuples import build_index
 
 nx = pytest.importorskip("networkx")
@@ -34,6 +35,8 @@ def _check(g: Graph) -> None:
         assert graph_level(d2, f"cycle{k}") == by_length[k], f"cycle{k}"
     d3 = compute_node_counts(build_index(g, 3))
     assert graph_level(d3, "cycle7") == by_length[7], "cycle7"
+    for k in range(3, 8):
+        assert oracle_graph_count(g, f"cycle{k}") == by_length[k], f"oracle cycle{k}"
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-from collections import Counter
 from itertools import combinations, permutations
 
 import pytest
@@ -67,6 +66,35 @@ def test_oracle_matches_generic_injection_counter(name):
         counts = oracle_node_counts(g, name)
         for u in range(g.n):
             assert counts[u] == reference_marked_count(g, name, u), (name, u)
+
+
+class TestPatterns:
+    @pytest.mark.parametrize("name", list(oracle.PATTERNS))
+    def test_pattern_is_a_search_order(self, name):
+        # the matcher places each vertex next to an already placed one
+        edges = oracle.PATTERNS[name]
+        pairs = [frozenset(e) for e in edges]
+        assert all(len(e) == 2 for e in pairs) and len(set(pairs)) == len(pairs)
+        k = 1 + max(map(max, edges))
+        assert {v for e in edges for v in e} == set(range(k))
+        for v in range(1, k):
+            assert any(min(e) < v == max(e) for e in edges), (name, v)
+
+    @pytest.mark.parametrize("name", list(oracle.PATTERNS))
+    def test_pattern_contains_itself_once(self, name):
+        # vertex 0's orbit, by trying every relabelling of the pattern
+        edges = oracle.PATTERNS[name]
+        k = 1 + max(map(max, edges))
+        edge_set = {frozenset(e) for e in edges}
+        orbit = {
+            perm[0]
+            for perm in permutations(range(k))
+            if {frozenset((perm[a], perm[b])) for a, b in edges} == edge_set
+        }
+        g = Graph.from_edges(k, edges)
+        assert oracle_graph_count(g, name) == 1
+        assert oracle_node_counts(g, name) == [int(v in orbit) for v in range(k)]
+        assert oracle.GRAPH_FACTOR[name] == len(orbit)
 
 
 class TestCycles:
@@ -162,7 +190,9 @@ class TestGuards:
             oracle_node_counts(gen_cycle(5), "cycle99")
 
     def test_catalog_is_the_count_catalog_plus_clique4(self):
+        # the oracle derives its orbit sizes, counting keeps its own by hand
         assert tuple(oracle.GRAPH_FACTOR) == (*counting.GRAPH_LEVEL_FACTOR, "clique4")
+        assert oracle.GRAPH_FACTOR == {**counting.GRAPH_LEVEL_FACTOR, "clique4": 4}
 
     def test_default_report_is_the_count_report_at_d3(self):
         assert oracle.check_motifs() == counting.check_motifs(3)
@@ -199,7 +229,7 @@ class TestGuards:
     @pytest.mark.parametrize("name", ["path2", "path3", "path4"])
     def test_odd_path_total_is_an_invariant_error(self, monkeypatch, tmp_path, capsys, name):
         # each path is counted from both ends, so an odd total is a bug
-        monkeypatch.setattr(oracle, "count_paths_from", lambda g, u, length: int(u == 0))
+        monkeypatch.setattr(oracle, "match_pattern", lambda g, edges, orbit: [1] + [0] * (g.n - 1))
         g = gen_cycle(5)
         with pytest.raises(InvariantError, match=f"{name}: node total 1 not divisible by 2"):
             oracle_graph_count(g, name)
@@ -210,25 +240,26 @@ class TestGuards:
 
     def test_oracle_subcommand_enumerates_each_motif_once(self, monkeypatch, tmp_path):
         # the graph count comes from the per-node list, not a second pass
-        calls = Counter()
-        for name in ("count_cycles_per_node", "count_paths_from", "count_marked_per_node"):
-            def counted(*args, _name=name, _real=getattr(oracle, name)):
-                calls[_name] += 1
-                return _real(*args)
+        calls = []
+        real = oracle.match_pattern
 
-            monkeypatch.setattr(oracle, name, counted)
+        def counted(g, edges, orbit):
+            calls.append(edges)
+            return real(g, edges, orbit)
+
+        monkeypatch.setattr(oracle, "match_pattern", counted)
         g = gen_erdos_renyi(9, 0.5, 1)
         path = tmp_path / "g.el"
         path.write_text(g.to_edge_list())
         assert main(["oracle", "--motifs", "cycle5,path3,tr1,cycle5", str(path)]) == 0
-        assert calls == {"count_cycles_per_node": 1, "count_paths_from": g.n, "count_marked_per_node": 1}
+        assert calls == [oracle.PATTERNS[name] for name in ("cycle5", "path3", "tr1")]
 
     def test_k4_has_one_clique4(self):
         assert oracle_node_counts(gen_complete(4), "clique4") == [1] * 4
 
     @pytest.mark.parametrize("name", ["clique4", "tailed_triangle"])
     def test_triangle_motifs_build_neighbour_sets_once(self, monkeypatch, name):
-        # the triangle list reads the caller's neighbour sets
+        # the matcher builds the graph's neighbour sets once per motif
         calls = []
         real = Graph.neighbor_sets
 
