@@ -13,13 +13,14 @@ The passes read three inputs, none of which re-intersects a shell:
   tuple at distance 1 or 2: N1(u) & N1(v) in CSR form, each witness w
   with id(u, w) and id(w, v).  P2 is its segment lengths.  P4, the motifs,
   split cycles, TR and the cycle-7 terms read its segments, their linear
-  sums as bulk segment sums over gathered columns; only CCX and cycle-7
-  family b loop over witnesses;
+  sums as bulk segment sums over gathered columns; only CCX loops over
+  witnesses;
 * walks over the wide channels (1,2), (2,1) and (2,2), which are never
-  stored: W3, P22 and the cycle-7 families a, c, d, f, g, h, i, k walk
-  u -> w -> v, reading the nodes near w as the slice of the index's ``vs``
-  column over w's ``TupleIndex.span`` at distance 1 or 2, and keep v when
-  ``rows[u]`` has it, adding into per-tuple or per-node accumulators.
+  stored: only W3 and P22 walk u -> w -> v, reading the nodes near w as
+  the slice of the index's ``vs`` column over w's ``TupleIndex.span`` at
+  distance 1 or 2, and keep v when ``rows[u]`` has it, adding into
+  per-tuple accumulators.  The cycle-7 terms, which need an index to
+  distance 3, are node sums of the pair statistics instead.
 
 Pairwise quantities (pairs (u, v) at distance 1..2, plus the noted distance-3
 extensions when the index reaches distance 3; see ``index_depth``):
@@ -403,25 +404,35 @@ def cycle7_correction_terms(
       a: p=x      b: q=x      c: p=y      d: q=y      e: p=z      f: q=z
       g: p=x,q=y  h: p=x,q=z  i: p=y,q=x  j: p=z,q=x  k: p=y,q=z  l: p=z,q=y
 
-    Seven families reduce to aggregated node-level quantities; the other
-    five (b, c, g, i, k) are summed over witnesses or walked triples
-    (u, w, v) with explicit coalescence terms.  C7(u) is half of (product
-    sum minus all twelve).
+    C7(u) is half of (product sum minus all twelve).
+
+    The index must reach distance 3; ``check_motifs`` refuses a shallower
+    one.  Then every family is a node sum of the pair statistics over u's
+    tuples t = (u, w) at distance 1 or 2 (``near[u]``, led by its edge
+    tuples), with x = P2(u, w) and adj = [u ~ w].  Two identities remove
+    every walk and witness loop:
+
+    * a walk u -> w -> v from such a w ends within distance 3 of u, so
+      (u, v) is indexed, and the walk's sum over v is w's node total
+      (``_around``) less its term at v = u;
+    * a triple overlap |N1(u) & N1(v) & N1(w)|, summed over v, is a sum
+      over the common neighbours of u and w, which are the witnesses of
+      u's edge tuples (``acc_uw``, ``acc_wv``, ``w3x``).
     """
-    g = idx.graph
-    n = g.n
-    rows, vs = idx.rows, idx.vs
+    check_motifs(idx.d, ["cycle7"])
+    n = idx.graph.n
+    vs, ks = idx.vs, idx.ks
     cn = s.common
-    start, ws, uw_ids, wv_ids = cn.start, cn.w, cn.uw, cn.wv
-    p2, p3, p4, c23, t_arr = s.p2, s.p3, s.p4, s.c23, s.t
-    nbr, near, edges = cn.nbr, s.near, s.edges
+    start, uw_ids, wv_ids, rev = cn.start, cn.uw, cn.wv, cn.rev
+    p2, w3, p3, p4, c23, t_arr, cc1, tr1 = s.p2, s.w3, s.p3, s.p4, s.c23, s.t, s.cc1, s.tr1
+    near, edges, deg, c3 = s.near, s.edges, s.deg, s.c3
     # witnessed[u] and adjacent[u] are the entry ranges of the witnesses of
     # node u's tuples at distance 1 or 2, and at distance 1 (no other tuple
     # has witnesses)
     witnessed = [(start[a], start[b]) for a, b in near]
     adjacent = [(start[a], start[b]) for a, b in edges]
 
-    def squares(ids: list[int]) -> int:
+    def squares(ids: Iterable[int]) -> int:
         return sum(x * (x - 1) for x in map(p2.__getitem__, ids))
 
     # sum over v of P3(u,v) * P4(u,v), distances 1..3
@@ -432,84 +443,41 @@ def cycle7_correction_terms(
         sum(map(mul, map(p3.__getitem__, uw_ids[a:b]), map(p2.__getitem__, wv_ids[a:b])))
         for a, b in witnessed
     ]
-    # adjacent v: sums of P2(u,w)(P2(u,w)-1) and P2(w,v)(P2(w,v)-1) over common w
+    # adjacent v: sums of P2(u,w)(P2(u,w)-1), P2(w,v)(P2(w,v)-1) and W3(w,v) over common w
     acc_uw = [squares(uw_ids[a:b]) for a, b in adjacent]
     acc_wv = [squares(wv_ids[a:b]) for a, b in adjacent]
+    w3x = [sum(map(w3.__getitem__, wv_ids[a:b])) for a, b in adjacent]
+    # node totals of w over its tuples at distance 1 or 2; path2 is that of
+    # P2, and 2 C4(w) is that of P3 over w's edges
+    around_t, around_c23 = _around(t_arr, near), _around(c23, near)
+    sq = [squares(range(lo, hi)) for lo, hi in near]
+    path2, cycle4 = nc.path2, nc.cycle4
 
-    # family (b): both paths leave u for the same first vertex w; count
-    # 3-paths w->v that avoid u and the pendant a exactly
-    sum_b = [0] * n
-    for t, (u, v, k) in enumerate(zip(idx.us, idx.vs, idx.ks)):
-        if not p2[t]:
-            continue
-        adj = k == 1
-        nbrv = nbr[v]
-        acc = 0
-        for p in range(start[t], start[t + 1]):
-            tuw = uw_ids[p]
-            base = p3[wv_ids[p]] - (p2[t] - 1) - adj * (p2[tuw] - 1) + adj
-            for q in range(start[tuw], start[tuw + 1]):  # a in N1(u) & N1(w)
-                a = ws[q]
-                if a == v:
-                    continue
-                a_adj_v = a in nbrv
-                # a ~ w ~ v, so d(a, v) <= 2 <= d and (a, v) is indexed
-                acc += base - (p2[rows[a][v]] - 1) - a_adj_v * (p2[wv_ids[q]] - 1) + a_adj_v
-        sum_b[u] += acc
-
-    sum_a, sum_c, sum_g, sum_i, sum_k = [0] * n, [0] * n, [0] * n, [0] * n, [0] * n
-    # walk u -> w in N1(u) -> v at distance 1 or 2 from w, by middle node w;
-    # only the v with P2(w, v) > 0 add anything
-    for w, (lo, hi) in enumerate(near):
-        live = [(v, t, x) for v, t, x in zip(vs[lo:hi], range(lo, hi), p2[lo:hi]) if x]
-        nbrw = nbr[w]
-        for u in g.adjacency[w]:
-            row_u = rows[u]
-            nbru = nbr[u]
-            tuw = row_u[w]
-            p2uw = p2[tuw]
-            tri = ws[start[tuw] : start[tuw + 1]]  # N1(u) & N1(w)
-            acc_a = acc_c = acc_g = acc_i = acc_k = 0
-            for v, twv, p2wv in live:
-                t = row_u.get(v)
-                if t is None or v == u:
-                    continue
-                acc_a += c23[twv]
-                adj = v in nbru
-                w_adj_v = v in nbrw
-                # |N1(u) & N1(v) & N1(w)|, read off the common neighbours of u, w
-                triple = len(nbr[v].intersection(tri)) if tri else 0
-                beta = p2wv - adj  # the nodes b in N1(w) & N1(v) other than u
-                # family (c): the 3-path's first interior vertex w sits in
-                # the middle of the 4-path
-                if beta > 0:
-                    acc_c += (p2uw - adj * w_adj_v) * beta * (beta - 1) - 2 * (beta - 1) * triple
-                # families (g), (i), (k): the two paths share the middle edge
-                # w-b of the 3-path (g, k) or traverse it in opposite
-                # directions (i); summed over the beta nodes b in closed form,
-                # with sum P2(b, v) over b in N1(w) & N1(v) = T(w, v) + w_adj_v * P2(w, v)
-                acc_g += t_arr[twv] + adj * (w_adj_v - p2[t] - triple)
-                acc_k += beta * (p2uw - adj * w_adj_v) - triple
-                acc_i += triple * (p2wv - adj - 1)
-            sum_a[u] += acc_a
-            sum_c[u] += acc_c
-            sum_g[u] += acc_g
-            sum_i[u] += acc_i
-            sum_k[u] += acc_k
-
-    sum_d, sum_f, sum_h = [0] * n, [0] * n, [0] * n
-    for u, row_u in enumerate(rows):
-        # walk u -> w at distance 1 or 2 -> v in N1(w)
-        acc_d = acc_f = acc_h = 0
-        lo_u, hi_u = near[u]
-        for w, tuw in zip(vs[lo_u:hi_u], range(lo_u, hi_u)):
-            lo, hi = edges[w]
-            kept = [x for v, x in zip(vs[lo:hi], p2[lo:hi]) if v != u and v in row_u]
-            p2uw = p2[tuw]
-            acc_d += p2uw * (p2uw - 1) * sum(kept)
-            acc_f += c23[tuw] * len(kept)
-            acc_h += t_arr[tuw] * len(kept)
-        sum_d[u], sum_f[u], sum_h[u] = acc_d, acc_f, acc_h
+    sum_a, sum_b, sum_c, sum_d, sum_f, sum_g, sum_h, sum_i, sum_k = ([0] * n for _ in range(9))
+    # over u's tuples at distance 1 or 2, of which the edge tuples (adj)
+    # also add to a, b, c, g, i and k
+    for u, (lo, hi) in enumerate(near):
+        du = deg[u]
+        a = b = c = d = f = g = h = k = 0
+        i = w3x[u]
+        for t in range(lo, hi):
+            w, x, r, adj = vs[t], p2[t], rev[t], ks[t] == 1
+            dw = deg[w]
+            b -= (x - 1) * t_arr[r]
+            d += x * (x - 1) * (2 * c3[w] - adj * x)
+            f += c23[t] * (dw - adj)
+            h += t_arr[t] * (dw - adj)
+            if adj:
+                a += around_c23[w] - c23[r]
+                b += x * (2 * cycle4[w] - p3[r]) - tr1[t] + cc1[t] - 2 * x * (x - 1) + 2 * t_arr[t]
+                c += x * (sq[w] - x * (x - 1) - 2 * (w3[t] - dw - du + 1)) + 2 * t_arr[t]
+                g += around_t[w] - t_arr[r] + (2 - du) * x - cc1[t]
+                i -= 2 * x * dw + x * x - 2 * x + cc1[t]
+                k += x * (path2[w] - x - du - dw + 3) - t_arr[t]
+        b -= i + acc_wv[u] + acc_uw[u]
+        c -= acc_wv[u] + 2 * i
+        sum_a[u], sum_b[u], sum_c[u], sum_d[u], sum_f[u] = a, b, c, d, f
+        sum_g[u], sum_h[u], sum_i[u], sum_k[u] = g, h, i, k
 
     letters = {
         "a": [sum_a[u] - 4 * nc.cycle5[u] - nc.tr2[u] for u in range(n)],

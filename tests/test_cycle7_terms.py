@@ -3,8 +3,10 @@
 The closed-form pipeline subtracts twelve families of overlapping
 (3-path, 4-path) pairs from the path product.  This module enumerates
 those pairs directly, classifies each by its exact interior-coincidence
-pattern, and requires every family to match the pipeline term by term.
-A regression in one family's formula fails here with its letter name.
+pattern, and requires every family to match the pipeline term by term,
+on indexes to distance 3 and 4: the closed forms read distance 3 and must
+ignore deeper tuples.  A regression in one family's formula fails here
+with its letter name.  A distance-2 index is refused.
 """
 from __future__ import annotations
 
@@ -12,6 +14,7 @@ import pytest
 
 from graph_helpers import bfs_distances, gen_complete, gen_petersen
 from drfwl.counting import compute_node_counts, compute_pair_stats, cycle7_correction_terms
+from drfwl.errors import CapabilityError
 from drfwl.graph import Graph, gen_cycle, gen_erdos_renyi, gen_random_regular
 from drfwl.tuples import build_index
 
@@ -96,12 +99,22 @@ GRAPHS = [
 @pytest.mark.parametrize("gi", range(len(GRAPHS)))
 def test_families_match_brute_force(gi):
     g = GRAPHS[gi]
-    idx = build_index(g, 3)
+    want = [brute_families(g, u) for u in range(g.n)]
+    # the closed forms read distance 3; a deeper index must not change them
+    for d in (3, 4):
+        idx = build_index(g, d)
+        stats = compute_pair_stats(idx)
+        counts = compute_node_counts(idx)
+        prod34, letters = cycle7_correction_terms(idx, stats, counts)
+        for u, (want_prod, want_letters) in enumerate(want):
+            assert prod34[u] == want_prod, f"prod34 at node {u}, d={d}"
+            for name in PATTERNS:
+                assert letters[name][u] == want_letters[name], f"family {name} at node {u}, d={d}"
+
+
+def test_d2_index_is_refused():
+    idx = build_index(gen_petersen(), 2)
     stats = compute_pair_stats(idx)
     counts = compute_node_counts(idx)
-    prod34, letters = cycle7_correction_terms(idx, stats, counts)
-    for u in range(g.n):
-        want_prod, want = brute_families(g, u)
-        assert prod34[u] == want_prod
-        for name in PATTERNS:
-            assert letters[name][u] == want[name], f"family {name} at node {u}"
+    with pytest.raises(CapabilityError, match=r"cycle7 counts need d >= 3, got d=2"):
+        cycle7_correction_terms(idx, stats, counts)

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import small_graphs
-from graph_helpers import gen_petersen
+from graph_helpers import gen_complete, gen_petersen
 from drfwl.counting import compute_node_counts, graph_level
 from drfwl.graph import Graph, gen_erdos_renyi, gen_random_regular
 from drfwl.oracle import oracle_graph_count
@@ -47,6 +47,10 @@ def _check(g: Graph) -> None:
         lambda: gen_random_regular(16, 3, 8),
         lambda: gen_erdos_renyi(13, 0.35, 21),
         lambda: gen_erdos_renyi(15, 0.25, 22),
+        # dense: the cycle-7 overlap families are large
+        lambda: gen_complete(7),
+        lambda: gen_erdos_renyi(12, 0.7, 5),
+        lambda: gen_erdos_renyi(14, 0.6, 6),
     ],
 )
 def test_cycle_totals_match_networkx(make):

@@ -7,9 +7,11 @@ round, for single graphs and for pairs refined in one id space (also of
 different sizes), for WL(1), dense FWL(2) and d-DRFWL(2), with and without masks.
 The runtime d-DRFWL(2) merges a tuple's witnesses into one multiset; the
 paper's key, one multiset per channel (i, j), must give the same
-partition, rounds and class counts.  The counting passes, which read a common-neighbour table and walk the
-wide channels, must reproduce every PairStats field and every cycle-7
-term of the per-tuple ``intersect`` reference at d = 2, 3 and 4.
+partition, rounds and class counts.  The counting passes, which read a
+common-neighbour table and walk the wide channels, must reproduce every
+PairStats field of the per-tuple ``intersect`` reference at d = 2, 3 and
+4, and every cycle-7 term at d = 3 and 4; the closed-form cycle-7 terms
+refuse a d = 2 index, whose terms would be truncated.
 """
 from __future__ import annotations
 
@@ -24,6 +26,7 @@ from conftest import small_graphs
 from graph_helpers import diameter, gen_path, gen_petersen
 from drfwl import counting
 from drfwl.counting import compute_node_counts, compute_pair_stats, cycle7_correction_terms
+from drfwl.errors import CapabilityError
 from drfwl.graph import Graph, gen_cycle, gen_disjoint_union, gen_erdos_renyi, gen_random_regular
 from drfwl.refine import (
     _drfwl_blocks,
@@ -255,6 +258,10 @@ def _check_counting(g: Graph, d: int) -> None:
     for field in reference.PAIR_FIELDS:
         assert getattr(stats, field) == getattr(expected, field), field
     counts = compute_node_counts(idx)
+    if d < 3:
+        with pytest.raises(CapabilityError, match="cycle7 counts need d >= 3"):
+            cycle7_correction_terms(idx, stats, counts)
+        return
     prod34, letters = cycle7_correction_terms(idx, stats, counts)
     want_prod34, want_letters = reference.cycle7_correction_terms(idx, expected, counts)
     assert prod34 == want_prod34
