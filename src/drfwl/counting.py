@@ -2,8 +2,9 @@
 
 The pipeline runs a fixed sequence of sparse passes.  Each pass fills one
 slot per indexed pair and reads only earlier passes, so a wrong count
-localizes to one formula.  Everything is exact 64-bit-safe integer
-arithmetic; an inexact division raises InvariantError.
+localizes to one formula.  Everything is exact integer arithmetic, and
+every division of a count goes through ``errors.exact_quotient``: a
+remainder raises InvariantError naming the motif.
 
 The passes read three inputs, none of which re-intersects a shell:
 
@@ -11,10 +12,10 @@ The passes read three inputs, none of which re-intersects a shell:
 * a common-neighbour table (``CommonNeighbours``), built once per
   ``compute_pair_stats`` with one ``intersect`` of two neighbour sets per
   tuple at distance 1 or 2: N1(u) & N1(v) in CSR form, each witness w
-  with id(u, w) and id(w, v).  P2 is its segment lengths.  P4, the motifs,
-  split cycles, TR and the cycle-7 terms read its segments, their linear
-  sums as bulk segment sums over gathered columns; only CCX loops over
-  witnesses;
+  stored only as the ids of (u, w) and (w, v).  P2 is its segment
+  lengths.  P4, the motifs, split cycles, TR and the cycle-7 terms read
+  its segments, their linear sums as bulk segment sums over gathered
+  columns; only CCX loops over witnesses;
 * walks over the wide channels (1,2), (2,1) and (2,2), which are never
   stored: only W3 and P22 walk u -> w -> v, reading the nodes near w as
   the slice of the index's ``vs`` column over w's ``TupleIndex.span`` at
@@ -45,7 +46,7 @@ from itertools import accumulate, islice, repeat
 from operator import mul, sub
 from typing import Collection, Iterable, NamedTuple
 
-from .errors import CapabilityError, InvariantError
+from .errors import CapabilityError, InvariantError, exact_quotient
 from .graph import Graph
 from .tuples import TupleIndex, intersect
 
@@ -71,24 +72,18 @@ GRAPH_LEVEL_FACTOR = {
 }
 
 
-def _exact_half(x: int) -> int:
-    if x % 2:
-        raise InvariantError(f"expected an even aggregate, got {x}")
-    return x // 2
-
-
 class CommonNeighbours(NamedTuple):
     """N1(u) & N1(v) of every tuple at distance 1 or 2, in CSR form.
 
     Tuple t's witnesses are entries start[t] .. start[t+1]-1 (none for a
-    tuple at any other distance); entry p holds the witness ``w[p]``,
-    ``uw[p] = id(u, w)`` and ``wv[p] = id(w, v)``.  ``rev[t]`` is the id
-    of the reversed tuple (v, u).  ``nbr`` keeps the N1 sets the table was
+    tuple at any other distance); entry p of witness w holds only ids,
+    ``uw[p] = id(u, w)`` and ``wv[p] = id(w, v)``, so w itself is
+    ``vs[uw[p]]``, the index's column.  ``rev[t]`` is the id of the
+    reversed tuple (v, u).  ``nbr`` keeps the N1 sets the table was
     intersected from, one per node.
     """
 
     start: array
-    w: list[int]
     uw: list[int]
     wv: list[int]
     rev: list[int]
@@ -105,16 +100,15 @@ def common_neighbours(idx: TupleIndex) -> CommonNeighbours:
     """The table, with one ``intersect`` call per tuple at distance 1 or 2."""
     rows = idx.rows
     nbr = idx.graph.neighbor_sets()
-    start, ws, uw, wv, rev = array("q", [0]), [], [], [], []
+    start, uw, wv, rev = array("q", [0]), [], [], []
     for u, v, k in zip(idx.us, idx.vs, idx.ks):
         if 0 < k < 3:
             common = intersect(nbr[u], nbr[v])
-            ws += common
             uw += map(rows[u].__getitem__, common)
             wv += [rows[w][v] for w in common]
-        start.append(len(ws))
+        start.append(len(uw))
         rev.append(rows[v][u])
-    return CommonNeighbours(start, ws, uw, wv, rev, nbr)
+    return CommonNeighbours(start, uw, wv, rev, nbr)
 
 
 Spans = list[tuple[int, int]]
@@ -162,7 +156,7 @@ def _around(values: list[int], spans: Spans) -> list[int]:
 def node_triangles(p2: list[int], edges: Spans) -> list[int]:
     """C3(u), half the sum of P2(u, v) over u's edges: each triangle at u
     is seen once per incident triangle edge."""
-    return [_exact_half(x) for x in _around(p2, edges)]
+    return [exact_quotient(x, 2, "cycle3") for x in _around(p2, edges)]
 
 
 def _walk(
@@ -233,7 +227,8 @@ def pairwise_p4(
 ) -> list[int]:
     """4-paths from the middle-split walks minus the coalescence terms."""
     # sum of deg(x) - 2 over the common neighbours x of u and v
-    coalesced = map(sub, cn.sums(map(deg.__getitem__, cn.w)), map(mul, p2, repeat(2)))
+    witness_deg = map(deg.__getitem__, map(idx.vs.__getitem__, cn.uw))
+    coalesced = map(sub, cn.sums(witness_deg), map(mul, p2, repeat(2)))
     return [
         a - b - (2 * c3[u] + 2 * c3[v] - 3 * x if k == 1 else 0)
         for a, b, x, u, v, k in zip(p22, coalesced, p2, idx.us, idx.vs, idx.ks)
@@ -250,7 +245,7 @@ def _pairwise_motifs(
     idx: TupleIndex, cn: CommonNeighbours, p2: list[int]
 ) -> tuple[list[int], list[int], list[int], list[int]]:
     """T, CC1, CC2 and CCX from the common-neighbour segments."""
-    nbr, ks = cn.nbr, idx.ks
+    nbr, vs, ks = cn.nbr, idx.vs, idx.ks
     tail = cn.sums(map(p2.__getitem__, cn.wv))
     sum_uw = cn.sums(map(p2.__getitem__, cn.uw))
     t_arr = [a - x if k == 1 else a for a, x, k in zip(tail, p2, ks)]
@@ -258,10 +253,10 @@ def _pairwise_motifs(
     cc2 = [x * (x - 1) // 2 if k == 1 else 0 for x, k in zip(p2, ks)]
     # adjacent pairs among the common neighbours, for tuples with two or more
     ccx = [0] * idx.tuple_count
-    start, ws = cn.start, cn.w
+    start, uw = cn.start, cn.uw
     for t, x in enumerate(p2):
         if x > 1:
-            common = ws[start[t] : start[t + 1]]
+            common = list(map(vs.__getitem__, uw[start[t] : start[t + 1]]))
             ccx[t] = sum(
                 1 for i, w in enumerate(common) for y in common[i + 1 :] if y in nbr[w]
             )
@@ -506,15 +501,6 @@ def cycle7_correction_terms(
     return prod34, letters
 
 
-def _node_cycle7(idx: TupleIndex, s: PairStats, nc: "NodeCounts") -> list[int]:
-    prod34, letters = cycle7_correction_terms(idx, s, nc)
-    out = []
-    for u in range(idx.graph.n):
-        corrections = sum(arr[u] for arr in letters.values())
-        out.append(_exact_half(prod34[u] - corrections))
-    return out
-
-
 def compute_node_counts(idx: TupleIndex) -> NodeCounts:
     """Node-level counts for the full catalog supported at the index's d."""
     g = idx.graph
@@ -529,9 +515,9 @@ def compute_node_counts(idx: TupleIndex) -> NodeCounts:
         return [sum(map(values.__getitem__, rev[lo:hi])) for lo, hi in spans]
 
     cycle3 = stats.c3
-    cycle4 = [_exact_half(x) for x in _around(stats.p3, edges)]
-    cycle5 = [_exact_half(x) for x in _around(stats.p4, edges)]
-    cycle6 = [_exact_half(x) for x in _around(stats.c24, near)]
+    cycle4 = [exact_quotient(x, 2, "cycle4") for x in _around(stats.p3, edges)]
+    cycle5 = [exact_quotient(x, 2, "cycle5") for x in _around(stats.p4, edges)]
+    cycle6 = [exact_quotient(x, 2, "cycle6") for x in _around(stats.c24, near)]
     path2, path3, path4 = (_around(x, near) for x in (stats.p2, stats.p3, stats.p4))
     near_w3 = _around(stats.w3, near)  # sum of W3(u, v) over v at distance 1..2
     near_w4 = _around(stats.w4, near)
@@ -541,12 +527,12 @@ def compute_node_counts(idx: TupleIndex) -> NodeCounts:
     tailed = [
         sum(map(cycle3.__getitem__, nbrs)) - 2 * c for nbrs, c in zip(g.adjacency, cycle3)
     ]
-    cc1_node = [_exact_half(x) for x in toward(stats.cc1)]
-    cc2_node = [_exact_half(x) for x in _around(stats.cc1, edges)]
+    cc1_node = [exact_quotient(x, 2, "chordal_cycle_cc1") for x in toward(stats.cc1)]
+    cc2_node = [exact_quotient(x, 2, "chordal_cycle_cc2") for x in _around(stats.cc1, edges)]
     if cc2_node != _around(stats.cc2, edges):
         raise InvariantError("chordal-cycle aggregation routes disagree")
 
-    tr1_node = [_exact_half(x) for x in _around(stats.tr1, edges)]
+    tr1_node = [exact_quotient(x, 2, "tr1") for x in _around(stats.tr1, edges)]
     tr2_node = toward(stats.tr1)
     if tr2_node != _around(stats.tr2, near):
         raise InvariantError("triangle-rectangle aggregation routes disagree")
@@ -577,18 +563,23 @@ def compute_node_counts(idx: TupleIndex) -> NodeCounts:
         cycle7=None,
     )
     if "cycle7" in check_motifs(idx.d):
-        counts = counts._replace(cycle7=_node_cycle7(idx, stats, counts))
+        prod34, letters = cycle7_correction_terms(idx, stats, counts)
+        cycle7 = [
+            exact_quotient(x - sum(terms), 2, "cycle7")
+            for x, *terms in zip(prod34, *letters.values())
+        ]
+        counts = counts._replace(cycle7=cycle7)
     return counts
 
 
 def graph_level(counts: NodeCounts, name: str) -> int:
     """Whole-graph count: node total divided by the marked-orbit factor."""
-    per_node = counts.by_name(name)
-    factor = GRAPH_LEVEL_FACTOR[name]
-    total = sum(per_node)
-    if total % factor:
-        raise InvariantError(f"{name}: node total {total} not divisible by {factor}")
-    return total // factor
+    return _graph_total(name, counts.by_name(name))
+
+
+def _graph_total(name: str, per_node: list[int]) -> int:
+    """The graph count of ``name``, a motif its caller has checked."""
+    return exact_quotient(sum(per_node), GRAPH_LEVEL_FACTOR[name], f"{name} node total")
 
 
 def check_motifs(d: int, names: Iterable[str] | None = None) -> tuple[str, ...]:
@@ -604,7 +595,7 @@ def check_motifs(d: int, names: Iterable[str] | None = None) -> tuple[str, ...]:
         if name == "clique4":
             raise CapabilityError("clique4 has no closed form; use the oracle")
         if name not in GRAPH_LEVEL_FACTOR:
-            raise ValueError(f"unknown substructure {name!r}")
+            raise ValueError(f"unknown motif {name!r}")
     if d < 2:
         raise ValueError(f"closed-form counts need d >= 2, got d={d}")
     for name in motifs:
@@ -622,6 +613,6 @@ def counts_to_report(counts: NodeCounts, motifs: Iterable[str] | None = None) ->
     """JSON-ready report in the stable output schema."""
     subs = {}
     for name in check_motifs(counts.d, motifs):
-        per_node = counts.by_name(name)
-        subs[name] = {"per_node": list(per_node), "graph_level": graph_level(counts, name)}
+        per_node = getattr(counts, name)
+        subs[name] = {"per_node": list(per_node), "graph_level": _graph_total(name, per_node)}
     return {"n": counts.n, "substructures": subs}

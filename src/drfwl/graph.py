@@ -128,7 +128,6 @@ def parse_edge_list(text: str | bytes) -> Graph:
             raise GraphFormatError(f"input is not UTF-8 text: {exc}") from None
     forced_n = 0
     seen_header = False
-    seen_edges = False
     edges: list[tuple[int, int]] = []
     max_id = -1
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -137,7 +136,7 @@ def parse_edge_list(text: str | bytes) -> Graph:
             continue
         tokens = line.split()
         if tokens[0] == "n":
-            if seen_header or seen_edges:
+            if seen_header or edges:
                 raise GraphFormatError(
                     f"line {lineno}: header 'n <count>' must be the first data line"
                 )
@@ -159,7 +158,6 @@ def parse_edge_list(text: str | bytes) -> Graph:
         u, v = int(tokens[0]), int(tokens[1])
         if u == v:
             raise GraphFormatError(f"line {lineno}: self-loop {u} {u}")
-        seen_edges = True
         edges.append((u, v))
         max_id = max(max_id, u, v)
     n = max(forced_n, max_id + 1)
@@ -214,10 +212,7 @@ def gen_disjoint_union(graphs: Sequence[Graph]) -> Graph:
     adjacency: list[tuple[int, ...]] = []
     for g in graphs:
         offset = len(adjacency)
-        if offset:
-            adjacency += [tuple([v + offset for v in nbrs]) for nbrs in g.adjacency]
-        else:  # the ids of the graphs up to the first nonempty one need no shift
-            adjacency += g.adjacency
+        adjacency += [tuple([v + offset for v in nbrs]) for nbrs in g.adjacency]
     return Graph(len(adjacency), tuple(adjacency), sum(g.m for g in graphs))
 
 

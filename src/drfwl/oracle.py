@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .errors import CapabilityError, InvariantError
+from .errors import CapabilityError, exact_quotient
 from .graph import Graph
 
 ORACLE_NODE_CAP = 512
@@ -151,19 +151,14 @@ def oracle_node_counts(g: Graph, name: str) -> list[int]:
     _check_cap(g)
     orbit, fixing = _SYMMETRY[name]
     hits = match_pattern(g, PATTERNS[name], orbit)
-    if any(h % fixing for h in hits):
-        raise InvariantError(f"{name}: a node's match count is not divisible by {fixing}")
-    return [h // fixing for h in hits]
+    what = f"{name} matches at a node"
+    return [exact_quotient(h, fixing, what) for h in hits]
 
 
 def graph_total(name: str, per_node: list[int]) -> int:
     """The graph count behind ``per_node``, the oracle's per-node counts of
     ``name``: their total over GRAPH_FACTOR, with the division checked."""
-    factor = GRAPH_FACTOR[name]
-    total = sum(per_node)
-    if total % factor:
-        raise InvariantError(f"{name}: node total {total} not divisible by {factor}")
-    return total // factor
+    return exact_quotient(sum(per_node), GRAPH_FACTOR[name], f"{name} node total")
 
 
 def oracle_graph_count(g: Graph, name: str) -> int:

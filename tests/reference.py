@@ -25,7 +25,8 @@ from __future__ import annotations
 from types import SimpleNamespace
 from typing import Iterable, Sequence
 
-from drfwl.counting import NodeCounts, _exact_half
+from drfwl.counting import NodeCounts
+from drfwl.errors import exact_quotient
 from drfwl.graph import Graph, khop
 from drfwl.tuples import TupleIndex, build_index
 
@@ -241,7 +242,7 @@ def node_triangles(idx: TupleIndex, p2: list[int]) -> list[int]:
     out = []
     for u in range(g.n):
         acc = sum(p2[pid[(u, v)]] for v in g.adjacency[u])
-        out.append(_exact_half(acc))
+        out.append(exact_quotient(acc, 2, "cycle3"))
     return out
 
 
@@ -265,7 +266,7 @@ def pairwise_w3(idx: TupleIndex, p2: list[int]) -> list[int]:
             acc += p2[pid[(u, w)]]
         if k == 1:
             acc += deg[u] + deg[v]
-        return _exact_half(acc)
+        return exact_quotient(acc, 2, "W3")
 
     return [one(t) for t in range(idx.tuple_count)]
 

@@ -173,6 +173,25 @@ class TestSerialRuntime:
         assert len(err) == 1
         assert "aggregation routes disagree" in err[0] and "bug" in err[0]
 
+    def test_odd_node_sum_names_its_motif(self, petersen_file, monkeypatch, capsys):
+        # one 3-path too many at one edge tuple leaves a node's 4-cycle sum odd
+        from drfwl import counting
+
+        real = counting.pairwise_p3
+
+        def off_by_one(idx, w3, deg):
+            p3 = real(idx, w3, deg)
+            p3[idx.rows[0][idx.graph.adjacency[0][0]]] += 1
+            return p3
+
+        monkeypatch.setattr(counting, "pairwise_p3", off_by_one)
+        assert main(["count", petersen_file]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1
+        assert "cycle4" in err[0] and "bug" in err[0]
+
 
 class TestErrorMapping:
     """Exit 2 means malformed input; a bug anywhere else is never exit 2."""

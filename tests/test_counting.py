@@ -17,14 +17,13 @@ from drfwl.counting import (
     common_neighbours,
     compute_node_counts,
     compute_pair_stats,
-    _exact_half,
     check_motifs,
     counts_to_report,
     graph_level,
     node_walks,
     pairwise_p2,
 )
-from drfwl.errors import CapabilityError, InvariantError
+from drfwl.errors import CapabilityError, InvariantError, exact_quotient
 from drfwl.graph import gen_cycle, gen_erdos_renyi
 from drfwl.tuples import build_index
 
@@ -261,7 +260,7 @@ class TestReport:
         "d, names, error, match",
         [
             (1, ["clique4"], CapabilityError, "clique4"),  # each name before d
-            (1, ["cycle9"], ValueError, "unknown substructure 'cycle9'"),
+            (1, ["cycle9"], ValueError, "unknown motif 'cycle9'"),
             (1, None, ValueError, "d >= 2"),
             (1, ["cycle7"], ValueError, "d >= 2"),  # d < 2 before cycle7
             (2, ["cycle3", "cycle7"], CapabilityError, "cycle7"),
@@ -274,20 +273,22 @@ class TestReport:
 
 class TestInvariants:
     def test_odd_aggregate_raises(self):
-        assert _exact_half(4) == 2
-        with pytest.raises(InvariantError, match="even aggregate"):
-            _exact_half(3)
+        assert exact_quotient(4, 2, "cycle4") == 2
+        assert exact_quotient(-21, 7, "cycle7") == -3
+        with pytest.raises(InvariantError, match="cycle4: 3 is not divisible by 2"):
+            exact_quotient(3, 2, "cycle4")
+        with pytest.raises(InvariantError, match="cycle7 node total: 15 is not divisible by 7"):
+            exact_quotient(15, 7, "cycle7 node total")
 
     def test_checks_survive_optimize_flag(self):
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = dict(os.environ)
         env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
         script = (
-            "from drfwl.counting import _exact_half\n"
-            "from drfwl.errors import InvariantError\n"
+            "from drfwl.errors import InvariantError, exact_quotient\n"
             "assert False, 'asserts are live'\n"
             "try:\n"
-            "    _exact_half(3)\n"
+            "    exact_quotient(3, 2, 'cycle4')\n"
             "except InvariantError:\n"
             "    print('raised')\n"
         )

@@ -231,7 +231,7 @@ class TestGuards:
         # each path is counted from both ends, so an odd total is a bug
         monkeypatch.setattr(oracle, "match_pattern", lambda g, edges, orbit: [1] + [0] * (g.n - 1))
         g = gen_cycle(5)
-        with pytest.raises(InvariantError, match=f"{name}: node total 1 not divisible by 2"):
+        with pytest.raises(InvariantError, match=f"{name} node total: 1 is not divisible by 2"):
             oracle_graph_count(g, name)
         path = tmp_path / "c5.el"
         path.write_text(g.to_edge_list())

@@ -42,7 +42,7 @@ def test_node_counts_by_name_reads_only_the_catalog():
     assert counts.by_name("cycle6") == [1] * 6
     assert counts.by_name("chordal_cycle_cc1") == counts.chordal_cycle_cc1
     for name in ("count", "index", "n", "deg", "cc1"):
-        with pytest.raises(ValueError, match="unknown substructure"):
+        with pytest.raises(ValueError, match="unknown motif"):
             counts.by_name(name)
 
 
