@@ -9,13 +9,13 @@ remainder raises InvariantError naming the motif.
 The passes read three inputs, none of which re-intersects a shell:
 
 * ``rows[u][v]``, the index's per-node id map, for every id lookup;
-* a common-neighbour table (``CommonNeighbours``), built once per
+* a common-neighbour table (``common_neighbours``), built once per
   ``compute_pair_stats`` with one ``intersect`` of two neighbour sets per
-  tuple at distance 1 or 2: N1(u) & N1(v) in CSR form, each witness w
-  stored only as the ids of (u, w) and (w, v).  P2 is its segment
-  lengths.  P4, the motifs, split cycles, TR and the cycle-7 terms read
-  its segments, their linear sums as bulk segment sums over gathered
-  columns; only CCX loops over witnesses;
+  tuple at distance 1 or 2: N1(u) & N1(v) in refinement's layout, a
+  ``tuples.WitnessTable``, each witness w stored only as the ids of (u, w)
+  and (w, v).  P2 is its segment lengths.  P4, the motifs, split cycles,
+  TR and the cycle-7 terms read its segments, their linear sums as bulk
+  segment sums over gathered columns; only CCX loops over witnesses;
 * walks over the wide channels (1,2), (2,1) and (2,2), which are never
   stored: only W3 and P22 walk u -> w -> v, reading the nodes near w as
   the slice of the index's ``vs`` column over w's ``TupleIndex.span`` at
@@ -41,14 +41,13 @@ extensions when the index reaches distance 3; see ``index_depth``):
 """
 from __future__ import annotations
 
-from array import array
-from itertools import accumulate, islice, repeat
+from itertools import islice, repeat
 from operator import mul, sub
 from typing import Collection, Iterable, NamedTuple
 
 from .errors import CapabilityError, InvariantError, exact_quotient
 from .graph import Graph
-from .tuples import TupleIndex, intersect
+from .tuples import TupleIndex, WitnessTable, intersect, witness_table
 
 # The count catalog in report order, each motif with its orbit factor:
 # the node occurrences per graph occurrence (a k-cycle has k nodes, a
@@ -72,43 +71,20 @@ GRAPH_LEVEL_FACTOR = {
 }
 
 
-class CommonNeighbours(NamedTuple):
-    """N1(u) & N1(v) of every tuple at distance 1 or 2, in CSR form.
-
-    Tuple t's witnesses are entries start[t] .. start[t+1]-1 (none for a
-    tuple at any other distance); entry p of witness w holds only ids,
-    ``uw[p] = id(u, w)`` and ``wv[p] = id(w, v)``, so w itself is
-    ``vs[uw[p]]``, the index's column.  ``rev[t]`` is the id of the
-    reversed tuple (v, u).  ``nbr`` keeps the N1 sets the table was
-    intersected from, one per node.
-    """
-
-    start: array
-    uw: list[int]
-    wv: list[int]
-    rev: list[int]
-    nbr: list[frozenset[int]]
-
-    def sums(self, values: Iterable[int]) -> list[int]:
-        """Per tuple, the sum of ``values`` (one per entry) over its witnesses."""
-        cum = list(accumulate(values, initial=0))
-        ends = list(map(cum.__getitem__, self.start))
-        return list(map(sub, islice(ends, 1, None), ends))
-
-
-def common_neighbours(idx: TupleIndex) -> CommonNeighbours:
-    """The table, with one ``intersect`` call per tuple at distance 1 or 2."""
+def common_neighbours(idx: TupleIndex, nbr: list[frozenset[int]]) -> WitnessTable:
+    """N1(u) & N1(v) of every tuple (u, v) at distance 1 or 2, from the N1
+    sets ``nbr``, with one ``intersect`` call per such tuple; a tuple at
+    any other distance has no entries.  The witness of entry p is
+    ``vs[uw[p]]``, the index's column."""
     rows = idx.rows
-    nbr = idx.graph.neighbor_sets()
-    start, uw, wv, rev = array("q", [0]), [], [], []
-    for u, v, k in zip(idx.us, idx.vs, idx.ks):
-        if 0 < k < 3:
-            common = intersect(nbr[u], nbr[v])
-            uw += map(rows[u].__getitem__, common)
-            wv += [rows[w][v] for w in common]
-        start.append(len(uw))
-        rev.append(rows[v][u])
-    return CommonNeighbours(start, uw, wv, rev, nbr)
+
+    def witnesses(u: int, v: int, k: int) -> tuple[Iterable[int], list[int]]:
+        if not 0 < k < 3:
+            return (), []
+        common = intersect(nbr[u], nbr[v])
+        return map(rows[u].__getitem__, common), [rows[w][v] for w in common]
+
+    return witness_table(map(witnesses, idx.us, idx.vs, idx.ks))
 
 
 Spans = list[tuple[int, int]]
@@ -116,12 +92,14 @@ Spans = list[tuple[int, int]]
 
 class PairStats(NamedTuple):
     """Per-pair statistics, one slot per TupleIndex tuple id, and what they
-    were computed from: the common-neighbour table, every node's span of
-    tuples at distance 1 or 2 (``near``) and at distance 1 (``edges``, one
-    tuple per neighbour), C3, the triangles at every node, and ``deg``,
-    every node's degree."""
+    were computed from: the common-neighbour table, ``rev``, the id of
+    each tuple's reverse (v, u), every node's span of tuples at distance 1
+    or 2 (``near``) and at distance 1 (``edges``, one tuple per
+    neighbour), C3, the triangles at every node, and ``deg``, every node's
+    degree."""
 
-    common: CommonNeighbours
+    common: WitnessTable
+    rev: list[int]
     near: Spans
     edges: Spans
     c3: list[int]
@@ -142,10 +120,10 @@ class PairStats(NamedTuple):
     deg: list[int]
 
 
-def pairwise_p2(idx: TupleIndex, cn: CommonNeighbours) -> list[int]:
+def pairwise_p2(idx: TupleIndex, cn: WitnessTable) -> list[int]:
     """P2(u, v) = |N1(u) & N1(v)| for every indexed pair: segment lengths."""
-    start = cn.start
-    return list(map(sub, islice(start, 1, None), start))
+    starts = cn.starts
+    return list(map(sub, islice(starts, 1, None), starts))
 
 
 def _around(values: list[int], spans: Spans) -> list[int]:
@@ -219,7 +197,7 @@ def pairwise_p22(idx: TupleIndex, p2: list[int], near: Spans) -> list[int]:
 
 def pairwise_p4(
     idx: TupleIndex,
-    cn: CommonNeighbours,
+    cn: WitnessTable,
     p2: list[int],
     p22: list[int],
     c3: list[int],
@@ -242,10 +220,11 @@ def pairwise_w4(idx: TupleIndex, p2: list[int], p22: list[int], deg: list[int]) 
 
 
 def _pairwise_motifs(
-    idx: TupleIndex, cn: CommonNeighbours, p2: list[int]
+    idx: TupleIndex, cn: WitnessTable, nbr: list[frozenset[int]], p2: list[int]
 ) -> tuple[list[int], list[int], list[int], list[int]]:
-    """T, CC1, CC2 and CCX from the common-neighbour segments."""
-    nbr, vs, ks = cn.nbr, idx.vs, idx.ks
+    """T, CC1, CC2 and CCX from the common-neighbour segments and the N1
+    sets ``nbr``."""
+    vs, ks = idx.vs, idx.ks
     tail = cn.sums(map(p2.__getitem__, cn.wv))
     sum_uw = cn.sums(map(p2.__getitem__, cn.uw))
     t_arr = [a - x if k == 1 else a for a, x, k in zip(tail, p2, ks)]
@@ -253,10 +232,10 @@ def _pairwise_motifs(
     cc2 = [x * (x - 1) // 2 if k == 1 else 0 for x, k in zip(p2, ks)]
     # adjacent pairs among the common neighbours, for tuples with two or more
     ccx = [0] * idx.tuple_count
-    start, uw = cn.start, cn.uw
+    starts, uw = cn.starts, cn.uw
     for t, x in enumerate(p2):
         if x > 1:
-            common = list(map(vs.__getitem__, uw[start[t] : start[t + 1]]))
+            common = list(map(vs.__getitem__, uw[starts[t] : starts[t + 1]]))
             ccx[t] = sum(
                 1 for i, w in enumerate(common) for y in common[i + 1 :] if y in nbr[w]
             )
@@ -265,7 +244,8 @@ def _pairwise_motifs(
 
 def _pairwise_split_cycles(
     idx: TupleIndex,
-    cn: CommonNeighbours,
+    cn: WitnessTable,
+    rev: list[int],
     p2: list[int],
     p3: list[int],
     p4: list[int],
@@ -291,21 +271,22 @@ def _pairwise_split_cycles(
     linear = cn.sums(p3[a] + p3[b] + p2[a] * p2[b] for a, b in zip(cn.uw, cn.wv))
     c23 = [
         m * x - a - t_arr[r] if 0 < k < 3 else 0
-        for m, x, a, r, k in zip(p2, p3, t_arr, cn.rev, ks)
+        for m, x, a, r, k in zip(p2, p3, t_arr, rev, ks)
     ]
     # C24 = m * P4 - (num_b + num_c + num_d)
     c24 = [
         m * x - lin + 2 * m * (m - 1) + 2 * c
         + (2 * cc1[t] + t_arr[t] + m + cc1[r] if k == 1 else 0)
         if 0 < k < 3 else 0
-        for t, (m, x, lin, c, r, k) in enumerate(zip(p2, p4, linear, ccx, cn.rev, ks))
+        for t, (m, x, lin, c, r, k) in enumerate(zip(p2, p4, linear, ccx, rev, ks))
     ]
     return c23, c24
 
 
 def _pairwise_tr(
     idx: TupleIndex,
-    cn: CommonNeighbours,
+    cn: WitnessTable,
+    rev: list[int],
     p2: list[int],
     p3: list[int],
     t_arr: list[int],
@@ -316,7 +297,7 @@ def _pairwise_tr(
     ks = idx.ks
     tr2 = [
         tail_vu * (x - 1) - 2 * c if 0 < k < 3 else 0
-        for tail_vu, x, c, k in zip(map(t_arr.__getitem__, cn.rev), p2, ccx, ks)
+        for tail_vu, x, c, k in zip(map(t_arr.__getitem__, rev), p2, ccx, ks)
     ]
     # TR1 = sum over the common neighbours z of P3(z, v) - (P2(u, z) - 1),
     # less m(m - 1); the second sum is CC1(u, v)
@@ -328,10 +309,12 @@ def _pairwise_tr(
 
 
 def compute_pair_stats(idx: TupleIndex) -> PairStats:
-    """Build the common-neighbour table and every node's spans, then run
-    every pairwise pass in dependency order."""
+    """Build the common-neighbour table, the reverse ids and every node's
+    spans, then run every pairwise pass in dependency order."""
     check_motifs(idx.d)
-    cn = common_neighbours(idx)
+    rows, nbr = idx.rows, idx.graph.neighbor_sets()
+    cn = common_neighbours(idx, nbr)
+    rev = [rows[v][u] for u, v in zip(idx.us, idx.vs)]
     near = [idx.span(x, 1, 2) for x in range(idx.graph.n)]
     edges = [idx.span(x, 1, 1) for x in range(idx.graph.n)]
     deg = idx.graph.degrees()
@@ -342,11 +325,12 @@ def compute_pair_stats(idx: TupleIndex) -> PairStats:
     p22 = pairwise_p22(idx, p2, near)
     p4 = pairwise_p4(idx, cn, p2, p22, c3, deg)
     w4 = pairwise_w4(idx, p2, p22, deg)
-    t_arr, cc1, cc2, ccx = _pairwise_motifs(idx, cn, p2)
-    c23, c24 = _pairwise_split_cycles(idx, cn, p2, p3, p4, t_arr, cc1, ccx)
-    tr1, tr2 = _pairwise_tr(idx, cn, p2, p3, t_arr, cc1, ccx)
+    t_arr, cc1, cc2, ccx = _pairwise_motifs(idx, cn, nbr, p2)
+    c23, c24 = _pairwise_split_cycles(idx, cn, rev, p2, p3, p4, t_arr, cc1, ccx)
+    tr1, tr2 = _pairwise_tr(idx, cn, rev, p2, p3, t_arr, cc1, ccx)
     return PairStats(
-        cn, near, edges, c3, p2, w3, p3, p22, p4, w4, t_arr, cc1, cc2, ccx, tr1, tr2, c23, c24, deg
+        cn, rev, near, edges, c3, p2, w3, p3, p22, p4, w4, t_arr, cc1, cc2, ccx, tr1, tr2, c23,
+        c24, deg
     )
 
 
@@ -417,15 +401,15 @@ def cycle7_correction_terms(
     check_motifs(idx.d, ["cycle7"])
     n = idx.graph.n
     vs, ks = idx.vs, idx.ks
-    cn = s.common
-    start, uw_ids, wv_ids, rev = cn.start, cn.uw, cn.wv, cn.rev
+    starts, uw_ids, wv_ids = s.common
+    rev = s.rev
     p2, w3, p3, p4, c23, t_arr, cc1, tr1 = s.p2, s.w3, s.p3, s.p4, s.c23, s.t, s.cc1, s.tr1
     near, edges, deg, c3 = s.near, s.edges, s.deg, s.c3
     # witnessed[u] and adjacent[u] are the entry ranges of the witnesses of
     # node u's tuples at distance 1 or 2, and at distance 1 (no other tuple
     # has witnesses)
-    witnessed = [(start[a], start[b]) for a, b in near]
-    adjacent = [(start[a], start[b]) for a, b in edges]
+    witnessed = [(starts[a], starts[b]) for a, b in near]
+    adjacent = [(starts[a], starts[b]) for a, b in edges]
 
     def squares(ids: Iterable[int]) -> int:
         return sum(x * (x - 1) for x in map(p2.__getitem__, ids))
@@ -507,7 +491,7 @@ def compute_node_counts(idx: TupleIndex) -> NodeCounts:
     n = g.n
     stats = compute_pair_stats(idx)
     deg = stats.deg
-    rev = stats.common.rev
+    rev = stats.rev
     edges, near = stats.edges, stats.near
 
     def toward(values: list[int], spans: Spans = edges) -> list[int]:

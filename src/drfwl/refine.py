@@ -7,11 +7,11 @@ equal colors iff their keys are equal, and a certificate is byte-stable
 across runs and platforms.
 
 The three methods share one engine.  Every unit aggregates one multiset
-of color pairs (color[a], color[b]) over its witnesses: a d-DRFWL(2)
-tuple (u, v) over the w within d of both u and v, with ``a = id(w, v)``
-and ``b = id(u, w)``; a dense FWL(2) pair (u, v) over every node w, with
-the same a and b; a WL(1) node v over its neighbours w, with
-``a = b = w``.
+of color pairs (color[wv], color[uw]) over its witnesses: a d-DRFWL(2)
+tuple (u, v) over the w within d of both u and v, with ``uw = id(u, w)``
+and ``wv = id(w, v)``; a dense FWL(2) pair (u, v) over every node w, with
+the same uw and wv; a WL(1) node v over its neighbours w, with
+``uw = wv = w``.
 
 The paper keeps one multiset per channel (i, j) of a d-DRFWL(2) tuple,
 over the w in N_i(u) & N_j(v).  One multiset per tuple yields the same
@@ -24,13 +24,14 @@ multisets.  A mask drops the witnesses of the masked channels.  The
 classes are the paper's; only the ids the classes get differ, which the
 certificate version records.
 
-A flat witness table, built once, lists every unit's witnesses.  A round
-encodes the table's witnesses as ``color[a] * T + color[b]`` (T = number
-of units) in one C-level pass and cuts them into one sorted tuple of
-codes per unit.  Because ``0 <= color < T``, the encoding is a strictly
-increasing bijection on color pairs (``c * T + c`` orders like c), so a
-unit's key (color, codes) orders exactly like the per-unit key (color,
-sorted color pairs), and the ranks are those of that key.
+A flat witness table, built once, lists every unit's witnesses in the
+layout counting's common-neighbour table shares (``tuples.WitnessTable``).
+A round encodes the table's witnesses as ``color[wv] * T + color[uw]``
+(T = number of units) in one C-level pass and cuts them into one sorted
+tuple of codes per unit.  Because ``0 <= color < T``, the encoding is a
+strictly increasing bijection on color pairs (``c * T + c`` orders like
+c), so a unit's key (color, codes) orders exactly like the per-unit key
+(color, sorted color pairs), and the ranks are those of that key.
 
 A unit alone in its color class is settled: a singleton class never
 splits, and no other key starts with its color, so the key (color, ())
@@ -55,7 +56,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
 from .errors import METHODS, CapabilityError, InvariantError
 from .graph import Graph, check_d, gen_disjoint_union
-from .tuples import TupleIndex, build_index, intersect
+from .tuples import TupleIndex, WitnessTable, build_index, intersect, witness_table
 
 # n = 96 keeps a dense FWL(2) pair near 200 MB of peak memory; the table
 # and each round's codes grow as n^3 (447 MB at n = 128).
@@ -63,9 +64,6 @@ FWL2_DENSE_CAP = 96
 
 T = TypeVar("T")
 R = TypeVar("R")
-
-# A unit's witnesses: the a ids and the b ids.
-Witnesses = tuple[Iterable[int], Iterable[int]]
 
 
 class Coloring(NamedTuple):
@@ -125,40 +123,18 @@ def parallel_map(fn: Callable[[T], R], items: Sequence[T]) -> list[R]:
     return [fn(x) for x in items]
 
 
-class _WitnessTable(NamedTuple):
-    """The fixed inputs of every refinement round, as flat int lists.
-
-    Entry p (unit after unit) reads the colors of units ``a[p]`` and
-    ``b[p]``, in the one id space of all the compared graphs' units.  Unit
-    i's entries are ``starts[i]:starts[i + 1]``.
-    """
-
-    a: list[int]
-    b: list[int]
-    starts: list[int]
-
-    def sorted_codes(self, colors: list[int], units: Iterable[int]) -> list[list[int]]:
-        """The sorted codes colors[a] * T + colors[b] (T = number of
-        units) of each of the given units, in their order."""
-        high = list(map(mul, colors, repeat(len(colors))))
-        codes = list(map(add, map(high.__getitem__, self.a), map(colors.__getitem__, self.b)))
-        del high  # else its T ints stay alive through the sorts and raise the peak
-        starts = self.starts
-        return [sorted(codes[starts[i] : starts[i + 1]]) for i in units]
-
-
-def _witness_table(units: Iterable[Witnesses]) -> _WitnessTable:
-    """Write the units, one after another, into one table."""
-    a, b, starts = [], [], [0]
-    for ids_a, ids_b in units:
-        a.extend(ids_a)
-        b.extend(ids_b)
-        starts.append(len(a))
-    return _WitnessTable(a, b, starts)
+def _sorted_codes(table: WitnessTable, colors: list[int], units: Iterable[int]) -> list[list[int]]:
+    """The sorted codes colors[wv] * T + colors[uw] (T = number of units)
+    of each of the given units, in their order."""
+    high = list(map(mul, colors, repeat(len(colors))))
+    codes = list(map(add, map(high.__getitem__, table.wv), map(colors.__getitem__, table.uw)))
+    del high  # else its T ints stay alive through the sorts and raise the peak
+    starts = table.starts
+    return [sorted(codes[starts[i] : starts[i + 1]]) for i in units]
 
 
 def _refine_to_stability(
-    init_keys: list, table: _WitnessTable
+    init_keys: list, table: WitnessTable
 ) -> tuple[list[int], int, tuple[int, ...]]:
     """Iterate rounds over the witness table until the partition stops
     refining.
@@ -181,7 +157,7 @@ def _refine_to_stability(
             sizes = Counter(colors)
             live = list(compress(range(total), map((1).__lt__, map(sizes.__getitem__, colors))))
             tails = [()] * total
-            for unit, codes in zip(live, parallel_map(tuple, table.sorted_codes(colors, live))):
+            for unit, codes in zip(live, parallel_map(tuple, _sorted_codes(table, colors, live))):
                 tails[unit] = codes
             colors, new_classes = _compress(list(zip(colors, tails)))
         history.append(new_classes)
@@ -195,14 +171,14 @@ def _refine_to_stability(
 # the units and witnesses of each method
 
 
-def _wl1_units(g: Graph) -> Iterator[Witnesses]:
-    """Node v: its neighbours w, with a = b = w."""
+def _wl1_units(g: Graph) -> Iterator[tuple[Iterable[int], Iterable[int]]]:
+    """Node v: its neighbours w, with uw = wv = w."""
     return ((nbrs, nbrs) for nbrs in g.adjacency)
 
 
-def _fwl2_units(graphs: Sequence[Graph]) -> Iterator[Witnesses]:
+def _fwl2_units(graphs: Sequence[Graph]) -> Iterator[tuple[Iterable[int], Iterable[int]]]:
     """Pair (u, v) of an n-node graph whose pairs start at id o, row-major
-    with id o + u*n + v: every node w, with a = id(w, v) and b = id(u, w).
+    with id o + u*n + v: every node w, with uw = id(u, w) and wv = id(w, v).
     The ids are slices of one list, so the table's entries share its ints."""
     ids = list(range(sum(g.n * g.n for g in graphs)))
     o = 0
@@ -210,27 +186,29 @@ def _fwl2_units(graphs: Sequence[Graph]) -> Iterator[Witnesses]:
         n = g.n
         for u in range(n):
             for v in range(n):
-                yield ids[o + v : o + n * n : n], ids[o + u * n : o + u * n + n]
+                yield ids[o + u * n : o + u * n + n], ids[o + v : o + n * n : n]
         o += n * n
 
 
-def _drfwl_units(idx: TupleIndex, masked: frozenset) -> Iterator[Witnesses]:
+def _drfwl_units(
+    idx: TupleIndex, masked: frozenset
+) -> Iterator[tuple[Iterable[int], Iterable[int]]]:
     """Tuple (u, v) at distance k: the w within d of both u and v (the
     common keys of ``rows[u]`` and ``rows[v]``), less each w whose
-    (d(u, w), d(v, w), k) is masked, with a = id(w, v) and b = id(u, w)."""
+    (d(u, w), d(v, w), k) is masked, with uw = id(u, w) and wv = id(w, v)."""
     rows, ks = idx.rows, idx.ks
     for u, v, k in zip(idx.us, idx.vs, ks):
         row_u, row_v = rows[u], rows[v]
         ws = intersect(row_u.keys(), row_v.keys())
         if masked:
             ws = [w for w in ws if (ks[row_u[w]], ks[row_v[w]], k) not in masked]
-        yield [rows[w][v] for w in ws], map(row_u.__getitem__, ws)
+        yield map(row_u.__getitem__, ws), [rows[w][v] for w in ws]
 
 
-def _drfwl_blocks(idx: TupleIndex, masked: frozenset) -> _WitnessTable:
+def _drfwl_blocks(idx: TupleIndex, masked: frozenset) -> WitnessTable:
     """The witness table of the index's tuples.  Fixed once; read by every
     round."""
-    return _witness_table(_drfwl_units(idx, masked))
+    return witness_table(_drfwl_units(idx, masked))
 
 
 def _refine_multi(
@@ -245,7 +223,7 @@ def _refine_multi(
     triples it returned; wl1 and fwl2 read neither d nor ``masked``."""
     if method == "wl1":
         sizes = [g.n for g in graphs]
-        init, table = [0] * sum(sizes), _witness_table(_wl1_units(gen_disjoint_union(graphs)))
+        init, table = [0] * sum(sizes), witness_table(_wl1_units(gen_disjoint_union(graphs)))
     elif method == "fwl2":
         for g in graphs:
             if g.n > FWL2_DENSE_CAP:
@@ -259,7 +237,7 @@ def _refine_multi(
             for u in range(g.n)
             for v in range(g.n)
         ]
-        table, sizes = _witness_table(_fwl2_units(graphs)), [g.n * g.n for g in graphs]
+        table, sizes = witness_table(_fwl2_units(graphs)), [g.n * g.n for g in graphs]
     else:  # drfwl
         idx = build_index(gen_disjoint_union(graphs), d)
         init = idx.ks

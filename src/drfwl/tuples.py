@@ -6,13 +6,16 @@ is the shared substrate for distance-restricted refinement and for the
 closed-form counting passes.  Refinement reads a tuple's witnesses as the
 common keys of ``rows[u]`` and ``rows[v]``, the nodes within d of both;
 counting reads N_1(u) & N_1(v) and each node's ids at a distance range
-through ``TupleIndex.span``.
+through ``TupleIndex.span``.  Both legs keep their witnesses in one layout,
+a ``WitnessTable`` written by ``witness_table``.
 """
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left, bisect_right
-from itertools import count, repeat
-from typing import AbstractSet, NamedTuple
+from itertools import accumulate, count, islice, repeat
+from operator import sub
+from typing import AbstractSet, Iterable, NamedTuple
 
 from .graph import Graph, check_d, khop
 
@@ -90,3 +93,35 @@ def intersect(a: AbstractSet[int], b: AbstractSet[int]) -> list[int]:
     it.
     """
     return sorted(a & b)
+
+
+class WitnessTable(NamedTuple):
+    """The witnesses of a run of units, one unit after another, in CSR form.
+
+    Unit i's entries are ``starts[i]`` .. ``starts[i + 1] - 1``.  An entry
+    holds ids only: entry p of a witness w of the pair (u, v) is
+    ``uw[p] = id(u, w)`` and ``wv[p] = id(w, v)``.  Counting's units are
+    the index's tuples; refinement's are its method's units, in one id
+    space (a WL(1) node's witness, a neighbour, is its own id in both).
+    """
+
+    starts: array
+    uw: list[int]
+    wv: list[int]
+
+    def sums(self, values: Iterable[int]) -> list[int]:
+        """Per unit, the sum of ``values`` (one per entry) over its witnesses."""
+        cum = list(accumulate(values, initial=0))
+        ends = list(map(cum.__getitem__, self.starts))
+        return list(map(sub, islice(ends, 1, None), ends))
+
+
+def witness_table(units: Iterable[tuple[Iterable[int], Iterable[int]]]) -> WitnessTable:
+    """Write each unit's id(u, w) ids and id(w, v) ids, unit after unit,
+    into one table."""
+    starts, uw, wv = array("q", [0]), [], []
+    for ids_uw, ids_wv in units:
+        uw += ids_uw
+        wv += ids_wv
+        starts.append(len(uw))
+    return WitnessTable(starts, uw, wv)

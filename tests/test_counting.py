@@ -48,12 +48,12 @@ def pair_kind_value(stats, kind, t):
 class TestPairwise:
     def test_p2_small_cases(self):
         c5 = build_index(gen_cycle(5), 2)
-        s = pairwise_p2(c5, common_neighbours(c5))
+        s = pairwise_p2(c5, common_neighbours(c5, c5.graph.neighbor_sets()))
         assert s[c5.rows[0][1]] == 0  # girth 5
         c4 = build_index(gen_cycle(4), 2)
-        assert pairwise_p2(c4, common_neighbours(c4))[c4.rows[0][2]] == 2
+        assert pairwise_p2(c4, common_neighbours(c4, c4.graph.neighbor_sets()))[c4.rows[0][2]] == 2
         k4 = build_index(gen_complete(4), 2)
-        assert pairwise_p2(k4, common_neighbours(k4))[k4.rows[0][1]] == 2
+        assert pairwise_p2(k4, common_neighbours(k4, k4.graph.neighbor_sets()))[k4.rows[0][1]] == 2
 
     def test_frozen_path_and_walk_values(self):
         idx = build_index(gen_cycle(6), 2)

@@ -136,7 +136,7 @@ def test_per_channel_multisets_give_the_same_partition_on_the_benchmark_pair():
 def test_witness_table_stops_at_the_largest_distance():
     # C6 has diameter 3: a larger d adds no tuple, so no witness either
     at_3, at_50 = (_drfwl_blocks(build_index(gen_cycle(6), d), frozenset()) for d in (3, 50))
-    assert len(at_50.a) == len(at_3.a)
+    assert len(at_50.wv) == len(at_3.wv)
     assert at_50 == at_3
 
 

@@ -14,6 +14,7 @@ def _values():
     g = gen_petersen()
     idx = build_index(g, 3)
     coloring = drfwl_refine(g, 2)
+    stats = compute_pair_stats(idx)
     return {
         "Graph": g,
         "TupleIndex": idx,
@@ -21,7 +22,8 @@ def _values():
         "Certificate": certificate(coloring),
         "PairVerdict": refine_pair(g, gen_cycle(10), "drfwl"),
         "NodeCounts": compute_node_counts(idx),
-        "PairStats": compute_pair_stats(idx),
+        "PairStats": stats,
+        "WitnessTable": stats.common,
     }
 
 

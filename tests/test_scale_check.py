@@ -1,0 +1,32 @@
+"""``scripts/scale_check.py`` still runs against the counting API it names."""
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from drfwl.graph import gen_random_regular
+from drfwl.tuples import build_index
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize("n, r, d", [(60, 4, 2), (40, 4, 3)])
+def test_child_reports_one_point(n, r, d):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(ROOT / "src") + os.pathsep + env.get("PYTHONPATH", "")
+    script = ROOT / "scripts" / "scale_check.py"
+    proc = subprocess.run(
+        [sys.executable, str(script), "--child", str(n), str(r), str(d)],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    res = json.loads(proc.stdout)
+    assert set(res) == {"tuples", "pair_stats_s", "node_counts_s", "maxrss_mb"}
+    assert res["tuples"] == build_index(gen_random_regular(n, r, 0), d).tuple_count
