@@ -4,7 +4,8 @@ The pipeline runs a fixed sequence of sparse passes.  Each pass fills one
 slot per indexed pair and reads only earlier passes, so a wrong count
 localizes to one formula.  Everything is exact integer arithmetic, and
 every division of a count goes through ``errors.exact_quotient``: a
-remainder raises InvariantError naming the motif.
+remainder raises InvariantError naming the motif.  The one exception is a
+binomial coefficient, CC2's x(x - 1)/2, which cannot leave a remainder.
 
 The passes read three inputs, none of which re-intersects a shell:
 
@@ -15,7 +16,9 @@ The passes read three inputs, none of which re-intersects a shell:
   ``tuples.WitnessTable``, each witness w stored only as the ids of (u, w)
   and (w, v).  P2 is its segment lengths.  P4, the motifs, split cycles,
   TR and the cycle-7 terms read its segments, their linear sums as bulk
-  segment sums over gathered columns; only CCX loops over witnesses;
+  segment sums over gathered columns; only CCX loops over witnesses.  It
+  gives CC1(u, v) = T(v, u) on adjacent pairs, as P2 is symmetric and
+  (v, u) has the witnesses of (u, v);
 * walks over the wide channels (1,2), (2,1) and (2,2), which are never
   stored: only W3 and P22 walk u -> w -> v, reading the nodes near w as
   the slice of the index's ``vs`` column over w's ``TupleIndex.span`` at
@@ -220,15 +223,14 @@ def pairwise_w4(idx: TupleIndex, p2: list[int], p22: list[int], deg: list[int]) 
 
 
 def _pairwise_motifs(
-    idx: TupleIndex, cn: WitnessTable, nbr: list[frozenset[int]], p2: list[int]
+    idx: TupleIndex, cn: WitnessTable, nbr: list[frozenset[int]], rev: list[int], p2: list[int]
 ) -> tuple[list[int], list[int], list[int], list[int]]:
     """T, CC1, CC2 and CCX from the common-neighbour segments and the N1
-    sets ``nbr``."""
+    sets ``nbr``; CC1(u, v) is T(v, u) on adjacent pairs."""
     vs, ks = idx.vs, idx.ks
     tail = cn.sums(map(p2.__getitem__, cn.wv))
-    sum_uw = cn.sums(map(p2.__getitem__, cn.uw))
     t_arr = [a - x if k == 1 else a for a, x, k in zip(tail, p2, ks)]
-    cc1 = [a - x if k == 1 else 0 for a, x, k in zip(sum_uw, p2, ks)]
+    cc1 = [t_arr[r] if k == 1 else 0 for r, k in zip(rev, ks)]
     cc2 = [x * (x - 1) // 2 if k == 1 else 0 for x, k in zip(p2, ks)]
     # adjacent pairs among the common neighbours, for tuples with two or more
     ccx = [0] * idx.tuple_count
@@ -265,19 +267,16 @@ def _pairwise_split_cycles(
     (on adjacent pairs, CC1(u,v) = sum (P2(u,x) - 1) and T(u,v) = sum
     (P2(x,v) - 1)).  num_c is a chordal cycle with u, v off the chord;
     each occurrence appears twice, as the chord ends swap roles.  The three
-    sums over x are one segment sum.
+    sums over x are one segment sum.  A tuple off distance 1..2 has no
+    witnesses, so both counts are 0 there with no distance test.
     """
     ks = idx.ks
     linear = cn.sums(p3[a] + p3[b] + p2[a] * p2[b] for a, b in zip(cn.uw, cn.wv))
-    c23 = [
-        m * x - a - t_arr[r] if 0 < k < 3 else 0
-        for m, x, a, r, k in zip(p2, p3, t_arr, rev, ks)
-    ]
+    c23 = [m * x - a - t_arr[r] for m, x, a, r in zip(p2, p3, t_arr, rev)]
     # C24 = m * P4 - (num_b + num_c + num_d)
     c24 = [
         m * x - lin + 2 * m * (m - 1) + 2 * c
         + (2 * cc1[t] + t_arr[t] + m + cc1[r] if k == 1 else 0)
-        if 0 < k < 3 else 0
         for t, (m, x, lin, c, r, k) in enumerate(zip(p2, p4, linear, ccx, rev, ks))
     ]
     return c23, c24
@@ -293,11 +292,11 @@ def _pairwise_tr(
     cc1: list[int],
     ccx: list[int],
 ) -> tuple[list[int], list[int]]:
-    """TR1 (apex / shared-edge pairs) and TR2 (shared-edge / corner pairs)."""
+    """TR1 (apex / shared-edge pairs) and TR2 (shared-edge / corner pairs),
+    both 0 on a tuple with no witnesses."""
     ks = idx.ks
     tr2 = [
-        tail_vu * (x - 1) - 2 * c if 0 < k < 3 else 0
-        for tail_vu, x, c, k in zip(map(t_arr.__getitem__, rev), p2, ccx, ks)
+        tail_vu * (x - 1) - 2 * c for tail_vu, x, c in zip(map(t_arr.__getitem__, rev), p2, ccx)
     ]
     # TR1 = sum over the common neighbours z of P3(z, v) - (P2(u, z) - 1),
     # less m(m - 1); the second sum is CC1(u, v)
@@ -325,7 +324,7 @@ def compute_pair_stats(idx: TupleIndex) -> PairStats:
     p22 = pairwise_p22(idx, p2, near)
     p4 = pairwise_p4(idx, cn, p2, p22, c3, deg)
     w4 = pairwise_w4(idx, p2, p22, deg)
-    t_arr, cc1, cc2, ccx = _pairwise_motifs(idx, cn, nbr, p2)
+    t_arr, cc1, cc2, ccx = _pairwise_motifs(idx, cn, nbr, rev, p2)
     c23, c24 = _pairwise_split_cycles(idx, cn, rev, p2, p3, p4, t_arr, cc1, ccx)
     tr1, tr2 = _pairwise_tr(idx, cn, rev, p2, p3, t_arr, cc1, ccx)
     return PairStats(
@@ -388,7 +387,7 @@ def cycle7_correction_terms(
     The index must reach distance 3; ``check_motifs`` refuses a shallower
     one.  Then every family is a node sum of the pair statistics over u's
     tuples t = (u, w) at distance 1 or 2 (``near[u]``, led by its edge
-    tuples), with x = P2(u, w) and adj = [u ~ w].  Two identities remove
+    tuples), with x = P2(u, w) and adj = [u ~ w].  Three identities remove
     every walk and witness loop:
 
     * a walk u -> w -> v from such a w ends within distance 3 of u, so
@@ -396,19 +395,21 @@ def cycle7_correction_terms(
       (``_around``) less its term at v = u;
     * a triple overlap |N1(u) & N1(v) & N1(w)|, summed over v, is a sum
       over the common neighbours of u and w, which are the witnesses of
-      u's edge tuples (``acc_uw``, ``acc_wv``, ``w3x``).
+      u's edge tuples (``acc_wv``, ``w3x``);
+    * a sum over the witnesses w of u's tuples (u, v) of a term of (u, w),
+      summed over v first, is a sum over u's edge tuples (u, w): w
+      witnesses (u, v) for every v in N1(w) - {u}, x of which are u's
+      neighbours, and P2(w, v) summed over those v is 2 C3(w) - x
+      (``sum_e``, ``acc_uw``).
     """
     check_motifs(idx.d, ["cycle7"])
     n = idx.graph.n
     vs, ks = idx.vs, idx.ks
-    starts, uw_ids, wv_ids = s.common
+    starts, _, wv_ids = s.common
     rev = s.rev
     p2, w3, p3, p4, c23, t_arr, cc1, tr1 = s.p2, s.w3, s.p3, s.p4, s.c23, s.t, s.cc1, s.tr1
     near, edges, deg, c3 = s.near, s.edges, s.deg, s.c3
-    # witnessed[u] and adjacent[u] are the entry ranges of the witnesses of
-    # node u's tuples at distance 1 or 2, and at distance 1 (no other tuple
-    # has witnesses)
-    witnessed = [(starts[a], starts[b]) for a, b in near]
+    # adjacent[u] is the entry range of the witnesses of node u's edge tuples
     adjacent = [(starts[a], starts[b]) for a, b in edges]
 
     def squares(ids: Iterable[int]) -> int:
@@ -418,12 +419,7 @@ def cycle7_correction_terms(
     prod34 = [
         sum(map(mul, p3[a:b], p4[a:b])) for a, b in (idx.span(u, 1, 3) for u in range(n))
     ]
-    sum_e = [
-        sum(map(mul, map(p3.__getitem__, uw_ids[a:b]), map(p2.__getitem__, wv_ids[a:b])))
-        for a, b in witnessed
-    ]
-    # adjacent v: sums of P2(u,w)(P2(u,w)-1), P2(w,v)(P2(w,v)-1) and W3(w,v) over common w
-    acc_uw = [squares(uw_ids[a:b]) for a, b in adjacent]
+    # adjacent v: sums of P2(w,v)(P2(w,v)-1) and W3(w,v) over common w
     acc_wv = [squares(wv_ids[a:b]) for a, b in adjacent]
     w3x = [sum(map(w3.__getitem__, wv_ids[a:b])) for a, b in adjacent]
     # node totals of w over its tuples at distance 1 or 2; path2 is that of
@@ -432,12 +428,13 @@ def cycle7_correction_terms(
     sq = [squares(range(lo, hi)) for lo, hi in near]
     path2, cycle4 = nc.path2, nc.cycle4
 
-    sum_a, sum_b, sum_c, sum_d, sum_f, sum_g, sum_h, sum_i, sum_k = ([0] * n for _ in range(9))
+    sum_a, sum_b, sum_c, sum_d, sum_e = ([0] * n for _ in range(5))
+    sum_f, sum_g, sum_h, sum_i, sum_k = ([0] * n for _ in range(5))
     # over u's tuples at distance 1 or 2, of which the edge tuples (adj)
-    # also add to a, b, c, g, i and k
+    # also add to a, b, c, e, g, i, k and acc_uw
     for u, (lo, hi) in enumerate(near):
         du = deg[u]
-        a = b = c = d = f = g = h = k = 0
+        a = b = c = d = e = f = g = h = k = acc_uw = 0
         i = w3x[u]
         for t in range(lo, hi):
             w, x, r, adj = vs[t], p2[t], rev[t], ks[t] == 1
@@ -450,21 +447,22 @@ def cycle7_correction_terms(
                 a += around_c23[w] - c23[r]
                 b += x * (2 * cycle4[w] - p3[r]) - tr1[t] + cc1[t] - 2 * x * (x - 1) + 2 * t_arr[t]
                 c += x * (sq[w] - x * (x - 1) - 2 * (w3[t] - dw - du + 1)) + 2 * t_arr[t]
+                e += p3[t] * (2 * c3[w] - x)
                 g += around_t[w] - t_arr[r] + (2 - du) * x - cc1[t]
                 i -= 2 * x * dw + x * x - 2 * x + cc1[t]
                 k += x * (path2[w] - x - du - dw + 3) - t_arr[t]
-        b -= i + acc_wv[u] + acc_uw[u]
+                acc_uw += x * x * (x - 1)
+        b -= i + acc_wv[u] + acc_uw
         c -= acc_wv[u] + 2 * i
-        sum_a[u], sum_b[u], sum_c[u], sum_d[u], sum_f[u] = a, b, c, d, f
-        sum_g[u], sum_h[u], sum_i[u], sum_k[u] = g, h, i, k
+        d -= acc_uw
+        sum_a[u], sum_b[u], sum_c[u], sum_d[u], sum_e[u] = a, b, c, d, e
+        sum_f[u], sum_g[u], sum_h[u], sum_i[u], sum_k[u] = f, g, h, i, k
 
     letters = {
         "a": [sum_a[u] - 4 * nc.cycle5[u] - nc.tr2[u] for u in range(n)],
         "b": sum_b,
         "c": sum_c,
-        "d": [
-            sum_d[u] - acc_uw[u] - 4 * nc.chordal_cycle_cc1[u] - 4 * nc.tr3[u] for u in range(n)
-        ],
+        "d": [sum_d[u] - 4 * nc.chordal_cycle_cc1[u] - 4 * nc.tr3[u] for u in range(n)],
         "e": [
             sum_e[u]
             - 2 * acc_wv[u]
