@@ -18,7 +18,8 @@ The passes read three inputs, none of which re-intersects a shell:
   TR and the cycle-7 terms read its segments, their linear sums as bulk
   segment sums over gathered columns; only CCX loops over witnesses.  It
   gives CC1(u, v) = T(v, u) on adjacent pairs, as P2 is symmetric and
-  (v, u) has the witnesses of (u, v);
+  (v, u) has the witnesses of (u, v), so CC1 is not stored: a pass reads
+  it as T of the reversed pair;
 * walks over the wide channels (1,2), (2,1) and (2,2), which are never
   stored: only W3 and P22 walk u -> w -> v, reading the nodes near w as
   the slice of the index's ``vs`` column over w's ``TupleIndex.span`` at
@@ -34,7 +35,7 @@ extensions when the index reaches distance 3; see ``index_depth``):
   P22    sum over middle nodes y of P2(u,y) * P2(y,v)
   W4/P4  4-walks / 4-paths u->v
   T      tailed triangles, u the pendant tip, v the far triangle vertex
-  CC1    chordal cycles, u on the chord, v off it        (adjacent pairs)
+  CC1    chordal cycles, u on the chord, v off it: T(v, u) (adjacent pairs)
   CC2    chordal cycles with chord exactly u-v           (adjacent pairs)
   CCX    chordal cycles with u, v the two off-chord vertices
   TR1    triangle-rectangles, u the apex, v on the shared edge (adjacent)
@@ -99,7 +100,9 @@ class PairStats(NamedTuple):
     each tuple's reverse (v, u), every node's span of tuples at distance 1
     or 2 (``near``) and at distance 1 (``edges``, one tuple per
     neighbour), C3, the triangles at every node, and ``deg``, every node's
-    degree."""
+    degree.  The per-pair fields are the passes' outputs, named as in the
+    module docstring; CC1 has none, being ``t[rev[t]]`` on an adjacent
+    tuple t."""
 
     common: WitnessTable
     rev: list[int]
@@ -113,7 +116,6 @@ class PairStats(NamedTuple):
     p4: list[int]
     w4: list[int]
     t: list[int]
-    cc1: list[int]
     cc2: list[int]
     ccx: list[int]
     tr1: list[int]
@@ -223,14 +225,13 @@ def pairwise_w4(idx: TupleIndex, p2: list[int], p22: list[int], deg: list[int]) 
 
 
 def _pairwise_motifs(
-    idx: TupleIndex, cn: WitnessTable, nbr: list[frozenset[int]], rev: list[int], p2: list[int]
-) -> tuple[list[int], list[int], list[int], list[int]]:
-    """T, CC1, CC2 and CCX from the common-neighbour segments and the N1
-    sets ``nbr``; CC1(u, v) is T(v, u) on adjacent pairs."""
+    idx: TupleIndex, cn: WitnessTable, nbr: list[frozenset[int]], p2: list[int]
+) -> tuple[list[int], list[int], list[int]]:
+    """T, CC2 and CCX from the common-neighbour segments and the N1 sets
+    ``nbr``."""
     vs, ks = idx.vs, idx.ks
     tail = cn.sums(map(p2.__getitem__, cn.wv))
     t_arr = [a - x if k == 1 else a for a, x, k in zip(tail, p2, ks)]
-    cc1 = [t_arr[r] if k == 1 else 0 for r, k in zip(rev, ks)]
     cc2 = [x * (x - 1) // 2 if k == 1 else 0 for x, k in zip(p2, ks)]
     # adjacent pairs among the common neighbours, for tuples with two or more
     ccx = [0] * idx.tuple_count
@@ -241,7 +242,7 @@ def _pairwise_motifs(
             ccx[t] = sum(
                 1 for i, w in enumerate(common) for y in common[i + 1 :] if y in nbr[w]
             )
-    return t_arr, cc1, cc2, ccx
+    return t_arr, cc2, ccx
 
 
 def _pairwise_split_cycles(
@@ -252,7 +253,6 @@ def _pairwise_split_cycles(
     p3: list[int],
     p4: list[int],
     t_arr: list[int],
-    cc1: list[int],
     ccx: list[int],
 ) -> tuple[list[int], list[int]]:
     """C23 and C24: the path-product counts minus every coalescence.
@@ -264,8 +264,8 @@ def _pairwise_split_cycles(
       num_d = sum P3(u,x) - m(m-1) - adj * T(u,v)
       num_c = sum P2(u,x) P2(x,v) - adj * (CC1(u,v) + m + CC1(v,u)) - 2 CCX(u,v)
 
-    (on adjacent pairs, CC1(u,v) = sum (P2(u,x) - 1) and T(u,v) = sum
-    (P2(x,v) - 1)).  num_c is a chordal cycle with u, v off the chord;
+    (on adjacent pairs, CC1(u,v) = T(v,u) = sum (P2(u,x) - 1) and T(u,v) =
+    sum (P2(x,v) - 1)).  num_c is a chordal cycle with u, v off the chord;
     each occurrence appears twice, as the chord ends swap roles.  The three
     sums over x are one segment sum.  A tuple off distance 1..2 has no
     witnesses, so both counts are 0 there with no distance test.
@@ -275,8 +275,7 @@ def _pairwise_split_cycles(
     c23 = [m * x - a - t_arr[r] for m, x, a, r in zip(p2, p3, t_arr, rev)]
     # C24 = m * P4 - (num_b + num_c + num_d)
     c24 = [
-        m * x - lin + 2 * m * (m - 1) + 2 * c
-        + (2 * cc1[t] + t_arr[t] + m + cc1[r] if k == 1 else 0)
+        m * x - lin + 2 * m * (m - 1) + 2 * c + (2 * (t_arr[t] + t_arr[r]) + m if k == 1 else 0)
         for t, (m, x, lin, c, r, k) in enumerate(zip(p2, p4, linear, ccx, rev, ks))
     ]
     return c23, c24
@@ -289,7 +288,6 @@ def _pairwise_tr(
     p2: list[int],
     p3: list[int],
     t_arr: list[int],
-    cc1: list[int],
     ccx: list[int],
 ) -> tuple[list[int], list[int]]:
     """TR1 (apex / shared-edge pairs) and TR2 (shared-edge / corner pairs),
@@ -299,10 +297,12 @@ def _pairwise_tr(
         tail_vu * (x - 1) - 2 * c for tail_vu, x, c in zip(map(t_arr.__getitem__, rev), p2, ccx)
     ]
     # TR1 = sum over the common neighbours z of P3(z, v) - (P2(u, z) - 1),
-    # less m(m - 1); the second sum is CC1(u, v)
+    # less m(m - 1); the second sum is CC1(u, v) = T(v, u)
     tr1 = [
         a - b - x * (x - 1) if k == 1 else 0
-        for a, b, x, k in zip(cn.sums(map(p3.__getitem__, cn.wv)), cc1, p2, ks)
+        for a, b, x, k in zip(
+            cn.sums(map(p3.__getitem__, cn.wv)), map(t_arr.__getitem__, rev), p2, ks
+        )
     ]
     return tr1, tr2
 
@@ -324,12 +324,11 @@ def compute_pair_stats(idx: TupleIndex) -> PairStats:
     p22 = pairwise_p22(idx, p2, near)
     p4 = pairwise_p4(idx, cn, p2, p22, c3, deg)
     w4 = pairwise_w4(idx, p2, p22, deg)
-    t_arr, cc1, cc2, ccx = _pairwise_motifs(idx, cn, nbr, rev, p2)
-    c23, c24 = _pairwise_split_cycles(idx, cn, rev, p2, p3, p4, t_arr, cc1, ccx)
-    tr1, tr2 = _pairwise_tr(idx, cn, rev, p2, p3, t_arr, cc1, ccx)
+    t_arr, cc2, ccx = _pairwise_motifs(idx, cn, nbr, p2)
+    c23, c24 = _pairwise_split_cycles(idx, cn, rev, p2, p3, p4, t_arr, ccx)
+    tr1, tr2 = _pairwise_tr(idx, cn, rev, p2, p3, t_arr, ccx)
     return PairStats(
-        cn, rev, near, edges, c3, p2, w3, p3, p22, p4, w4, t_arr, cc1, cc2, ccx, tr1, tr2, c23,
-        c24, deg
+        cn, rev, near, edges, c3, p2, w3, p3, p22, p4, w4, t_arr, cc2, ccx, tr1, tr2, c23, c24, deg
     )
 
 
@@ -343,26 +342,14 @@ def node_walks(g: Graph, k: int) -> list[int]:
     return walks
 
 
-class NodeCounts(NamedTuple):
-    """Per-node counts of the catalog, one field per motif under its
-    catalog name (cycle7 is None on an index shallower than it reads)."""
+class NodeCounts(
+    NamedTuple("NodeCounts", [("n", int), ("d", int), *((m, list) for m in GRAPH_LEVEL_FACTOR)])
+):
+    """Per-node counts: ``n``, ``d`` and one field per ``GRAPH_LEVEL_FACTOR``
+    motif, under its catalog name and in report order (cycle7 is None on
+    an index shallower than it reads)."""
 
-    n: int
-    d: int
-    cycle3: list[int]
-    cycle4: list[int]
-    cycle5: list[int]
-    cycle6: list[int]
-    path2: list[int]
-    path3: list[int]
-    path4: list[int]
-    tailed_triangle: list[int]
-    chordal_cycle_cc1: list[int]
-    chordal_cycle_cc2: list[int]
-    tr1: list[int]
-    tr2: list[int]
-    tr3: list[int]
-    cycle7: list[int] | None
+    __slots__ = ()
 
     def by_name(self, name: str) -> list[int]:
         check_motifs(self.d, [name])
@@ -407,7 +394,7 @@ def cycle7_correction_terms(
     vs, ks = idx.vs, idx.ks
     starts, _, wv_ids = s.common
     rev = s.rev
-    p2, w3, p3, p4, c23, t_arr, cc1, tr1 = s.p2, s.w3, s.p3, s.p4, s.c23, s.t, s.cc1, s.tr1
+    p2, w3, p3, p4, c23, t_arr, tr1 = s.p2, s.w3, s.p3, s.p4, s.c23, s.t, s.tr1
     near, edges, deg, c3 = s.near, s.edges, s.deg, s.c3
     # adjacent[u] is the entry range of the witnesses of node u's edge tuples
     adjacent = [(starts[a], starts[b]) for a, b in edges]
@@ -445,11 +432,11 @@ def cycle7_correction_terms(
             h += t_arr[t] * (dw - adj)
             if adj:
                 a += around_c23[w] - c23[r]
-                b += x * (2 * cycle4[w] - p3[r]) - tr1[t] + cc1[t] - 2 * x * (x - 1) + 2 * t_arr[t]
+                b += x * (2 * cycle4[w] - p3[r]) - tr1[t] + t_arr[r] - 2 * x * (x - 1) + 2 * t_arr[t]
                 c += x * (sq[w] - x * (x - 1) - 2 * (w3[t] - dw - du + 1)) + 2 * t_arr[t]
                 e += p3[t] * (2 * c3[w] - x)
-                g += around_t[w] - t_arr[r] + (2 - du) * x - cc1[t]
-                i -= 2 * x * dw + x * x - 2 * x + cc1[t]
+                g += around_t[w] - 2 * t_arr[r] + (2 - du) * x
+                i -= 2 * x * dw + x * x - 2 * x + t_arr[r]
                 k += x * (path2[w] - x - du - dw + 3) - t_arr[t]
                 acc_uw += x * x * (x - 1)
         b -= i + acc_wv[u] + acc_uw
@@ -509,8 +496,9 @@ def compute_node_counts(idx: TupleIndex) -> NodeCounts:
     tailed = [
         sum(map(cycle3.__getitem__, nbrs)) - 2 * c for nbrs, c in zip(g.adjacency, cycle3)
     ]
-    cc1_node = [exact_quotient(x, 2, "chordal_cycle_cc1") for x in toward(stats.cc1)]
-    cc2_node = [exact_quotient(x, 2, "chordal_cycle_cc2") for x in _around(stats.cc1, edges)]
+    # CC1(v, u) = T(u, v) on u's edges, and CC1(u, v) = T(v, u)
+    cc1_node = [exact_quotient(x, 2, "chordal_cycle_cc1") for x in _around(stats.t, edges)]
+    cc2_node = [exact_quotient(x, 2, "chordal_cycle_cc2") for x in toward(stats.t)]
     if cc2_node != _around(stats.cc2, edges):
         raise InvariantError("chordal-cycle aggregation routes disagree")
 

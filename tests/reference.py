@@ -31,7 +31,7 @@ from drfwl.graph import Graph, khop
 from drfwl.tuples import TupleIndex, build_index
 
 PAIR_FIELDS = (
-    "p2", "w3", "p3", "p22", "p4", "w4", "t", "cc1", "cc2", "ccx", "tr1", "tr2", "c23", "c24"
+    "p2", "w3", "p3", "p22", "p4", "w4", "t", "cc2", "ccx", "tr1", "tr2", "c23", "c24"
 )
 
 
@@ -461,8 +461,9 @@ def _pairwise_tr(
 
 
 def pair_stats(idx: TupleIndex) -> SimpleNamespace:
-    """Every pairwise pass in dependency order; one attribute per field of
-    drfwl.counting.PairStats (PAIR_FIELDS)."""
+    """Every pairwise pass in dependency order; one attribute per per-pair
+    field of drfwl.counting.PairStats (PAIR_FIELDS), plus ``cc1``, which
+    the runtime reads as T of the reversed pair instead of storing it."""
     p2 = pairwise_p2(idx)
     c3 = node_triangles(idx, p2)
     w3 = pairwise_w3(idx, p2)

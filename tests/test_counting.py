@@ -24,7 +24,7 @@ from drfwl.counting import (
     pairwise_p2,
 )
 from drfwl.errors import CapabilityError, InvariantError, exact_quotient
-from drfwl.graph import gen_cycle, gen_erdos_renyi
+from drfwl.graph import gen_cycle, gen_erdos_renyi, gen_random_regular
 from drfwl.tuples import build_index
 
 ALL_MOTIFS = check_motifs(2)
@@ -87,7 +87,7 @@ class TestPairwise:
                     want = 0  # positions are adjacent; off-range pairs hold 0
                 assert pair_kind_value(s, kind, t) == want, (kind, u, v)
             if k == 1:
-                assert s.cc1[t] == oracle_pair_count(g, "CC1", u, v)
+                assert s.t[s.rev[t]] == oracle_pair_count(g, "CC1", u, v)
                 assert s.tr1[t] == oracle_pair_count(g, "TR1", u, v)
             assert s.tr2[t] == oracle_pair_count(g, "TR2", u, v)
 
@@ -104,6 +104,32 @@ class TestPairwise:
                 assert arr[t] == arr[rt]
             assert s.p3[t] <= s.w3[t]
             assert s.p4[t] <= s.w4[t]
+
+    def test_pair_stats_keep_no_mirrored_copy(self):
+        # no per-tuple field is another one, read directly or through rev, on
+        # every adjacent tuple: each pair fact is stored once
+        graphs = (gen_erdos_renyi(40, 0.15, 1), gen_erdos_renyi(30, 0.3, 2))
+        graphs += (gen_random_regular(50, 4, 3),)
+        copies = []
+        for g in graphs:
+            for d in (2, 3):
+                idx = build_index(g, d)
+                s = compute_pair_stats(idx)
+                fields = {
+                    name: value
+                    for name, value in s._asdict().items()
+                    if name != "rev" and isinstance(value, list) and len(value) == idx.tuple_count
+                }
+                adjacent = [t for t, k in enumerate(idx.ks) if k == 1]
+                copies.append({
+                    (a, b, via)
+                    for a, xs in fields.items()
+                    for b, ys in fields.items()
+                    if a != b
+                    for via, ids in (("direct", range(idx.tuple_count)), ("rev", s.rev))
+                    if all(xs[t] == ys[ids[t]] for t in adjacent)
+                })
+        assert set.intersection(*copies) == set()
 
 
 class TestNodeCounts:

@@ -10,8 +10,9 @@ paper's key, one multiset per channel (i, j), must give the same
 partition, rounds and class counts.  The counting passes, which read a
 common-neighbour table and walk the wide channels, must reproduce every
 PairStats field of the per-tuple ``intersect`` reference at d = 2, 3 and
-4, and every cycle-7 term at d = 3 and 4; the closed-form cycle-7 terms
-refuse a d = 2 index, whose terms would be truncated.
+4, read the reference's CC1 as T of the reversed pair, and reproduce
+every cycle-7 term at d = 3 and 4; the closed-form cycle-7 terms refuse
+a d = 2 index, whose terms would be truncated.
 """
 from __future__ import annotations
 
@@ -257,6 +258,8 @@ def _check_counting(g: Graph, d: int) -> None:
     expected = reference.pair_stats(idx)
     for field in reference.PAIR_FIELDS:
         assert getattr(stats, field) == getattr(expected, field), field
+    # the runtime keeps no CC1: it is T of the reversed pair on adjacent pairs
+    assert expected.cc1 == [stats.t[r] if k == 1 else 0 for r, k in zip(stats.rev, idx.ks)]
     counts = compute_node_counts(idx)
     if d < 3:
         with pytest.raises(CapabilityError, match="cycle7 counts need d >= 3"):
