@@ -14,11 +14,12 @@ Writes, under tests/golden/:
   unit order.  A certificate is only a histogram, so on an asymmetric
   graph (every unit its own class) it cannot see a relabelled colouring;
   these lines can;
-* ``outputs/<name>.json`` — the exact stdout of ``count --d 2``,
-  ``count --d 3`` and ``count --d 4`` on every graph (``count`` builds its
-  index only as far as its motifs read, so d=4 prints the d=3 bytes; the
-  distance-3 and distance-4 branches of the W3 and P22 passes are checked
-  in process by tests/test_reference.py) and ``distinguish`` on every pair;
+* ``outputs/<name>.json`` — the exact stdout of ``count --d 2`` and
+  ``count --d 3`` on every graph and ``distinguish`` on every pair.
+  ``count`` builds its index only as far as its motifs read, so a deeper
+  --d prints the d=3 bytes, which tests/test_count_depth.py checks on the
+  same graphs; the distance-3 and distance-4 branches of the W3 and P22
+  passes are checked in process by tests/test_reference.py;
 * ``manifest.json`` — the CLI arguments behind each output file.
 
 The variant dispatch and the colouring line come from
@@ -138,7 +139,7 @@ def main() -> int:
 
     outputs = {}
     for name in graphs:
-        for d in (2, 3, 4):
+        for d in (2, 3):
             outputs[f"count-{name}-d{d}"] = ["count", "--d", str(d), _graph_path(name)]
     for pair, (a, b) in PAIRS.items():
         for variant, spec in VARIANTS.items():

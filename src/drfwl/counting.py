@@ -5,7 +5,8 @@ slot per indexed pair and reads only earlier passes, so a wrong count
 localizes to one formula.  Everything is exact integer arithmetic, and
 every division of a count goes through ``errors.exact_quotient``: a
 remainder raises InvariantError naming the motif.  The one exception is a
-binomial coefficient, CC2's x(x - 1)/2, which cannot leave a remainder.
+binomial coefficient, C(P2, 2) in the chordal-cycle cross-check of
+``compute_node_counts``, which cannot leave a remainder.
 
 The passes read three inputs, none of which re-intersects a shell:
 
@@ -28,15 +29,16 @@ The passes read three inputs, none of which re-intersects a shell:
   distance 3, are node sums of the pair statistics instead.
 
 Pairwise quantities (pairs (u, v) at distance 1..2, plus the noted distance-3
-extensions when the index reaches distance 3; see ``index_depth``):
+extensions when the index reaches distance 3; see ``index_depth``), with
+adj = [u ~ v]; W3, W4 and CC2 are not stored, as the stored fields give them:
 
   P2     2-paths u->v, i.e. |N1(u) & N1(v)|
-  W3/P3  3-walks / 3-paths u->v
+  P3     3-paths u->v: the 3-walks W3 less adj * (deg u + deg v - 1)
   P22    sum over middle nodes y of P2(u,y) * P2(y,v)
-  W4/P4  4-walks / 4-paths u->v
+  P4     4-paths u->v (4-walks W4 = P22 + (deg u + deg v) * P2: path4 only)
   T      tailed triangles, u the pendant tip, v the far triangle vertex
   CC1    chordal cycles, u on the chord, v off it: T(v, u) (adjacent pairs)
-  CC2    chordal cycles with chord exactly u-v           (adjacent pairs)
+  CC2    chordal cycles with chord exactly u-v: adj * C(P2, 2)
   CCX    chordal cycles with u, v the two off-chord vertices
   TR1    triangle-rectangles, u the apex, v on the shared edge (adjacent)
   TR2    triangle-rectangles, u on the shared edge, v the opposite corner
@@ -101,8 +103,9 @@ class PairStats(NamedTuple):
     or 2 (``near``) and at distance 1 (``edges``, one tuple per
     neighbour), C3, the triangles at every node, and ``deg``, every node's
     degree.  The per-pair fields are the passes' outputs, named as in the
-    module docstring; CC1 has none, being ``t[rev[t]]`` on an adjacent
-    tuple t."""
+    module docstring, each fact stored once: CC1 is ``t[rev[t]]`` on an
+    adjacent tuple t, and W3, W4 and CC2, functions of the stored fields
+    and the degrees, have no field either."""
 
     common: WitnessTable
     rev: list[int]
@@ -110,13 +113,10 @@ class PairStats(NamedTuple):
     edges: Spans
     c3: list[int]
     p2: list[int]
-    w3: list[int]
     p3: list[int]
     p22: list[int]
     p4: list[int]
-    w4: list[int]
     t: list[int]
-    cc2: list[int]
     ccx: list[int]
     tr1: list[int]
     tr2: list[int]
@@ -226,13 +226,12 @@ def pairwise_w4(idx: TupleIndex, p2: list[int], p22: list[int], deg: list[int]) 
 
 def _pairwise_motifs(
     idx: TupleIndex, cn: WitnessTable, nbr: list[frozenset[int]], p2: list[int]
-) -> tuple[list[int], list[int], list[int]]:
-    """T, CC2 and CCX from the common-neighbour segments and the N1 sets
+) -> tuple[list[int], list[int]]:
+    """T and CCX from the common-neighbour segments and the N1 sets
     ``nbr``."""
-    vs, ks = idx.vs, idx.ks
+    vs = idx.vs
     tail = cn.sums(map(p2.__getitem__, cn.wv))
-    t_arr = [a - x if k == 1 else a for a, x, k in zip(tail, p2, ks)]
-    cc2 = [x * (x - 1) // 2 if k == 1 else 0 for x, k in zip(p2, ks)]
+    t_arr = [a - x if k == 1 else a for a, x, k in zip(tail, p2, idx.ks)]
     # adjacent pairs among the common neighbours, for tuples with two or more
     ccx = [0] * idx.tuple_count
     starts, uw = cn.starts, cn.uw
@@ -242,7 +241,7 @@ def _pairwise_motifs(
             ccx[t] = sum(
                 1 for i, w in enumerate(common) for y in common[i + 1 :] if y in nbr[w]
             )
-    return t_arr, cc2, ccx
+    return t_arr, ccx
 
 
 def _pairwise_split_cycles(
@@ -309,7 +308,7 @@ def _pairwise_tr(
 
 def compute_pair_stats(idx: TupleIndex) -> PairStats:
     """Build the common-neighbour table, the reverse ids and every node's
-    spans, then run every pairwise pass in dependency order."""
+    spans, then run every pairwise pass in dependency order (W3 feeds P3)."""
     check_motifs(idx.d)
     rows, nbr = idx.rows, idx.graph.neighbor_sets()
     cn = common_neighbours(idx, nbr)
@@ -319,17 +318,13 @@ def compute_pair_stats(idx: TupleIndex) -> PairStats:
     deg = idx.graph.degrees()
     p2 = pairwise_p2(idx, cn)
     c3 = node_triangles(p2, edges)
-    w3 = pairwise_w3(idx, p2, near, deg)
-    p3 = pairwise_p3(idx, w3, deg)
+    p3 = pairwise_p3(idx, pairwise_w3(idx, p2, near, deg), deg)
     p22 = pairwise_p22(idx, p2, near)
     p4 = pairwise_p4(idx, cn, p2, p22, c3, deg)
-    w4 = pairwise_w4(idx, p2, p22, deg)
-    t_arr, cc2, ccx = _pairwise_motifs(idx, cn, nbr, p2)
+    t_arr, ccx = _pairwise_motifs(idx, cn, nbr, p2)
     c23, c24 = _pairwise_split_cycles(idx, cn, rev, p2, p3, p4, t_arr, ccx)
     tr1, tr2 = _pairwise_tr(idx, cn, rev, p2, p3, t_arr, ccx)
-    return PairStats(
-        cn, rev, near, edges, c3, p2, w3, p3, p22, p4, w4, t_arr, cc2, ccx, tr1, tr2, c23, c24, deg
-    )
+    return PairStats(cn, rev, near, edges, c3, p2, p3, p22, p4, t_arr, ccx, tr1, tr2, c23, c24, deg)
 
 
 def node_walks(g: Graph, k: int) -> list[int]:
@@ -382,7 +377,9 @@ def cycle7_correction_terms(
       (``_around``) less its term at v = u;
     * a triple overlap |N1(u) & N1(v) & N1(w)|, summed over v, is a sum
       over the common neighbours of u and w, which are the witnesses of
-      u's edge tuples (``acc_wv``, ``w3x``);
+      u's edge tuples (``acc_wv``, ``p3x``); family i sums the 3-walks
+      W3(y, w) = P3(y, w) + deg y + deg w - 1 over them, where the deg y
+      sum is that of x * deg w over u's edge tuples (y and w swap roles);
     * a sum over the witnesses w of u's tuples (u, v) of a term of (u, w),
       summed over v first, is a sum over u's edge tuples (u, w): w
       witnesses (u, v) for every v in N1(w) - {u}, x of which are u's
@@ -394,7 +391,7 @@ def cycle7_correction_terms(
     vs, ks = idx.vs, idx.ks
     starts, _, wv_ids = s.common
     rev = s.rev
-    p2, w3, p3, p4, c23, t_arr, tr1 = s.p2, s.w3, s.p3, s.p4, s.c23, s.t, s.tr1
+    p2, p3, p4, c23, t_arr, tr1 = s.p2, s.p3, s.p4, s.c23, s.t, s.tr1
     near, edges, deg, c3 = s.near, s.edges, s.deg, s.c3
     # adjacent[u] is the entry range of the witnesses of node u's edge tuples
     adjacent = [(starts[a], starts[b]) for a, b in edges]
@@ -406,9 +403,9 @@ def cycle7_correction_terms(
     prod34 = [
         sum(map(mul, p3[a:b], p4[a:b])) for a, b in (idx.span(u, 1, 3) for u in range(n))
     ]
-    # adjacent v: sums of P2(w,v)(P2(w,v)-1) and W3(w,v) over common w
+    # adjacent v: sums of P2(w,v)(P2(w,v)-1) and P3(w,v) over common w
     acc_wv = [squares(wv_ids[a:b]) for a, b in adjacent]
-    w3x = [sum(map(w3.__getitem__, wv_ids[a:b])) for a, b in adjacent]
+    p3x = [sum(map(p3.__getitem__, wv_ids[a:b])) for a, b in adjacent]
     # node totals of w over its tuples at distance 1 or 2; path2 is that of
     # P2, and 2 C4(w) is that of P3 over w's edges
     around_t, around_c23 = _around(t_arr, near), _around(c23, near)
@@ -422,7 +419,7 @@ def cycle7_correction_terms(
     for u, (lo, hi) in enumerate(near):
         du = deg[u]
         a = b = c = d = e = f = g = h = k = acc_uw = 0
-        i = w3x[u]
+        i = p3x[u]
         for t in range(lo, hi):
             w, x, r, adj = vs[t], p2[t], rev[t], ks[t] == 1
             dw = deg[w]
@@ -433,10 +430,10 @@ def cycle7_correction_terms(
             if adj:
                 a += around_c23[w] - c23[r]
                 b += x * (2 * cycle4[w] - p3[r]) - tr1[t] + t_arr[r] - 2 * x * (x - 1) + 2 * t_arr[t]
-                c += x * (sq[w] - x * (x - 1) - 2 * (w3[t] - dw - du + 1)) + 2 * t_arr[t]
+                c += x * (sq[w] - x * (x - 1) - 2 * p3[t]) + 2 * t_arr[t]
                 e += p3[t] * (2 * c3[w] - x)
                 g += around_t[w] - 2 * t_arr[r] + (2 - du) * x
-                i -= 2 * x * dw + x * x - 2 * x + t_arr[r]
+                i -= x * (x - 1) + t_arr[r]
                 k += x * (path2[w] - x - du - dw + 3) - t_arr[t]
                 acc_uw += x * x * (x - 1)
         b -= i + acc_wv[u] + acc_uw
@@ -487,9 +484,8 @@ def compute_node_counts(idx: TupleIndex) -> NodeCounts:
     cycle4 = [exact_quotient(x, 2, "cycle4") for x in _around(stats.p3, edges)]
     cycle5 = [exact_quotient(x, 2, "cycle5") for x in _around(stats.p4, edges)]
     cycle6 = [exact_quotient(x, 2, "cycle6") for x in _around(stats.c24, near)]
-    path2, path3, path4 = (_around(x, near) for x in (stats.p2, stats.p3, stats.p4))
-    near_w3 = _around(stats.w3, near)  # sum of W3(u, v) over v at distance 1..2
-    near_w4 = _around(stats.w4, near)
+    path2, path4 = _around(stats.p2, near), _around(stats.p4, near)
+    near_w4 = _around(pairwise_w4(idx, stats.p2, stats.p22, deg), near)  # W4(u, v), v near u
     tr3 = toward(stats.tr2, near)
 
     # the sum of P2 over u's edges is 2 C3(u)
@@ -499,7 +495,7 @@ def compute_node_counts(idx: TupleIndex) -> NodeCounts:
     # CC1(v, u) = T(u, v) on u's edges, and CC1(u, v) = T(v, u)
     cc1_node = [exact_quotient(x, 2, "chordal_cycle_cc1") for x in _around(stats.t, edges)]
     cc2_node = [exact_quotient(x, 2, "chordal_cycle_cc2") for x in toward(stats.t)]
-    if cc2_node != _around(stats.cc2, edges):
+    if cc2_node != [sum(x * (x - 1) // 2 for x in stats.p2[lo:hi]) for lo, hi in edges]:
         raise InvariantError("chordal-cycle aggregation routes disagree")
 
     tr1_node = [exact_quotient(x, 2, "tr1") for x in _around(stats.tr1, edges)]
@@ -507,12 +503,15 @@ def compute_node_counts(idx: TupleIndex) -> NodeCounts:
     if tr2_node != _around(stats.tr2, near):
         raise InvariantError("triangle-rectangle aggregation routes disagree")
 
-    w3_node = node_walks(g, 3)
+    # the k-walks from u; a 3-walk is a path unless it closes a triangle,
+    # is back at u after two steps (deg^2) or at its first node after three
+    # (W2), and deg(u) walks u-v-u-v do both
+    w2_node = node_walks(g, 2)
+    w3_node = [sum(map(w2_node.__getitem__, nbrs)) for nbrs in g.adjacency]
     w4_node = [sum(map(w3_node.__getitem__, nbrs)) for nbrs in g.adjacency]
+    path3 = [a - 2 * c - x * x - b + x for a, c, x, b in zip(w3_node, cycle3, deg, w2_node)]
     for u in range(n):
-        path3[u] += w3_node[u] - 2 * cycle3[u] - near_w3[u]
-        closed4 = 2 * cycle4[u] + deg[u] * deg[u] + path2[u]
-        path4[u] += w4_node[u] - closed4 - near_w4[u]
+        path4[u] += w4_node[u] - 2 * cycle4[u] - deg[u] * deg[u] - path2[u] - near_w4[u]
 
     counts = NodeCounts(
         n=n,

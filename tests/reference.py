@@ -25,6 +25,7 @@ from __future__ import annotations
 from types import SimpleNamespace
 from typing import Iterable, Sequence
 
+from drfwl import counting
 from drfwl.counting import NodeCounts
 from drfwl.errors import exact_quotient
 from drfwl.graph import Graph, khop
@@ -33,6 +34,18 @@ from drfwl.tuples import TupleIndex, build_index
 PAIR_FIELDS = (
     "p2", "w3", "p3", "p22", "p4", "w4", "t", "cc2", "ccx", "tr1", "tr2", "c23", "c24"
 )
+
+
+def runtime_pair_fields(idx: TupleIndex, s: counting.PairStats) -> dict[str, list[int]]:
+    """Every PAIR_FIELDS field of the runtime's PairStats ``s``, in that
+    order.  W3, W4 and CC2 have no field there: they come from the
+    runtime's W3 and W4 passes and from C(P2, 2) on adjacent pairs."""
+    derived = {
+        "w3": counting.pairwise_w3(idx, s.p2, s.near, s.deg),
+        "w4": counting.pairwise_w4(idx, s.p2, s.p22, s.deg),
+        "cc2": [x * (x - 1) // 2 if k == 1 else 0 for x, k in zip(s.p2, idx.ks)],
+    }
+    return {f: derived[f] if f in derived else getattr(s, f) for f in PAIR_FIELDS}
 
 
 def pair_id(idx: TupleIndex) -> dict[tuple[int, int], int]:
@@ -461,9 +474,9 @@ def _pairwise_tr(
 
 
 def pair_stats(idx: TupleIndex) -> SimpleNamespace:
-    """Every pairwise pass in dependency order; one attribute per per-pair
-    field of drfwl.counting.PairStats (PAIR_FIELDS), plus ``cc1``, which
-    the runtime reads as T of the reversed pair instead of storing it."""
+    """Every pairwise pass in dependency order; one attribute per
+    PAIR_FIELDS field, plus ``cc1``, which the runtime reads as T of the
+    reversed pair instead of storing it."""
     p2 = pairwise_p2(idx)
     c3 = node_triangles(idx, p2)
     w3 = pairwise_w3(idx, p2)

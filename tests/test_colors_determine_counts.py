@@ -26,7 +26,7 @@ from drfwl.counting import compute_node_counts, compute_pair_stats
 from drfwl.graph import Graph, gen_cycle, gen_disjoint_union, gen_random_regular
 from drfwl.refine import _refine_multi
 from drfwl.tuples import build_index
-from reference import PAIR_FIELDS, admissible_triples
+from reference import admissible_triples, runtime_pair_fields
 
 CYCLES = ("cycle3", "cycle4", "cycle5", "cycle6")
 
@@ -73,14 +73,14 @@ def _node_colors(colors: list[list[int]], indexes) -> list[list[int]]:
 
 def _check(gs: list[Graph], d: int, mask=None) -> dict[str, int]:
     """Violations of colour determination in the lockstep run of ``gs`` at
-    ``d``: of the PairStats fields, of cycle3..cycle6, and of cycle7 (its
-    counts from a d=3 index, whatever ``d`` is)."""
+    ``d``: of the pair fields (``runtime_pair_fields``), of cycle3..cycle6,
+    and of cycle7 (its counts from a d=3 index, whatever ``d`` is)."""
     colors, _, _ = _refine_multi(gs, "drfwl", d, mask)
     indexes = [build_index(g, d) for g in gs]
     pair_values, node_values, cycle7 = [], [], []
     for g, idx in zip(gs, indexes):
         stats = compute_pair_stats(idx)
-        pair_values.append(list(zip(*(getattr(stats, f) for f in PAIR_FIELDS))))
+        pair_values.append(list(zip(*runtime_pair_fields(idx, stats).values())))
         counts = compute_node_counts(idx)
         node_values.append(list(zip(*(getattr(counts, name) for name in CYCLES))))
         cycle7.append(compute_node_counts(build_index(g, 3)).cycle7)

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from conftest import small_graphs
 from graph_helpers import gen_complete, gen_path, gen_petersen, gen_star
 from pair_oracle import oracle_pair_count, walk_matrix_power
+from reference import runtime_pair_fields
 from drfwl import oracle
 from drfwl.counting import (
     GRAPH_LEVEL_FACTOR,
@@ -22,6 +23,7 @@ from drfwl.counting import (
     graph_level,
     node_walks,
     pairwise_p2,
+    pairwise_w4,
 )
 from drfwl.errors import CapabilityError, InvariantError, exact_quotient
 from drfwl.graph import gen_cycle, gen_erdos_renyi, gen_random_regular
@@ -29,20 +31,6 @@ from drfwl.tuples import build_index
 
 ALL_MOTIFS = check_motifs(2)
 PAIR_KINDS = ("P2", "P3", "P4", "W3", "W4", "T", "CC2", "C23", "C24")
-
-
-def pair_kind_value(stats, kind, t):
-    return {
-        "P2": stats.p2,
-        "P3": stats.p3,
-        "P4": stats.p4,
-        "W3": stats.w3,
-        "W4": stats.w4,
-        "T": stats.t,
-        "CC2": stats.cc2,
-        "C23": stats.c23,
-        "C24": stats.c24,
-    }[kind][t]
 
 
 class TestPairwise:
@@ -59,10 +47,10 @@ class TestPairwise:
         idx = build_index(gen_cycle(6), 2)
         s = compute_pair_stats(idx)
         assert s.p3[idx.rows[0][1]] == 0
-        assert s.w4[idx.rows[0][2]] == 5
+        assert pairwise_w4(idx, s.p2, s.p22, s.deg)[idx.rows[0][2]] == 5
         k4 = build_index(gen_complete(4), 2)
         sk = compute_pair_stats(k4)
-        assert sk.w4[k4.rows[0][1]] == 20
+        assert pairwise_w4(k4, sk.p2, sk.p22, sk.deg)[k4.rows[0][1]] == 20
         assert sk.p4[k4.rows[0][1]] == 0
         c5 = build_index(gen_cycle(5), 2)
         sc = compute_pair_stats(c5)
@@ -78,6 +66,7 @@ class TestPairwise:
         g = gen_erdos_renyi(14, 0.3, seed)
         idx = build_index(g, 2)
         s = compute_pair_stats(idx)
+        fields = runtime_pair_fields(idx, s)
         for t, (u, v, k) in enumerate(zip(idx.us, idx.vs, idx.ks)):
             if k == 0:
                 continue
@@ -85,7 +74,7 @@ class TestPairwise:
                 want = oracle_pair_count(g, kind, u, v)
                 if kind == "CC2" and k == 2:
                     want = 0  # positions are adjacent; off-range pairs hold 0
-                assert pair_kind_value(s, kind, t) == want, (kind, u, v)
+                assert fields[kind.lower()][t] == want, (kind, u, v)
             if k == 1:
                 assert s.t[s.rev[t]] == oracle_pair_count(g, "CC1", u, v)
                 assert s.tr1[t] == oracle_pair_count(g, "TR1", u, v)
@@ -95,19 +84,22 @@ class TestPairwise:
     @given(small_graphs())
     def test_symmetries(self, g):
         idx = build_index(g, 2)
-        s = compute_pair_stats(idx)
+        f = runtime_pair_fields(idx, compute_pair_stats(idx))
         for t, (u, v, k) in enumerate(zip(idx.us, idx.vs, idx.ks)):
             if k == 0:
                 continue
             rt = idx.rows[v][u]
-            for arr in (s.p2, s.p3, s.p4, s.w3, s.w4, s.c23, s.c24, s.cc2, s.ccx):
-                assert arr[t] == arr[rt]
-            assert s.p3[t] <= s.w3[t]
-            assert s.p4[t] <= s.w4[t]
+            for name in ("p2", "p3", "p4", "w3", "w4", "c23", "c24", "cc2", "ccx"):
+                assert f[name][t] == f[name][rt]
+            assert f["p3"][t] <= f["w3"][t]
+            assert f["p4"][t] <= f["w4"][t]
 
     def test_pair_stats_keep_no_mirrored_copy(self):
         # no per-tuple field is another one, read directly or through rev, on
-        # every adjacent tuple: each pair fact is stored once
+        # every adjacent tuple, nor, on every tuple, a form of the others and
+        # the degrees that its readers can build: adj * C(P2, 2) (CC2),
+        # P3 + adj * (deg u + deg v - 1) (W3) or P22 + (deg u + deg v) * P2
+        # (W4); each pair fact is stored once
         graphs = (gen_erdos_renyi(40, 0.15, 1), gen_erdos_renyi(30, 0.3, 2))
         graphs += (gen_random_regular(50, 4, 3),)
         copies = []
@@ -121,6 +113,15 @@ class TestPairwise:
                     if name != "rev" and isinstance(value, list) and len(value) == idx.tuple_count
                 }
                 adjacent = [t for t, k in enumerate(idx.ks) if k == 1]
+                adj = [k == 1 for k in idx.ks]
+                degs = [s.deg[u] + s.deg[v] for u, v in zip(idx.us, idx.vs)]
+                derived = {
+                    "adj * C(P2, 2)": [a * x * (x - 1) // 2 for a, x in zip(adj, s.p2)],
+                    "P3 + adj * (deg u + deg v - 1)": [
+                        x + a * (e - 1) for x, a, e in zip(s.p3, adj, degs)
+                    ],
+                    "P22 + (deg u + deg v) * P2": [y + e * x for y, e, x in zip(s.p22, degs, s.p2)],
+                }
                 copies.append({
                     (a, b, via)
                     for a, xs in fields.items()
@@ -128,6 +129,11 @@ class TestPairwise:
                     if a != b
                     for via, ids in (("direct", range(idx.tuple_count)), ("rev", s.rev))
                     if all(xs[t] == ys[ids[t]] for t in adjacent)
+                } | {
+                    (a, form, "derived")
+                    for a, xs in fields.items()
+                    for form, ys in derived.items()
+                    if xs == ys
                 })
         assert set.intersection(*copies) == set()
 

@@ -9,10 +9,11 @@ The runtime d-DRFWL(2) merges a tuple's witnesses into one multiset; the
 paper's key, one multiset per channel (i, j), must give the same
 partition, rounds and class counts.  The counting passes, which read a
 common-neighbour table and walk the wide channels, must reproduce every
-PairStats field of the per-tuple ``intersect`` reference at d = 2, 3 and
-4, read the reference's CC1 as T of the reversed pair, and reproduce
-every cycle-7 term at d = 3 and 4; the closed-form cycle-7 terms refuse
-a d = 2 index, whose terms would be truncated.
+pair field of the per-tuple ``intersect`` reference at d = 2, 3 and 4
+(W3, W4 and CC2 from the runtime passes and C(P2, 2), as PairStats keeps
+none of them), read the reference's CC1 as T of the reversed pair, and
+reproduce every cycle-7 term at d = 3 and 4; the closed-form cycle-7
+terms refuse a d = 2 index, whose terms would be truncated.
 """
 from __future__ import annotations
 
@@ -256,8 +257,8 @@ def _check_counting(g: Graph, d: int) -> None:
     idx = build_index(g, d)
     stats = compute_pair_stats(idx)
     expected = reference.pair_stats(idx)
-    for field in reference.PAIR_FIELDS:
-        assert getattr(stats, field) == getattr(expected, field), field
+    for field, values in reference.runtime_pair_fields(idx, stats).items():
+        assert values == getattr(expected, field), field
     # the runtime keeps no CC1: it is T of the reversed pair on adjacent pairs
     assert expected.cc1 == [stats.t[r] if k == 1 else 0 for r, k in zip(stats.rev, idx.ks)]
     counts = compute_node_counts(idx)
