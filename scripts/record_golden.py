@@ -17,9 +17,10 @@ Writes, under tests/golden/:
 * ``outputs/<name>.json`` — the exact stdout of ``count --d 2`` and
   ``count --d 3`` on every graph and ``distinguish`` on every pair.
   ``count`` builds its index only as far as its motifs read, so a deeper
-  --d prints the d=3 bytes, which tests/test_count_depth.py checks on the
-  same graphs; the distance-3 and distance-4 branches of the W3 and P22
-  passes are checked in process by tests/test_reference.py;
+  --d prints the d=3 bytes, which tests/test_golden.py (at d=4) and
+  tests/test_count_depth.py (at d=2..6) check on the same graphs; the
+  distance-3 and distance-4 branches of the W3 and P22 passes are checked
+  in process by tests/test_reference.py;
 * ``manifest.json`` — the CLI arguments behind each output file.
 
 The variant dispatch and the colouring line come from
