@@ -7,13 +7,15 @@ For random 4-regular graphs (seed 0) at n=2000 d=2 and n=1000 d=3, a fresh
 interpreter builds the index once, then runs ``compute_pair_stats`` and
 ``compute_node_counts`` five times each; the second computes the pair
 statistics itself, so its time covers the whole counting pipeline.  The
-script prints the median time of each and the child's peak RSS
+script prints the median time of each, the tracemalloc peak of one more,
+untimed ``compute_node_counts`` call (what the counting pipeline allocates
+above the index, in units of 10^6 bytes), and the child's peak RSS
 (``ru_maxrss``), which covers the whole child: interpreter, graph, index
-and counts.  ``--src`` points at
-another checkout's ``src`` directory, so that two versions can be compared
-on the same machine; the default is this repository's.  Standard library
-only.  The benchmark's workloads are too small to show memory growth in
-the counting passes; these sizes are large enough to.
+and counts.  ``--src`` points at another checkout's ``src`` directory, so
+that two versions can be compared on the same machine; the default is
+this repository's.  Standard library only.  The benchmark's workloads are
+too small to show memory growth in the counting passes; these sizes are
+large enough to.
 """
 from __future__ import annotations
 
@@ -25,6 +27,7 @@ import statistics
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -47,10 +50,15 @@ def child(n: int, r: int, d: int) -> dict:
         t2 = time.perf_counter()
         pair_s.append(t1 - t0)
         node_s.append(t2 - t1)
+    tracemalloc.start()
+    compute_node_counts(idx)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
     return {
         "tuples": idx.tuple_count,
         "pair_stats_s": statistics.median(pair_s),
         "node_counts_s": statistics.median(node_s),
+        "node_counts_peak_mb": peak / 1e6,
         "maxrss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
     }
 
@@ -69,7 +77,7 @@ def main(argv: list[str] | None = None) -> int:
     print(f"src={Path(ns.src).resolve()} repeat={REPEAT} python={sys.version.split()[0]}")
     print(
         f"{'n':>5} {'r':>2} {'d':>2} {'tuples':>7} {'pair_stats_s':>13}"
-        f" {'node_counts_s':>14} {'maxrss_mb':>10}"
+        f" {'node_counts_s':>14} {'node_counts_peak_mb':>20} {'maxrss_mb':>10}"
     )
     for n, r, d in POINTS:
         argv = [sys.executable, __file__, "--child", str(n), str(r), str(d)]
@@ -77,7 +85,8 @@ def main(argv: list[str] | None = None) -> int:
         res = json.loads(out)
         print(
             f"{n:>5} {r:>2} {d:>2} {res['tuples']:>7} {res['pair_stats_s']:>13.3f}"
-            f" {res['node_counts_s']:>14.3f} {res['maxrss_mb']:>10.1f}"
+            f" {res['node_counts_s']:>14.3f} {res['node_counts_peak_mb']:>20.2f}"
+            f" {res['maxrss_mb']:>10.1f}"
         )
     return 0
 

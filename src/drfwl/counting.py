@@ -30,7 +30,8 @@ The passes read three inputs, none of which re-intersects a shell:
 
 Pairwise quantities (pairs (u, v) at distance 1..2, plus the noted distance-3
 extensions when the index reaches distance 3; see ``index_depth``), with
-adj = [u ~ v]; W3, W4 and CC2 are not stored, as the stored fields give them:
+adj = [u ~ v]; W3, W4, CC2, C23 and TR2 are not stored, as the stored fields
+give them, and C23 and TR2 are built where they are read:
 
   P2     2-paths u->v, i.e. |N1(u) & N1(v)|
   P3     3-paths u->v: the 3-walks W3 less adj * (deg u + deg v - 1)
@@ -41,8 +42,10 @@ adj = [u ~ v]; W3, W4 and CC2 are not stored, as the stored fields give them:
   CC2    chordal cycles with chord exactly u-v: adj * C(P2, 2)
   CCX    chordal cycles with u, v the two off-chord vertices
   TR1    triangle-rectangles, u the apex, v on the shared edge (adjacent)
-  TR2    triangle-rectangles, u on the shared edge, v the opposite corner
-  C23    5-cycles through u, v split into a 2-path and a 3-path
+  TR2    triangle-rectangles, u on the shared edge, v the opposite corner:
+         T(v, u) * (P2 - 1) - 2 * CCX (for tr3, in ``compute_node_counts``)
+  C23    5-cycles through u, v split into a 2-path and a 3-path:
+         P2 * P3 - T(u, v) - T(v, u) (in ``cycle7_correction_terms``)
   C24    6-cycles through u, v split into a 2-path and a 4-path
 """
 from __future__ import annotations
@@ -104,8 +107,9 @@ class PairStats(NamedTuple):
     neighbour), C3, the triangles at every node, and ``deg``, every node's
     degree.  The per-pair fields are the passes' outputs, named as in the
     module docstring, each fact stored once: CC1 is ``t[rev[t]]`` on an
-    adjacent tuple t, and W3, W4 and CC2, functions of the stored fields
-    and the degrees, have no field either."""
+    adjacent tuple t, and W3, W4, CC2, C23 and TR2, functions of the
+    stored fields and the degrees, have no field either; C23 and TR2 are
+    built by their one reader each."""
 
     common: WitnessTable
     rev: list[int]
@@ -119,8 +123,6 @@ class PairStats(NamedTuple):
     t: list[int]
     ccx: list[int]
     tr1: list[int]
-    tr2: list[int]
-    c23: list[int]
     c24: list[int]
     deg: list[int]
 
@@ -253,8 +255,9 @@ def _pairwise_split_cycles(
     p4: list[int],
     t_arr: list[int],
     ccx: list[int],
-) -> tuple[list[int], list[int]]:
-    """C23 and C24: the path-product counts minus every coalescence.
+) -> list[int]:
+    """C24, the path-product count minus every coalescence (C23, its 5-cycle
+    twin, is built by its one reader, ``cycle7_correction_terms``).
 
     C24 subtracts three degenerate families from P2 * P4; over the common
     neighbours x of u and v (m = P2(u, v) of them, adj = [u ~ v]):
@@ -267,17 +270,15 @@ def _pairwise_split_cycles(
     sum (P2(x,v) - 1)).  num_c is a chordal cycle with u, v off the chord;
     each occurrence appears twice, as the chord ends swap roles.  The three
     sums over x are one segment sum.  A tuple off distance 1..2 has no
-    witnesses, so both counts are 0 there with no distance test.
+    witnesses, so the count is 0 there with no distance test.
     """
     ks = idx.ks
     linear = cn.sums(p3[a] + p3[b] + p2[a] * p2[b] for a, b in zip(cn.uw, cn.wv))
-    c23 = [m * x - a - t_arr[r] for m, x, a, r in zip(p2, p3, t_arr, rev)]
     # C24 = m * P4 - (num_b + num_c + num_d)
-    c24 = [
+    return [
         m * x - lin + 2 * m * (m - 1) + 2 * c + (2 * (t_arr[t] + t_arr[r]) + m if k == 1 else 0)
         for t, (m, x, lin, c, r, k) in enumerate(zip(p2, p4, linear, ccx, rev, ks))
     ]
-    return c23, c24
 
 
 def _pairwise_tr(
@@ -287,23 +288,18 @@ def _pairwise_tr(
     p2: list[int],
     p3: list[int],
     t_arr: list[int],
-    ccx: list[int],
-) -> tuple[list[int], list[int]]:
-    """TR1 (apex / shared-edge pairs) and TR2 (shared-edge / corner pairs),
-    both 0 on a tuple with no witnesses."""
-    ks = idx.ks
-    tr2 = [
-        tail_vu * (x - 1) - 2 * c for tail_vu, x, c in zip(map(t_arr.__getitem__, rev), p2, ccx)
-    ]
+) -> list[int]:
+    """TR1 (apex / shared-edge pairs), 0 off the adjacent tuples.  TR2
+    (shared-edge / corner pairs) is built by its one reader, tr3 in
+    ``compute_node_counts``."""
     # TR1 = sum over the common neighbours z of P3(z, v) - (P2(u, z) - 1),
     # less m(m - 1); the second sum is CC1(u, v) = T(v, u)
-    tr1 = [
+    return [
         a - b - x * (x - 1) if k == 1 else 0
         for a, b, x, k in zip(
-            cn.sums(map(p3.__getitem__, cn.wv)), map(t_arr.__getitem__, rev), p2, ks
+            cn.sums(map(p3.__getitem__, cn.wv)), map(t_arr.__getitem__, rev), p2, idx.ks
         )
     ]
-    return tr1, tr2
 
 
 def compute_pair_stats(idx: TupleIndex) -> PairStats:
@@ -322,9 +318,9 @@ def compute_pair_stats(idx: TupleIndex) -> PairStats:
     p22 = pairwise_p22(idx, p2, near)
     p4 = pairwise_p4(idx, cn, p2, p22, c3, deg)
     t_arr, ccx = _pairwise_motifs(idx, cn, nbr, p2)
-    c23, c24 = _pairwise_split_cycles(idx, cn, rev, p2, p3, p4, t_arr, ccx)
-    tr1, tr2 = _pairwise_tr(idx, cn, rev, p2, p3, t_arr, ccx)
-    return PairStats(cn, rev, near, edges, c3, p2, p3, p22, p4, t_arr, ccx, tr1, tr2, c23, c24, deg)
+    c24 = _pairwise_split_cycles(idx, cn, rev, p2, p3, p4, t_arr, ccx)
+    tr1 = _pairwise_tr(idx, cn, rev, p2, p3, t_arr)
+    return PairStats(cn, rev, near, edges, c3, p2, p3, p22, p4, t_arr, ccx, tr1, c24, deg)
 
 
 def node_walks(g: Graph, k: int) -> list[int]:
@@ -391,7 +387,8 @@ def cycle7_correction_terms(
     vs, ks = idx.vs, idx.ks
     starts, _, wv_ids = s.common
     rev = s.rev
-    p2, p3, p4, c23, t_arr, tr1 = s.p2, s.p3, s.p4, s.c23, s.t, s.tr1
+    p2, p3, p4, t_arr, tr1 = s.p2, s.p3, s.p4, s.t, s.tr1
+    c23 = [m * x - a - t_arr[r] for m, x, a, r in zip(p2, p3, t_arr, rev)]
     near, edges, deg, c3 = s.near, s.edges, s.deg, s.c3
     # adjacent[u] is the entry range of the witnesses of node u's edge tuples
     adjacent = [(starts[a], starts[b]) for a, b in edges]
@@ -486,7 +483,10 @@ def compute_node_counts(idx: TupleIndex) -> NodeCounts:
     cycle6 = [exact_quotient(x, 2, "cycle6") for x in _around(stats.c24, near)]
     path2, path4 = _around(stats.p2, near), _around(stats.p4, near)
     near_w4 = _around(pairwise_w4(idx, stats.p2, stats.p22, deg), near)  # W4(u, v), v near u
-    tr3 = toward(stats.tr2, near)
+    # TR2(u, v) = T(v, u) * (P2(u, v) - 1) - 2 * CCX(u, v), 0 with no witnesses
+    t_vu = map(stats.t.__getitem__, rev)
+    tr2 = [a * (x - 1) - 2 * c for a, x, c in zip(t_vu, stats.p2, stats.ccx)]
+    tr3 = toward(tr2, near)
 
     # the sum of P2 over u's edges is 2 C3(u)
     tailed = [
@@ -500,7 +500,7 @@ def compute_node_counts(idx: TupleIndex) -> NodeCounts:
 
     tr1_node = [exact_quotient(x, 2, "tr1") for x in _around(stats.tr1, edges)]
     tr2_node = toward(stats.tr1)
-    if tr2_node != _around(stats.tr2, near):
+    if tr2_node != _around(tr2, near):
         raise InvariantError("triangle-rectangle aggregation routes disagree")
 
     # the k-walks from u; a 3-walk is a path unless it closes a triangle,

@@ -98,8 +98,9 @@ def oracle_pair_count(g: Graph, kind: str, u: int, v: int) -> int:
     ``kind`` is one of "P2".."P4" (paths u->v), "W2".."W4" (walks),
     "C23"/"C24"/"C34"/"C13"/"C14" (split cycles), "T" (tailed triangle,
     u = tip, v = far triangle vertex), "CC1" (u on chord, v off-chord),
-    "CC2" (u, v both on the chord), "TR1" (u apex, v on shared edge),
-    "TR2" (u on shared edge, v the opposite rectangle corner).
+    "CC2" (u, v both on the chord), "CCX" (u, v the two off-chord
+    vertices: the edges among N1(u) & N1(v)), "TR1" (u apex, v on shared
+    edge), "TR2" (u on shared edge, v the opposite rectangle corner).
     """
     _check_cap(g)
     nbr = g.neighbor_sets()
@@ -131,6 +132,9 @@ def oracle_pair_count(g: Graph, kind: str, u: int, v: int) -> int:
             return 0
         common = nbr[u] & nbr[v]
         return len(common) * (len(common) - 1) // 2
+    if kind == "CCX":
+        common = nbr[u] & nbr[v]
+        return sum(1 for a in common for b in common if a < b and b in nbr[a])
     if kind == "TR1":
         if not g.has_edge(u, v):
             return 0

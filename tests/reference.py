@@ -38,12 +38,17 @@ PAIR_FIELDS = (
 
 def runtime_pair_fields(idx: TupleIndex, s: counting.PairStats) -> dict[str, list[int]]:
     """Every PAIR_FIELDS field of the runtime's PairStats ``s``, in that
-    order.  W3, W4 and CC2 have no field there: they come from the
-    runtime's W3 and W4 passes and from C(P2, 2) on adjacent pairs."""
+    order.  W3, W4, CC2, C23 and TR2 have no field there: they come from
+    the runtime's W3 and W4 passes, from C(P2, 2) on adjacent pairs, and
+    from the forms that the runtime's readers of C23 and TR2 build,
+    P2 * P3 - T - T(rev) and T(rev) * (P2 - 1) - 2 * CCX."""
+    t_rev = [s.t[r] for r in s.rev]
     derived = {
         "w3": counting.pairwise_w3(idx, s.p2, s.near, s.deg),
         "w4": counting.pairwise_w4(idx, s.p2, s.p22, s.deg),
         "cc2": [x * (x - 1) // 2 if k == 1 else 0 for x, k in zip(s.p2, idx.ks)],
+        "c23": [x * y - a - b for x, y, a, b in zip(s.p2, s.p3, s.t, t_rev)],
+        "tr2": [b * (x - 1) - 2 * c for b, x, c in zip(t_rev, s.p2, s.ccx)],
     }
     return {f: derived[f] if f in derived else getattr(s, f) for f in PAIR_FIELDS}
 

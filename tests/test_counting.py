@@ -30,7 +30,7 @@ from drfwl.graph import gen_cycle, gen_erdos_renyi, gen_random_regular
 from drfwl.tuples import build_index
 
 ALL_MOTIFS = check_motifs(2)
-PAIR_KINDS = ("P2", "P3", "P4", "W3", "W4", "T", "CC2", "C23", "C24")
+PAIR_KINDS = ("P2", "P3", "P4", "W3", "W4", "T", "CC2", "CCX", "C23", "C24", "TR2")
 
 
 class TestPairwise:
@@ -78,7 +78,6 @@ class TestPairwise:
             if k == 1:
                 assert s.t[s.rev[t]] == oracle_pair_count(g, "CC1", u, v)
                 assert s.tr1[t] == oracle_pair_count(g, "TR1", u, v)
-            assert s.tr2[t] == oracle_pair_count(g, "TR2", u, v)
 
     @settings(max_examples=30)
     @given(small_graphs())
@@ -98,8 +97,9 @@ class TestPairwise:
         # no per-tuple field is another one, read directly or through rev, on
         # every adjacent tuple, nor, on every tuple, a form of the others and
         # the degrees that its readers can build: adj * C(P2, 2) (CC2),
-        # P3 + adj * (deg u + deg v - 1) (W3) or P22 + (deg u + deg v) * P2
-        # (W4); each pair fact is stored once
+        # P3 + adj * (deg u + deg v - 1) (W3), P22 + (deg u + deg v) * P2
+        # (W4), P2 * P3 - T - T(rev) (C23) or T(rev) * (P2 - 1) - 2 * CCX
+        # (TR2); each pair fact is stored once
         graphs = (gen_erdos_renyi(40, 0.15, 1), gen_erdos_renyi(30, 0.3, 2))
         graphs += (gen_random_regular(50, 4, 3),)
         copies = []
@@ -121,6 +121,12 @@ class TestPairwise:
                         x + a * (e - 1) for x, a, e in zip(s.p3, adj, degs)
                     ],
                     "P22 + (deg u + deg v) * P2": [y + e * x for y, e, x in zip(s.p22, degs, s.p2)],
+                    "P2 * P3 - T - T(rev)": [
+                        x * y - a - s.t[r] for x, y, a, r in zip(s.p2, s.p3, s.t, s.rev)
+                    ],
+                    "T(rev) * (P2 - 1) - 2 * CCX": [
+                        s.t[r] * (x - 1) - 2 * c for r, x, c in zip(s.rev, s.p2, s.ccx)
+                    ],
                 }
                 copies.append({
                     (a, b, via)

@@ -28,5 +28,8 @@ def test_child_reports_one_point(n, r, d):
     )
     assert proc.returncode == 0, proc.stderr
     res = json.loads(proc.stdout)
-    assert set(res) == {"tuples", "pair_stats_s", "node_counts_s", "maxrss_mb"}
+    assert set(res) == {
+        "tuples", "pair_stats_s", "node_counts_s", "node_counts_peak_mb", "maxrss_mb"
+    }
+    assert res["node_counts_peak_mb"] > 0
     assert res["tuples"] == build_index(gen_random_regular(n, r, 0), d).tuple_count
