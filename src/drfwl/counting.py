@@ -12,15 +12,14 @@ The passes read three inputs, none of which re-intersects a shell:
 
 * ``rows[u][v]``, the index's per-node id map, for every id lookup;
 * a common-neighbour table (``common_neighbours``), built once per
-  ``compute_pair_stats`` with one ``intersect`` of two neighbour sets per
-  tuple at distance 1 or 2: N1(u) & N1(v) in refinement's layout, a
-  ``tuples.WitnessTable``, each witness w stored only as the ids of (u, w)
-  and (w, v).  P2 is its segment lengths.  P4, the motifs, split cycles,
-  TR and the cycle-7 terms read its segments, their linear sums as bulk
-  segment sums over gathered columns; only CCX loops over witnesses.  It
-  gives CC1(u, v) = T(v, u) on adjacent pairs, as P2 is symmetric and
-  (v, u) has the witnesses of (u, v), so CC1 is not stored: a pass reads
-  it as T of the reversed pair;
+  ``compute_pair_stats`` by ``tuples.index_witnesses`` from the rule N1(u)
+  & N1(v), one ``intersect`` per tuple at distance 1 or 2, each witness w
+  stored as the ids of (u, w) and (w, v).  P2 is its segment lengths.  P4,
+  the motifs, split cycles, TR and the cycle-7 terms read its segments,
+  their linear sums as bulk segment sums over gathered columns; only CCX
+  loops over witnesses.  It gives CC1(u, v) = T(v, u) on adjacent pairs,
+  as P2 is symmetric and (v, u) has the witnesses of (u, v), so CC1 is not
+  stored: a pass reads it as T of the reversed pair;
 * walks over the wide channels (1,2), (2,1) and (2,2), which are never
   stored: only W3 and P22 walk u -> w -> v, reading the nodes near w as
   the slice of the index's ``vs`` column over w's ``TupleIndex.span`` at
@@ -56,7 +55,7 @@ from typing import Collection, Iterable, NamedTuple
 
 from .errors import CapabilityError, InvariantError, exact_quotient
 from .graph import Graph
-from .tuples import TupleIndex, WitnessTable, intersect, witness_table
+from .tuples import TupleIndex, WitnessTable, index_witnesses, intersect
 
 # The count catalog in report order, each motif with its orbit factor:
 # the node occurrences per graph occurrence (a k-cycle has k nodes, a
@@ -82,18 +81,13 @@ GRAPH_LEVEL_FACTOR = {
 
 def common_neighbours(idx: TupleIndex, nbr: list[frozenset[int]]) -> WitnessTable:
     """N1(u) & N1(v) of every tuple (u, v) at distance 1 or 2, from the N1
-    sets ``nbr``, with one ``intersect`` call per such tuple; a tuple at
-    any other distance has no entries.  The witness of entry p is
-    ``vs[uw[p]]``, the index's column."""
-    rows = idx.rows
+    sets ``nbr``, by one ``intersect`` call each; other tuples have no
+    entries.  The witness of entry p is ``vs[uw[p]]``, the index's column."""
 
-    def witnesses(u: int, v: int, k: int) -> tuple[Iterable[int], list[int]]:
-        if not 0 < k < 3:
-            return (), []
-        common = intersect(nbr[u], nbr[v])
-        return map(rows[u].__getitem__, common), [rows[w][v] for w in common]
+    def witnesses(u: int, v: int, k: int) -> list[int]:
+        return intersect(nbr[u], nbr[v]) if 0 < k < 3 else []
 
-    return witness_table(map(witnesses, idx.us, idx.vs, idx.ks))
+    return index_witnesses(idx, witnesses)
 
 
 Spans = list[tuple[int, int]]

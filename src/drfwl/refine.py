@@ -24,11 +24,12 @@ multisets.  A mask drops the witnesses of the masked channels.  The
 classes are the paper's; only the ids the classes get differ, which the
 certificate version records.
 
-A flat witness table, built once, lists every unit's witnesses in the
-layout counting's common-neighbour table shares (``tuples.WitnessTable``).
-A round encodes the table's witnesses as ``color[wv] * T + color[uw]``
-(T = number of units) in one C-level pass and cuts them into one sorted
-tuple of codes per unit.  Because ``0 <= color < T``, the encoding is a
+A flat witness table (``tuples.WitnessTable``), built once, lists every
+unit's witnesses; d-DRFWL(2) keeps only its rule, which
+``tuples.index_witnesses`` writes as it writes counting's.  A round
+encodes the table's witnesses as ``color[wv] * T + color[uw]`` (T =
+number of units) in one C-level pass and cuts them into one sorted tuple
+of codes per unit.  Because ``0 <= color < T``, the encoding is a
 strictly increasing bijection on color pairs (``c * T + c`` orders like
 c), so a unit's key (color, codes) orders exactly like the per-unit key
 (color, sorted color pairs), and the ranks are those of that key.
@@ -56,7 +57,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
 from .errors import METHODS, CapabilityError, InvariantError
 from .graph import Graph, check_d, gen_disjoint_union
-from .tuples import TupleIndex, WitnessTable, build_index, intersect, witness_table
+from .tuples import TupleIndex, WitnessTable, build_index, index_witnesses, intersect, witness_table
 
 # n = 96 keeps a dense FWL(2) pair near 200 MB of peak memory; the table
 # and each round's codes grow as n^3 (447 MB at n = 128).
@@ -190,25 +191,18 @@ def _fwl2_units(graphs: Sequence[Graph]) -> Iterator[tuple[Iterable[int], Iterab
         o += n * n
 
 
-def _drfwl_units(
-    idx: TupleIndex, masked: frozenset
-) -> Iterator[tuple[Iterable[int], Iterable[int]]]:
-    """Tuple (u, v) at distance k: the w within d of both u and v (the
-    common keys of ``rows[u]`` and ``rows[v]``), less each w whose
-    (d(u, w), d(v, w), k) is masked, with uw = id(u, w) and wv = id(w, v)."""
+def _drfwl_blocks(idx: TupleIndex, masked: frozenset) -> WitnessTable:
+    """The witness table of the index's tuples, fixed once and read by every
+    round: the common keys of ``rows[u]`` and ``rows[v]``, less each w whose
+    (d(u, w), d(v, w), d(u, v)) is masked."""
     rows, ks = idx.rows, idx.ks
-    for u, v, k in zip(idx.us, idx.vs, ks):
+
+    def witnesses(u: int, v: int, k: int) -> list[int]:
         row_u, row_v = rows[u], rows[v]
         ws = intersect(row_u.keys(), row_v.keys())
-        if masked:
-            ws = [w for w in ws if (ks[row_u[w]], ks[row_v[w]], k) not in masked]
-        yield map(row_u.__getitem__, ws), [rows[w][v] for w in ws]
+        return [w for w in ws if (ks[row_u[w]], ks[row_v[w]], k) not in masked] if masked else ws
 
-
-def _drfwl_blocks(idx: TupleIndex, masked: frozenset) -> WitnessTable:
-    """The witness table of the index's tuples.  Fixed once; read by every
-    round."""
-    return witness_table(_drfwl_units(idx, masked))
+    return index_witnesses(idx, witnesses)
 
 
 def _refine_multi(

@@ -3,11 +3,10 @@
 Materializes every ordered node pair (u, v) with shortest-path distance at
 most d, as three flat columns in id order and one id map per node.  This
 is the shared substrate for distance-restricted refinement and for the
-closed-form counting passes.  Refinement reads a tuple's witnesses as the
-common keys of ``rows[u]`` and ``rows[v]``, the nodes within d of both;
-counting reads N_1(u) & N_1(v) and each node's ids at a distance range
-through ``TupleIndex.span``.  Both legs keep their witnesses in one layout,
-a ``WitnessTable`` written by ``witness_table``.
+closed-form counting passes.  ``index_witnesses`` writes each leg's rule
+for a tuple's witnesses into a ``WitnessTable`` through ``witness_table``,
+its one writer.  Counting also reads a node's ids at a distance range
+through ``TupleIndex.span``.
 """
 from __future__ import annotations
 
@@ -15,7 +14,7 @@ from array import array
 from bisect import bisect_left, bisect_right
 from itertools import accumulate, count, islice, repeat
 from operator import sub
-from typing import AbstractSet, Iterable, NamedTuple
+from typing import AbstractSet, Callable, Iterable, NamedTuple
 
 from .graph import Graph, check_d, khop
 
@@ -125,3 +124,16 @@ def witness_table(units: Iterable[tuple[Iterable[int], Iterable[int]]]) -> Witne
         wv += ids_wv
         starts.append(len(uw))
     return WitnessTable(starts, uw, wv)
+
+
+def index_witnesses(
+    idx: TupleIndex, witnesses: Callable[[int, int, int], list[int]]
+) -> WitnessTable:
+    """Witness table of the index under one leg's rule ``witnesses(u, v, k)``,
+    called once per tuple at distance k: its ascending witnesses w, each
+    within d of u and v and written as ``rows[u][w]`` and ``rows[w][v]``."""
+    rows = idx.rows
+    return witness_table(
+        (map(rows[u].__getitem__, ws), [rows[w][v] for w in ws]) if ws else ((), ())
+        for u, v, ws in zip(idx.us, idx.vs, map(witnesses, idx.us, idx.vs, idx.ks))
+    )
