@@ -16,6 +16,7 @@ checked; there is no second enumerator.
 """
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterable
 
 from .errors import CapabilityError, exact_quotient
@@ -73,15 +74,24 @@ def _graph(edges: tuple[tuple[int, int], ...]) -> Graph:
     return Graph.from_edges(1 + max(map(max, edges)), edges)
 
 
+@lru_cache(maxsize=None)
+def _steps(edges: tuple[tuple[int, int], ...], orbit: tuple[int, ...]) -> tuple:
+    """The search plan of a pattern: for each vertex i > 0 (entry 0 is
+    None), the smaller neighbour whose image's neighbours are its
+    candidates, its other smaller neighbours, and whether i is in
+    ``orbit``.  Vertex i goes to a common neighbour of its smaller
+    neighbours' images.  Built once per (edges, orbit)."""
+    pattern = _graph(edges).adjacency
+    below = [[j for j in pattern[i] if j < i] for i in range(len(pattern))]
+    return (None, *((b[-1], b[:-1], i in orbit) for i, b in enumerate(below) if i))
+
+
 def match_pattern(g: Graph, edges: tuple[tuple[int, int], ...], orbit: tuple[int, ...]) -> list[int]:
     """Per node, how often an ``orbit`` vertex lands on it, over all
     injective maps of the pattern into g that keep its edges and put every
     ``orbit`` vertex but 0 above vertex 0's image."""
-    pattern = _graph(edges).adjacency
-    k = len(pattern)
-    # vertex i goes to a common neighbour of its smaller neighbours' images
-    below = [[j for j in pattern[i] if j < i] for i in range(k)]
-    steps = [None] + [(below[i][-1], below[i][:-1], i in orbit) for i in range(1, k)]
+    steps = _steps(edges, orbit)
+    k = len(steps)
     adj, nbr = g.adjacency, g.neighbor_sets()
     hits = [0] * g.n
     img = [0] * k

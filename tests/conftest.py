@@ -1,8 +1,22 @@
 from __future__ import annotations
 
+import os
+from pathlib import Path
+
 import hypothesis.strategies as st
 
 from drfwl.graph import Graph
+
+SRC_DIR = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def child_env(**extra: str) -> dict[str, str]:
+    """The environment for a child Python that imports the package from
+    this checkout: this process's, with src/ first on PYTHONPATH and
+    ``extra`` set on top."""
+    env = dict(os.environ, **extra)
+    env["PYTHONPATH"] = SRC_DIR + os.pathsep + env.get("PYTHONPATH", "")
+    return env
 
 
 @st.composite

@@ -1,14 +1,18 @@
 """Graph helpers that only the tests and scripts use.
 
-Small fixed graphs (paths, complete graphs, stars, the Petersen graph),
-relabelling, and BFS distances.  The package's own generators are in
-``drfwl.graph``; these live here because no runtime path calls them.
+Small fixed graphs (paths, complete graphs, stars, the Petersen graph,
+double cycles, circulants, and the strongly regular pair of the 4x4
+rook's graph and the Shrikhande graph), relabelling, BFS distances, and
+the check that stable colours determine a per-unit value.  The package's
+own generators are in ``drfwl.graph``; these live here because no runtime
+path calls them.
 """
 from __future__ import annotations
 
 from typing import Sequence
 
-from drfwl.graph import Graph
+from drfwl.graph import Graph, gen_cycle, gen_disjoint_union
+from drfwl.tuples import TupleIndex
 
 
 def bfs_distances(g: Graph, source: int) -> list[int]:
@@ -67,8 +71,62 @@ def gen_petersen() -> Graph:
     return Graph.from_edges(10, edges)
 
 
+def double_cycle(k: int) -> Graph:
+    """Two disjoint k-cycles."""
+    return gen_disjoint_union([gen_cycle(k), gen_cycle(k)])
+
+
+def gen_circulant(n: int, jumps: Sequence[int]) -> Graph:
+    """The circulant C_n(jumps): v is adjacent to v + s and v - s mod n for
+    each jump s, 0 < s < n."""
+    return Graph.from_edges(n, ((v, (v + s) % n) for v in range(n) for s in jumps))
+
+
+def gen_rook44() -> Graph:
+    """The 4x4 rook's graph K4 x K4: cell (i, j) is node 4i + j, adjacent
+    to the other cells of its row and of its column."""
+    return Graph.from_edges(
+        16, ((a, b) for a in range(16) for b in range(a) if a // 4 == b // 4 or a % 4 == b % 4)
+    )
+
+
+def gen_shrikhande() -> Graph:
+    """The Shrikhande graph: the Cayley graph of Z4 x Z4, (x, y) as node
+    4x + y, with generators +-(1, 0), +-(0, 1) and +-(1, 1).  Like the rook's
+    graph it is strongly regular with parameters (16, 6, 2, 2)."""
+    return Graph.from_edges(
+        16,
+        (
+            (4 * x + y, 4 * ((x + dx) % 4) + (y + dy) % 4)
+            for x in range(4)
+            for y in range(4)
+            for dx, dy in ((1, 0), (0, 1), (1, 1))
+        ),
+    )
+
+
 def permute(g: Graph, perm: Sequence[int]) -> Graph:
     """Relabel nodes: node u becomes perm[u]."""
     if sorted(perm) != list(range(g.n)):
         raise ValueError("perm must be a permutation of 0..n-1")
     return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def undetermined(
+    colors: Sequence[Sequence[int]],
+    values: Sequence[Sequence[object]],
+    indexes: Sequence[TupleIndex] | None = None,
+) -> int:
+    """Units whose value differs from the first value seen for their
+    colour, over all graphs of one lockstep ``_refine_multi`` run.
+
+    ``colors[i]`` are graph i's stable colours by unit id.  Without
+    ``indexes``, ``values[i][t]`` belongs to unit t; with them, it belongs
+    to node t, coloured by its tuple (t, t) in ``indexes[i]``.
+    """
+    if indexes is not None:
+        colors = [[cs[row[u]] for u, row in enumerate(i.rows)] for cs, i in zip(colors, indexes)]
+    first: dict[int, object] = {}
+    return sum(
+        first.setdefault(c, x) != x for cs, xs in zip(colors, values) for c, x in zip(cs, xs)
+    )

@@ -53,8 +53,8 @@ def count_split_cycles(g: Graph, u: int, v: int, k: int, l: int) -> int:
     internally-disjoint k-path and l-path between them."""
     if u == v:
         return 0
-    k_paths = _paths_between_interiors(g, u, v, k)
-    l_paths = _paths_between_interiors(g, u, v, l)
+    k_paths = [frozenset(p) for p in interior_paths(g, u, v, k)]
+    l_paths = [frozenset(p) for p in interior_paths(g, u, v, l)]
     total = 0
     for a in k_paths:
         for b in l_paths:
@@ -65,30 +65,28 @@ def count_split_cycles(g: Graph, u: int, v: int, k: int, l: int) -> int:
     return total
 
 
-def _paths_between_interiors(g: Graph, u: int, v: int, length: int) -> list[frozenset[int]]:
-    """Interior vertex sets of simple length-edge paths from u to v.
+def interior_paths(g: Graph, u: int, v: int, length: int) -> list[tuple[int, ...]]:
+    """The interiors of the simple length-edge paths from u to v, each in
+    path order from u's side.
 
     For u == v these are the closed cycles through u, so callers that
     count u-v paths guard that case.
     """
-    out: list[frozenset[int]] = []
+    out: list[tuple[int, ...]] = []
     adj = g.adjacency
 
-    def extend(here: int, depth: int, visited: list[int]) -> None:
-        if depth == length - 1:
-            for w in adj[here]:
-                if w == v:
-                    out.append(frozenset(visited))
+    def extend(here: int, visited: list[int]) -> None:
+        if len(visited) == length - 1:
+            if v in adj[here]:
+                out.append(tuple(visited))
             return
         for w in adj[here]:
             if w != u and w != v and w not in visited:
                 visited.append(w)
-                extend(w, depth + 1, visited)
+                extend(w, visited)
                 visited.pop()
 
-    if length == 1:
-        return [frozenset()] if g.has_edge(u, v) else []
-    extend(u, 0, [])
+    extend(u, [])
     return out
 
 
@@ -106,7 +104,7 @@ def oracle_pair_count(g: Graph, kind: str, u: int, v: int) -> int:
     nbr = g.neighbor_sets()
     if kind.startswith("P") and kind[1:].isdigit():
         length = int(kind[1:])
-        return 0 if u == v or length < 1 else len(_paths_between_interiors(g, u, v, length))
+        return 0 if u == v or length < 1 else len(interior_paths(g, u, v, length))
     if kind.startswith("W") and kind[1:].isdigit():
         return count_walks_between(g, u, v, int(kind[1:]))
     if kind.startswith("C") and len(kind) == 3 and kind[1:].isdigit():
@@ -140,7 +138,7 @@ def oracle_pair_count(g: Graph, kind: str, u: int, v: int) -> int:
             return 0
         total = 0
         for z in nbr[u] & nbr[v]:
-            for interior in _paths_between_interiors(g, z, v, 3):
+            for interior in interior_paths(g, z, v, 3):
                 if u not in interior:
                     total += 1
         return total

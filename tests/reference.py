@@ -38,15 +38,19 @@ PAIR_FIELDS = (
 
 def runtime_pair_fields(idx: TupleIndex, s: counting.PairStats) -> dict[str, list[int]]:
     """Every PAIR_FIELDS field of the runtime's PairStats ``s``, in that
-    order.  W3, W4, CC2, C23 and TR2 have no field there: they come from
-    the runtime's W3 and W4 passes, from C(P2, 2) on adjacent pairs, and
-    from the forms that the runtime's readers of C23 and TR2 build,
-    P2 * P3 - T - T(rev) and T(rev) * (P2 - 1) - 2 * CCX."""
+    order.  W3, W4, CC2, C23 and TR2 have no field there.  They are
+    built from the stored fields and the degrees: W3 = P3 + adj * (deg u +
+    deg v - 1), the 3-paths plus the walks that step back; W4 = P22 +
+    (deg u + deg v) * P2, the middle-split walks plus those whose midpoint
+    is u or v; CC2 = C(P2, 2) on adjacent pairs; and the forms that the
+    runtime's readers of C23 and TR2 build, P2 * P3 - T - T(rev) and
+    T(rev) * (P2 - 1) - 2 * CCX."""
+    deg, adj = s.deg, [k == 1 for k in idx.ks]
     t_rev = [s.t[r] for r in s.rev]
     derived = {
-        "w3": counting.pairwise_w3(idx, s.p2, s.near, s.deg),
-        "w4": counting.pairwise_w4(idx, s.p2, s.p22, s.deg),
-        "cc2": [x * (x - 1) // 2 if k == 1 else 0 for x, k in zip(s.p2, idx.ks)],
+        "w3": [x + a * (deg[u] + deg[v] - 1) for x, a, u, v in zip(s.p3, adj, idx.us, idx.vs)],
+        "w4": [a + (deg[u] + deg[v]) * x for a, x, u, v in zip(s.p22, s.p2, idx.us, idx.vs)],
+        "cc2": [x * (x - 1) // 2 if a else 0 for x, a in zip(s.p2, adj)],
         "c23": [x * y - a - b for x, y, a, b in zip(s.p2, s.p3, s.t, t_rev)],
         "tr2": [b * (x - 1) - 2 * c for b, x, c in zip(t_rev, s.p2, s.ccx)],
     }

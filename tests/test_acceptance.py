@@ -5,15 +5,14 @@ lines as they complete.  Every check is exact; there are no tolerances.
 """
 from __future__ import annotations
 
-import os
 import subprocess
 import sys
-from pathlib import Path
 
-from graph_helpers import diameter, gen_complete, gen_petersen, permute
+from conftest import child_env
+from graph_helpers import diameter, double_cycle, gen_complete, gen_petersen, permute
 from drfwl import oracle
 from drfwl.counting import check_motifs, compute_node_counts
-from drfwl.graph import SplitMix64, gen_cycle, gen_disjoint_union, gen_erdos_renyi
+from drfwl.graph import SplitMix64, gen_cycle, gen_erdos_renyi
 from drfwl.refine import certificate, distinguish, drfwl_refine, fwl2_refine, wl1_refine
 from drfwl.tuples import build_index
 
@@ -23,10 +22,6 @@ D2_MOTIFS = check_motifs(2)
 def report(number: int, ok: bool, description: str) -> None:
     print(f"ACCEPTANCE {number}: {'PASS' if ok else 'FAIL'} - {description}")
     assert ok, f"criterion {number} failed: {description}"
-
-
-def double_cycle(k):
-    return gen_disjoint_union([gen_cycle(k), gen_cycle(k)])
 
 
 def space_bound_holds(g, d) -> bool:
@@ -99,13 +94,10 @@ def test_criterion_5_negative_counting_capability(tmp_path):
     ok &= oracle.oracle_graph_count(h, "cycle7") == 0
     path = tmp_path / "g.el"
     path.write_text(g.to_edge_list())
-    env = dict(os.environ)
-    src_dir = str(Path(__file__).resolve().parents[1] / "src")
-    env["PYTHONPATH"] = src_dir + os.pathsep + env.get("PYTHONPATH", "")
     proc = subprocess.run(
         [sys.executable, "-m", "drfwl", "count", "--motifs", "cycle7", "--d", "2", str(path)],
         capture_output=True,
-        env=env,
+        env=child_env(),
     )
     ok &= proc.returncode == 3
     report(
@@ -150,19 +142,15 @@ print(out)
 
 
 def test_criterion_7_determinism_under_parallelism():
-    src_dir = str(Path(__file__).resolve().parents[1] / "src")
     children = []
     for hash_seed in ("1", "2"):
-        env = dict(os.environ)
-        env["PYTHONPATH"] = src_dir + os.pathsep + env.get("PYTHONPATH", "")
-        env["PYTHONHASHSEED"] = hash_seed
         children.append(
             subprocess.Popen(
                 [sys.executable, "-c", DETERMINISM_SCRIPT],
                 stdout=subprocess.PIPE,
                 stderr=subprocess.PIPE,
                 text=True,
-                env=env,
+                env=child_env(PYTHONHASHSEED=hash_seed),
             )
         )
     results = [child.communicate() for child in children]

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import pytest
 
+from graph_helpers import undetermined
 from drfwl.counting import check_motifs, compute_node_counts
 from drfwl.graph import Graph
 from drfwl.oracle import oracle_node_counts
@@ -74,14 +75,8 @@ def _undetermined(gs: list[Graph], counts: list[dict], d: int, names: tuple[str,
     """Nodes, over one lockstep drfwl run of ``gs`` at ``d``, whose counts
     of ``names`` differ from the first counts seen for their (u, u) colour."""
     colors, _, _ = _refine_multi(gs, "drfwl", d)
-    first: dict[int, tuple[int, ...]] = {}
-    bad = 0
-    for g, cs, want in zip(gs, colors, counts):
-        rows = build_index(g, d).rows
-        for u in range(g.n):
-            value = tuple(want[name][u] for name in names)
-            bad += first.setdefault(cs[rows[u][u]], value) != value
-    return bad
+    values = [list(zip(*(want[name] for name in names))) for want in counts]
+    return undetermined(colors, values, [build_index(g, d) for g in gs])
 
 
 def test_atlas_holds_every_graph_up_to_7_nodes(atlas, graphs):

@@ -1,34 +1,28 @@
 from __future__ import annotations
 
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from graph_helpers import gen_petersen
+from conftest import child_env
+from graph_helpers import double_cycle, gen_petersen
 from drfwl import oracle
 from drfwl.cli import main
 from drfwl.counting import check_motifs
 from drfwl.errors import CapabilityError
-from drfwl.graph import gen_cycle, gen_disjoint_union, gen_random_regular, parse_edge_list
+from drfwl.graph import gen_cycle, gen_random_regular, parse_edge_list
 from drfwl.refine import check_request
-
-SRC_DIR = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def run_cli(*args: str, env_extra: dict | None = None, preexec_fn=None):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = SRC_DIR + os.pathsep + env.get("PYTHONPATH", "")
-    if env_extra:
-        env.update(env_extra)
     proc = subprocess.run(
         [sys.executable, "-m", "drfwl", *args],
         capture_output=True,
         text=True,
-        env=env,
+        env=child_env(**(env_extra or {})),
         preexec_fn=preexec_fn,
     )
     return proc.returncode, proc.stdout, proc.stderr
@@ -119,11 +113,9 @@ class TestSerialRuntime:
 
     @staticmethod
     def _env(**extra: str) -> dict:
-        env = dict(os.environ)
+        env = child_env()
         env.pop("DRFWL_THREADS", None)
-        env["PYTHONPATH"] = SRC_DIR + os.pathsep + env.get("PYTHONPATH", "")
-        env.update(extra)
-        return env
+        return {**env, **extra}
 
     def test_default_count_starts_no_pool(self, petersen_file):
         script = (
@@ -177,14 +169,14 @@ class TestSerialRuntime:
         # one 3-path too many at one edge tuple leaves a node's 4-cycle sum odd
         from drfwl import counting
 
-        real = counting.pairwise_p3
+        real = counting.compute_pair_stats
 
-        def off_by_one(idx, w3, deg):
-            p3 = real(idx, w3, deg)
-            p3[idx.rows[0][idx.graph.adjacency[0][0]]] += 1
-            return p3
+        def off_by_one(idx):
+            stats = real(idx)
+            stats.p3[idx.rows[0][idx.graph.adjacency[0][0]]] += 1
+            return stats
 
-        monkeypatch.setattr(counting, "pairwise_p3", off_by_one)
+        monkeypatch.setattr(counting, "compute_pair_stats", off_by_one)
         assert main(["count", petersen_file]) == 4
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -385,7 +377,7 @@ class TestDistinguish:
     def test_wl1_indistinguishable(self, tmp_path):
         a = tmp_path / "a.el"
         b = tmp_path / "b.el"
-        a.write_text(gen_disjoint_union([gen_cycle(3), gen_cycle(3)]).to_edge_list())
+        a.write_text(double_cycle(3).to_edge_list())
         b.write_text(gen_cycle(6).to_edge_list())
         code, out, _ = run_cli("distinguish", "--method", "wl1", "--format", "text", str(a), str(b))
         assert code == 0 and out.startswith("INDISTINGUISHABLE")

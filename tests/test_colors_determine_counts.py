@@ -21,7 +21,7 @@ from collections import defaultdict
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
-from graph_helpers import permute
+from graph_helpers import gen_circulant, permute, undetermined
 from drfwl.counting import compute_node_counts, compute_pair_stats
 from drfwl.graph import Graph, gen_cycle, gen_disjoint_union, gen_random_regular
 from drfwl.refine import _refine_multi
@@ -29,12 +29,6 @@ from drfwl.tuples import build_index
 from reference import admissible_triples, runtime_pair_fields
 
 CYCLES = ("cycle3", "cycle4", "cycle5", "cycle6")
-
-
-def _circulant(n: int, jumps: tuple[int, ...]) -> Graph:
-    return Graph.from_edges(
-        n, sorted({tuple(sorted((v, (v + s) % n))) for v in range(n) for s in jumps})
-    )
 
 
 def _family() -> list[list[Graph]]:
@@ -47,28 +41,12 @@ def _family() -> list[list[Graph]]:
             gen_disjoint_union([gen_cycle(a), gen_cycle(n - a)]) for a in range(3, n // 2 + 1)
         ]
         groups[n, 4] += [
-            _circulant(n, (a, b)) for b in range(2, (n + 1) // 2) for a in range(1, b)
+            gen_circulant(n, (a, b)) for b in range(2, (n + 1) // 2) for a in range(1, b)
         ]
     return [gs for gs in groups.values() if len(gs) > 1]
 
 
 FAMILY = _family()
-
-
-def _violations(colors: list[list[int]], values: list[list]) -> int:
-    """Units whose value differs from the first value seen for their colour,
-    over all graphs of one lockstep run."""
-    first: dict[int, object] = {}
-    return sum(
-        first.setdefault(c, x) != x
-        for cs, xs in zip(colors, values)
-        for c, x in zip(cs, xs)
-    )
-
-
-def _node_colors(colors: list[list[int]], indexes) -> list[list[int]]:
-    """The colour of each node's tuple (u, u)."""
-    return [[cs[row[u]] for u, row in enumerate(idx.rows)] for cs, idx in zip(colors, indexes)]
 
 
 def _check(gs: list[Graph], d: int, mask=None) -> dict[str, int]:
@@ -84,11 +62,10 @@ def _check(gs: list[Graph], d: int, mask=None) -> dict[str, int]:
         counts = compute_node_counts(idx)
         node_values.append(list(zip(*(getattr(counts, name) for name in CYCLES))))
         cycle7.append(compute_node_counts(build_index(g, 3)).cycle7)
-    node_colors = _node_colors(colors, indexes)
     return {
-        "pairs": _violations(colors, pair_values),
-        "cycles": _violations(node_colors, node_values),
-        "cycle7": _violations(node_colors, cycle7),
+        "pairs": undetermined(colors, pair_values),
+        "cycles": undetermined(colors, node_values, indexes),
+        "cycle7": undetermined(colors, cycle7, indexes),
     }
 
 

@@ -19,11 +19,11 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import small_graphs
+from golden_corpus import GRAPHS, graph_file
 from drfwl import cli, counting
 from drfwl.counting import check_motifs
 from drfwl.graph import gen_random_regular
 
-GOLDEN_GRAPHS = sorted((Path(__file__).resolve().parent / "golden" / "graphs").glob("*.el"))
 DEPTHS = range(2, 7)
 
 
@@ -56,9 +56,9 @@ def check_against_d3(path: Path) -> None:
             assert count(path, d, motifs) == json.dumps(want, indent=2) + "\n", (d, motifs)
 
 
-@pytest.mark.parametrize("path", GOLDEN_GRAPHS, ids=lambda p: p.stem)
-def test_every_depth_prints_the_d3_report_on_golden_graphs(path):
-    check_against_d3(path)
+@pytest.mark.parametrize("name", GRAPHS)
+def test_every_depth_prints_the_d3_report_on_golden_graphs(name):
+    check_against_d3(graph_file(name))
 
 
 @settings(max_examples=15, deadline=None)

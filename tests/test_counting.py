@@ -1,14 +1,12 @@
 from __future__ import annotations
 
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 
-from conftest import small_graphs
+from conftest import child_env, small_graphs
 from graph_helpers import gen_complete, gen_path, gen_petersen, gen_star
 from pair_oracle import oracle_pair_count, walk_matrix_power
 from reference import runtime_pair_fields
@@ -23,7 +21,6 @@ from drfwl.counting import (
     graph_level,
     node_walks,
     pairwise_p2,
-    pairwise_w4,
 )
 from drfwl.errors import CapabilityError, InvariantError, exact_quotient
 from drfwl.graph import gen_cycle, gen_erdos_renyi, gen_random_regular
@@ -47,10 +44,10 @@ class TestPairwise:
         idx = build_index(gen_cycle(6), 2)
         s = compute_pair_stats(idx)
         assert s.p3[idx.rows[0][1]] == 0
-        assert pairwise_w4(idx, s.p2, s.p22, s.deg)[idx.rows[0][2]] == 5
+        assert runtime_pair_fields(idx, s)["w4"][idx.rows[0][2]] == 5
         k4 = build_index(gen_complete(4), 2)
         sk = compute_pair_stats(k4)
-        assert pairwise_w4(k4, sk.p2, sk.p22, sk.deg)[k4.rows[0][1]] == 20
+        assert runtime_pair_fields(k4, sk)["w4"][k4.rows[0][1]] == 20
         assert sk.p4[k4.rows[0][1]] == 0
         c5 = build_index(gen_cycle(5), 2)
         sc = compute_pair_stats(c5)
@@ -319,9 +316,6 @@ class TestInvariants:
             exact_quotient(15, 7, "cycle7 node total")
 
     def test_checks_survive_optimize_flag(self):
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
         script = (
             "from drfwl.errors import InvariantError, exact_quotient\n"
             "assert False, 'asserts are live'\n"
@@ -331,7 +325,7 @@ class TestInvariants:
             "    print('raised')\n"
         )
         proc = subprocess.run(
-            [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env
+            [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=child_env()
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "raised\n"

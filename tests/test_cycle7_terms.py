@@ -13,6 +13,7 @@ from __future__ import annotations
 import pytest
 
 from graph_helpers import bfs_distances, gen_complete, gen_petersen
+from pair_oracle import interior_paths
 from drfwl.counting import compute_node_counts, compute_pair_stats, cycle7_correction_terms
 from drfwl.errors import CapabilityError
 from drfwl.graph import Graph, gen_cycle, gen_erdos_renyi, gen_random_regular
@@ -33,24 +34,6 @@ PATTERNS = {
     "k": {(0, 1), (1, 2)},
     "l": {(0, 2), (1, 1)},
 }
-
-
-def interior_paths(g: Graph, u: int, v: int, length: int) -> list[tuple[int, ...]]:
-    out: list[tuple[int, ...]] = []
-
-    def extend(here: int, acc: list[int]) -> None:
-        if len(acc) == length - 1:
-            if v in g.adjacency[here]:
-                out.append(tuple(acc))
-            return
-        for w in g.adjacency[here]:
-            if w != u and w != v and w not in acc:
-                acc.append(w)
-                extend(w, acc)
-                acc.pop()
-
-    extend(u, [])
-    return out
 
 
 def brute_families(g: Graph, u: int) -> tuple[int, dict[str, int]]:

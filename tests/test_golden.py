@@ -1,23 +1,17 @@
 """Byte-for-byte diff against the golden corpus in tests/golden/.
 
-The corpus was recorded by scripts/record_golden.py.  These tests only
-read it; a mismatch means an output changed, which is a bug unless the
-change is versioned on purpose.
+The corpus was recorded by scripts/record_golden.py from the tables in
+tests/golden_corpus.py.  These tests only read it; a mismatch means an
+output changed, which is a bug unless the change is versioned on purpose.
 """
 from __future__ import annotations
 
-import json
-from pathlib import Path
-
 import pytest
 
-from golden_variants import coloring_line, refine
+from golden_corpus import GOLDEN, GRAPHS, OUTPUTS, VARIANTS, coloring_line, graph_file, refine
 from drfwl.cli import main
 from drfwl.graph import parse_edge_list
 from drfwl.refine import certificate
-
-GOLDEN = Path(__file__).resolve().parent / "golden"
-MANIFEST = json.loads((GOLDEN / "manifest.json").read_text(encoding="utf-8"))
 
 
 def _lines(name: str) -> dict[tuple[str, str], str]:
@@ -29,8 +23,7 @@ def _lines(name: str) -> dict[tuple[str, str], str]:
 
 
 def _refine(graph: str, variant: str):
-    g = parse_edge_list((GOLDEN / "graphs" / f"{graph}.el").read_bytes())
-    return refine(g, **MANIFEST["variants"][variant])
+    return refine(parse_edge_list(graph_file(graph).read_bytes()), **VARIANTS[variant])
 
 
 CERTIFICATES = _lines("certificates.txt")
@@ -38,10 +31,10 @@ COLORINGS = _lines("colorings.txt")
 
 
 def test_corpus_is_complete():
-    expected = {(g, v) for g in MANIFEST["graphs"] for v in MANIFEST["variants"]}
+    expected = {(g, v) for g in GRAPHS for v in VARIANTS}
     assert set(CERTIFICATES) == set(COLORINGS) == expected
-    assert len(MANIFEST["graphs"]) >= 6
-    for key in MANIFEST["outputs"]:
+    assert len(GRAPHS) >= 6
+    for key in OUTPUTS:
         assert (GOLDEN / "outputs" / f"{key}.json").is_file()
 
 
@@ -55,26 +48,25 @@ def test_certificate_and_coloring(graph, variant):
 # Each recorded output under its own name, and ``count --d 4`` on every
 # graph: count indexes only as far as its motifs read, so d=4 must print
 # the recorded d=3 bytes, which are not stored twice.
-CLI_CASES = {key: (argv, key) for key, argv in MANIFEST["outputs"].items()}
-for _graph in MANIFEST["graphs"]:
+CLI_CASES = {key: (argv, key) for key, argv in OUTPUTS.items()}
+for _graph in GRAPHS:
     CLI_CASES[f"count-{_graph}-d4"] = (
-        ["count", "--d", "4", f"graphs/{_graph}.el"],
+        ["count", "--d", "4", str(graph_file(_graph))],
         f"count-{_graph}-d3",
     )
 
 
 @pytest.mark.parametrize("key", sorted(CLI_CASES))
 def test_cli_output(key, tmp_path):
-    args, expected = CLI_CASES[key]
-    argv = [str(GOLDEN / a) if a.startswith("graphs/") else a for a in args]
+    argv, expected = CLI_CASES[key]
     out = tmp_path / "out.json"
     assert main([*argv, "--output", str(out)]) == 0
     assert out.read_bytes() == (GOLDEN / "outputs" / f"{expected}.json").read_bytes()
 
 
-@pytest.mark.parametrize("graph", MANIFEST["graphs"])
+@pytest.mark.parametrize("graph", GRAPHS)
 def test_oracle_default_report_is_the_count_report_at_d3(graph, tmp_path):
     # the brute-force report, with no --motifs, byte for byte
     out = tmp_path / "out.json"
-    assert main(["oracle", str(GOLDEN / "graphs" / f"{graph}.el"), "--output", str(out)]) == 0
+    assert main(["oracle", str(graph_file(graph)), "--output", str(out)]) == 0
     assert out.read_bytes() == (GOLDEN / "outputs" / f"count-{graph}-d3.json").read_bytes()

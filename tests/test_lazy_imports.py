@@ -7,18 +7,16 @@ interpreter's own start-up loads are left out.
 from __future__ import annotations
 
 import importlib
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
+from conftest import child_env
 from graph_helpers import gen_petersen
 import drfwl
 from drfwl.graph import gen_cycle
 
-SRC_DIR = str(Path(__file__).resolve().parents[1] / "src")
 ALGORITHMS = {"drfwl.counting", "drfwl.refine", "drfwl.oracle"}
 
 
@@ -26,11 +24,9 @@ def loaded(body: str) -> set[str]:
     """Modules a child holds after running ``body``, less a bare child's."""
 
     def modules(code: str) -> set[str]:
-        env = dict(os.environ)
-        env["PYTHONPATH"] = SRC_DIR + os.pathsep + env.get("PYTHONPATH", "")
         script = f"{code}\nimport sys\nprint('\\n'.join(sys.modules))\n"
         proc = subprocess.run(
-            [sys.executable, "-c", script], capture_output=True, text=True, env=env
+            [sys.executable, "-c", script], capture_output=True, text=True, env=child_env()
         )
         assert proc.returncode == 0, proc.stderr
         return set(proc.stdout.split())

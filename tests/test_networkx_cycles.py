@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import small_graphs
-from graph_helpers import gen_complete, gen_petersen
+from graph_helpers import gen_complete, gen_petersen, gen_rook44, gen_shrikhande
 from drfwl.counting import compute_node_counts, graph_level
 from drfwl.graph import Graph, gen_erdos_renyi, gen_random_regular
 from drfwl.oracle import oracle_graph_count
@@ -61,3 +61,10 @@ def test_cycle_totals_match_networkx(make):
 @given(small_graphs(max_n=9))
 def test_cycle_totals_match_networkx_hypothesis(g):
     _check(g)
+
+
+def test_strongly_regular_pair_differs_first_in_8_cycles():
+    # the counting ceiling's pair (test_counting_ceiling.py), by length
+    short = {3: 32, 4: 60, 5: 288, 6: 1248, 7: 4032}
+    assert _nx_cycles(gen_rook44(), 8) == {**short, 8: 11952}
+    assert _nx_cycles(gen_shrikhande(), 8) == {**short, 8: 11688}

@@ -5,13 +5,12 @@ from hypothesis import given, settings
 
 from conftest import small_graphs
 from reference import admissible_triples
-from graph_helpers import gen_complete, gen_star, permute
+from graph_helpers import double_cycle, gen_complete, gen_rook44, gen_shrikhande, gen_star, permute
 from drfwl import refine
 from drfwl.errors import CapabilityError
 from drfwl.graph import (
     SplitMix64,
     gen_cycle,
-    gen_disjoint_union,
     gen_erdos_renyi,
     gen_random_regular,
 )
@@ -24,10 +23,6 @@ from drfwl.refine import (
     wl1_refine,
 )
 from drfwl.tuples import build_index
-
-
-def double_cycle(k):
-    return gen_disjoint_union([gen_cycle(k), gen_cycle(k)])
 
 
 def random_permutation(n, seed):
@@ -292,30 +287,8 @@ class TestDistinguishProperties:
         # strongly-regular parameters (16,6,2,2).  The dense 2-tuple test
         # provably cannot separate them, so the weaker tests must not
         # either; a refinement that "distinguished" here would be broken.
-        from drfwl.graph import Graph
-
-        def rook44():
-            edges = []
-            for i in range(4):
-                for j in range(4):
-                    for jj in range(j + 1, 4):
-                        edges.append((4 * i + j, 4 * i + jj))
-                        edges.append((4 * j + i, 4 * jj + i))
-            return Graph.from_edges(16, edges)
-
-        def shrikhande():
-            conn = {(1, 0), (3, 0), (0, 1), (0, 3), (1, 1), (3, 3)}
-            edges = set()
-            for x in range(4):
-                for y in range(4):
-                    for dx, dy in conn:
-                        a = 4 * x + y
-                        b = 4 * ((x + dx) % 4) + (y + dy) % 4
-                        edges.add((min(a, b), max(a, b)))
-            return Graph.from_edges(16, sorted(edges))
-
-        r, s = rook44(), shrikhande()
+        r, s = gen_rook44(), gen_shrikhande()
         assert not distinguish(r, s, "wl1")
-        assert not distinguish(r, s, "drfwl", d=2)
-        assert not distinguish(r, s, "drfwl", d=3)
+        for d in (1, 2, 3):
+            assert not distinguish(r, s, "drfwl", d=d)
         assert not distinguish(r, s, "fwl2")

@@ -2,13 +2,13 @@
 from __future__ import annotations
 
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from conftest import child_env
 from drfwl.graph import gen_random_regular
 from drfwl.tuples import build_index
 
@@ -17,14 +17,12 @@ ROOT = Path(__file__).resolve().parents[1]
 
 @pytest.mark.parametrize("n, r, d", [(60, 4, 2), (40, 4, 3)])
 def test_child_reports_one_point(n, r, d):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(ROOT / "src") + os.pathsep + env.get("PYTHONPATH", "")
     script = ROOT / "scripts" / "scale_check.py"
     proc = subprocess.run(
         [sys.executable, str(script), "--child", str(n), str(r), str(d)],
         capture_output=True,
         text=True,
-        env=env,
+        env=child_env(),
     )
     assert proc.returncode == 0, proc.stderr
     res = json.loads(proc.stdout)

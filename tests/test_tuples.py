@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import reference
 from conftest import small_graphs
 from graph_helpers import bfs_distances, gen_complete, gen_star
+from drfwl.counting import compute_node_counts
 from drfwl.graph import Graph, gen_cycle, gen_erdos_renyi, gen_random_regular
 from drfwl.tuples import build_index, intersect
 
@@ -61,6 +62,20 @@ class TestBuildIndex:
         finally:
             tracemalloc.stop()
         assert used / idx.tuple_count <= 120
+
+    @pytest.mark.parametrize("n, d, bound", [(1000, 2, 150), (500, 3, 135)])
+    def test_counting_memory_per_tuple(self, n, d, bound):
+        # what compute_node_counts allocates above the index, at its peak,
+        # reads about 130 B a tuple at d = 2 and 117 B at d = 3; storing
+        # W3, W4, CC1, CC2, C23 and TR2 per tuple as well reads 178 and 161 B
+        idx = build_index(gen_random_regular(n, 4, 0), d)
+        tracemalloc.start()
+        try:
+            compute_node_counts(idx)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / idx.tuple_count <= bound
 
     # the rule is checked before any node is read, so an empty graph refuses too
     @pytest.mark.parametrize("n", [0, 3])

@@ -18,20 +18,19 @@ from __future__ import annotations
 
 from itertools import accumulate, compress, islice
 from operator import sub
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import small_graphs
+from golden_corpus import GRAPHS, graph_file
 from drfwl.counting import common_neighbours
 from drfwl.graph import Graph, parse_edge_list
 from drfwl.refine import _drfwl_blocks
 from drfwl.tuples import TupleIndex, WitnessTable, build_index
 from reference import admissible_triples
 
-GOLDEN_GRAPHS = sorted((Path(__file__).resolve().parent / "golden" / "graphs").glob("*.el"))
 DEPTHS = (2, 3, 4)
 MASK_DEPTHS = (2, 3)
 
@@ -65,9 +64,9 @@ def _check_common_neighbours_are_the_11_channel(g: Graph, d: int) -> None:
 
 
 @pytest.mark.parametrize("d", DEPTHS)
-@pytest.mark.parametrize("path", GOLDEN_GRAPHS, ids=lambda p: p.stem)
-def test_common_neighbours_are_the_11_channel_on_the_golden_graphs(path, d):
-    _check_common_neighbours_are_the_11_channel(parse_edge_list(path.read_bytes()), d)
+@pytest.mark.parametrize("name", GRAPHS)
+def test_common_neighbours_are_the_11_channel_on_the_golden_graphs(name, d):
+    _check_common_neighbours_are_the_11_channel(parse_edge_list(graph_file(name).read_bytes()), d)
 
 
 @settings(max_examples=60, deadline=None)
@@ -94,9 +93,9 @@ def _check_single_masks_drop_one_channel(g: Graph, d: int) -> None:
 
 
 @pytest.mark.parametrize("d", MASK_DEPTHS)
-@pytest.mark.parametrize("path", GOLDEN_GRAPHS, ids=lambda p: p.stem)
-def test_single_masks_drop_one_channel_on_the_golden_graphs(path, d):
-    _check_single_masks_drop_one_channel(parse_edge_list(path.read_bytes()), d)
+@pytest.mark.parametrize("name", GRAPHS)
+def test_single_masks_drop_one_channel_on_the_golden_graphs(name, d):
+    _check_single_masks_drop_one_channel(parse_edge_list(graph_file(name).read_bytes()), d)
 
 
 @settings(max_examples=40, deadline=None)
