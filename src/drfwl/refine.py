@@ -208,13 +208,15 @@ def _drfwl_blocks(idx: TupleIndex, masked: frozenset) -> WitnessTable:
 def _refine_multi(
     graphs: Sequence[Graph],
     method: str,
-    d: int | None = None,
-    masked: frozenset = frozenset(),
-) -> tuple[list[list[int]], int, tuple[int, ...]]:
-    """Refinement of the graphs' units in one id space under ``method``:
-    per-graph stable colors, rounds, and class counts per round.  The
-    request is one that ``check_request`` passed, and ``masked`` the
-    triples it returned; wl1 and fwl2 read neither d nor ``masked``."""
+    d: int = 2,
+    mask: Iterable[tuple[int, int, int]] | None = None,
+) -> list[Coloring]:
+    """One stable coloring per graph, from refining the graphs' units in
+    one id space under ``method``, so the graphs' color ids compare
+    directly.  Each carries the run's rounds and class counts, and d is
+    None for wl1 and fwl2, which read no d.  ``check_request`` refuses a
+    bad request before any work."""
+    masked = check_request(method, d, mask)
     if method == "wl1":
         sizes = [g.n for g in graphs]
         init, table = [0] * sum(sizes), witness_table(_wl1_units(gen_disjoint_union(graphs)))
@@ -241,7 +243,8 @@ def _refine_multi(
         del idx, rows  # the rounds read only the table; freeing the index lowers peak memory
     colors, iterations, history = _refine_to_stability(init, table)
     stable = iter(colors)
-    return [list(islice(stable, size)) for size in sizes], iterations, history
+    d_out = d if method == "drfwl" else None
+    return [Coloring(method, d_out, tuple(islice(stable, n)), iterations, history) for n in sizes]
 
 
 # ---------------------------------------------------------------------------
@@ -272,19 +275,9 @@ def check_request(
     return frozenset(out)
 
 
-def _coloring(
-    g: Graph,
-    method: str,
-    d: int | None = None,
-    masked: frozenset = frozenset(),
-) -> Coloring:
-    (colors,), iterations, history = _refine_multi([g], method, d, masked)
-    return Coloring(method, d, tuple(colors), iterations, history)
-
-
 def wl1_refine(g: Graph) -> Coloring:
     """Classic node color refinement from a uniform initial color."""
-    return _coloring(g, "wl1")
+    return _refine_multi([g], "wl1")[0]
 
 
 def fwl2_refine(g: Graph) -> Coloring:
@@ -292,7 +285,7 @@ def fwl2_refine(g: Graph) -> Coloring:
 
     Graphs with more than ``FWL2_DENSE_CAP`` nodes raise CapabilityError.
     """
-    return _coloring(g, "fwl2")
+    return _refine_multi([g], "fwl2")[0]
 
 
 def drfwl_refine(
@@ -310,7 +303,7 @@ def drfwl_refine(
     refine distances, so the merged multiset splits the tuples exactly as
     the paper's per-channel multisets do.
     """
-    return _coloring(g, "drfwl", d, check_request("drfwl", d, mask))
+    return _refine_multi([g], "drfwl", d, mask)[0]
 
 
 def _histogram(colors: Sequence[int]) -> tuple[tuple[int, int], ...]:
@@ -348,16 +341,13 @@ def refine_pair(
 
     ``check_request`` refuses a bad request before any work.
     """
-    masked = check_request(method, d, mask)
-    d_out = d if method == "drfwl" else None
-    (ca, cb), iterations, _ = _refine_multi([g1, g2], method, d_out, masked)
-    ha = _histogram(ca)
-    hb = _histogram(cb)
+    a, b = _refine_multi([g1, g2], method, d, mask)
+    ha, hb = _histogram(a.colors), _histogram(b.colors)
     return PairVerdict(
         distinguished=ha != hb,
         method=method,
-        d=d_out,
-        iterations=iterations,
+        d=a.d,
+        iterations=a.iterations,
         histogram_a=ha,
         histogram_b=hb,
     )

@@ -1,9 +1,10 @@
 """Graph helpers that only the tests and scripts use.
 
 Small fixed graphs (paths, complete graphs, stars, the Petersen graph,
-double cycles, circulants, and the strongly regular pair of the 4x4
-rook's graph and the Shrikhande graph), relabelling, BFS distances, and
-the check that stable colours determine a per-unit value.  The package's
+double cycles, circulants, the strongly regular pair of the 4x4 rook's
+graph and the Shrikhande graph, and triangular and hexagonal lattice
+tori), relabelling, BFS distances, and the check that stable colours
+determine a per-unit value.  The package's
 own generators are in ``drfwl.graph``; these live here because no runtime
 path calls them.
 """
@@ -12,6 +13,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from drfwl.graph import Graph, gen_cycle, gen_disjoint_union
+from drfwl.refine import Coloring
 from drfwl.tuples import TupleIndex
 
 
@@ -105,6 +107,36 @@ def gen_shrikhande() -> Graph:
     )
 
 
+def gen_triangular_torus(a: int, b: int) -> Graph:
+    """The triangular lattice on an a x b torus: (x, y), as node b*x + y, is
+    adjacent to (x + 1, y), (x, y + 1) and (x + 1, y + 1), mod the sides."""
+    return Graph.from_edges(
+        a * b,
+        (
+            (b * x + y, b * ((x + dx) % a) + (y + dy) % b)
+            for x in range(a)
+            for y in range(b)
+            for dx, dy in ((1, 0), (0, 1), (1, 1))
+        ),
+    )
+
+
+def gen_hexagonal_torus(a: int, b: int) -> Graph:
+    """The hexagonal lattice on an a x b torus, both sides even, as a brick
+    wall: (x, y), as node b*x + y, is adjacent to (x + 1, y), and to
+    (x, y + 1) when x + y is even, mod the sides."""
+    return Graph.from_edges(
+        a * b,
+        (
+            (b * x + y, b * ((x + dx) % a) + (y + dy) % b)
+            for x in range(a)
+            for y in range(b)
+            for dx, dy in ((1, 0), (0, 1))
+            if dx or (x + y) % 2 == 0
+        ),
+    )
+
+
 def permute(g: Graph, perm: Sequence[int]) -> Graph:
     """Relabel nodes: node u becomes perm[u]."""
     if sorted(perm) != list(range(g.n)):
@@ -113,17 +145,18 @@ def permute(g: Graph, perm: Sequence[int]) -> Graph:
 
 
 def undetermined(
-    colors: Sequence[Sequence[int]],
+    colorings: Sequence[Coloring],
     values: Sequence[Sequence[object]],
     indexes: Sequence[TupleIndex] | None = None,
 ) -> int:
     """Units whose value differs from the first value seen for their
-    colour, over all graphs of one lockstep ``_refine_multi`` run.
+    colour, over the colorings of one lockstep ``_refine_multi`` run.
 
-    ``colors[i]`` are graph i's stable colours by unit id.  Without
+    ``colorings[i]`` is graph i's, its colours by unit id.  Without
     ``indexes``, ``values[i][t]`` belongs to unit t; with them, it belongs
     to node t, coloured by its tuple (t, t) in ``indexes[i]``.
     """
+    colors = [c.colors for c in colorings]
     if indexes is not None:
         colors = [[cs[row[u]] for u, row in enumerate(i.rows)] for cs, i in zip(colors, indexes)]
     first: dict[int, object] = {}

@@ -74,9 +74,9 @@ def oracle(graphs):
 def _undetermined(gs: list[Graph], counts: list[dict], d: int, names: tuple[str, ...]) -> int:
     """Nodes, over one lockstep drfwl run of ``gs`` at ``d``, whose counts
     of ``names`` differ from the first counts seen for their (u, u) colour."""
-    colors, _, _ = _refine_multi(gs, "drfwl", d)
+    colorings = _refine_multi(gs, "drfwl", d)
     values = [list(zip(*(want[name] for name in names))) for want in counts]
-    return undetermined(colors, values, [build_index(g, d) for g in gs])
+    return undetermined(colorings, values, [build_index(g, d) for g in gs])
 
 
 def test_atlas_holds_every_graph_up_to_7_nodes(atlas, graphs):

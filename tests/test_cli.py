@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -297,6 +298,13 @@ class TestErrorMapping:
             main(["gen", "cycle", "3", "--format", "json"])
         assert exc.value.code == 2
         assert "unrecognized arguments: --format json" in capsys.readouterr().err
+
+    def test_gen_unknown_kind_is_refused_by_the_parser(self, capsys):
+        # cmd_gen has no branch for it: the choices, in order, come from GENERATORS
+        with pytest.raises(SystemExit) as exc:
+            main(["gen", "grid", "3"])
+        assert exc.value.code == 2
+        assert re.search(r"invalid choice.*cycle.*er.*regular.*separation", capsys.readouterr().err)
 
     def test_bench_subcommand_is_gone(self, capsys):
         with pytest.raises(SystemExit) as exc:

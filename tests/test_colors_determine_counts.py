@@ -53,7 +53,7 @@ def _check(gs: list[Graph], d: int, mask=None) -> dict[str, int]:
     """Violations of colour determination in the lockstep run of ``gs`` at
     ``d``: of the pair fields (``runtime_pair_fields``), of cycle3..cycle6,
     and of cycle7 (its counts from a d=3 index, whatever ``d`` is)."""
-    colors, _, _ = _refine_multi(gs, "drfwl", d, mask)
+    colorings = _refine_multi(gs, "drfwl", d, mask)
     indexes = [build_index(g, d) for g in gs]
     pair_values, node_values, cycle7 = [], [], []
     for g, idx in zip(gs, indexes):
@@ -63,9 +63,9 @@ def _check(gs: list[Graph], d: int, mask=None) -> dict[str, int]:
         node_values.append(list(zip(*(getattr(counts, name) for name in CYCLES))))
         cycle7.append(compute_node_counts(build_index(g, 3)).cycle7)
     return {
-        "pairs": undetermined(colors, pair_values),
-        "cycles": undetermined(colors, node_values, indexes),
-        "cycle7": undetermined(colors, cycle7, indexes),
+        "pairs": undetermined(colorings, pair_values),
+        "cycles": undetermined(colorings, node_values, indexes),
+        "cycle7": undetermined(colorings, cycle7, indexes),
     }
 
 
@@ -130,17 +130,15 @@ def _refines(fine: list[int], coarse: list[int]) -> bool:
 @settings(max_examples=25, deadline=None)
 @given(st.data(), regular_pairs(), st.integers(min_value=1, max_value=3))
 def test_partitions_refine_with_d_and_coarsen_under_masks(data, gs, d):
-    colors, _, _ = _refine_multi(gs, "drfwl", d, None)
-    flat = [c for cs in colors for c in cs]
+    flat = [c for col in _refine_multi(gs, "drfwl", d) for c in col.colors]
     # the d + 1 colours, on the tuples within d, refine the d colours
-    wider, _, _ = _refine_multi(gs, "drfwl", d + 1, None)
     restricted = []
-    for cs, g in zip(wider, gs):
+    for col, g in zip(_refine_multi(gs, "drfwl", d + 1), gs):
         rows = build_index(g, d + 1).rows
         idx = build_index(g, d)
-        restricted += [cs[rows[u][v]] for u, v in zip(idx.us, idx.vs)]
+        restricted += [col.colors[rows[u][v]] for u, v in zip(idx.us, idx.vs)]
     assert _refines(restricted, flat)
     # a mask drops witnesses, so its partition is never finer
     mask = data.draw(st.sets(st.sampled_from(admissible_triples(d))))
-    masked, _, _ = _refine_multi(gs, "drfwl", d, sorted(mask))
-    assert _refines(flat, [c for cs in masked for c in cs])
+    masked = _refine_multi(gs, "drfwl", d, mask)
+    assert _refines(flat, [c for col in masked for c in col.colors])

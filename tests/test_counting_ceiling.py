@@ -45,8 +45,8 @@ def test_the_8_cycle_counts_differ():
 
 @pytest.mark.parametrize("d", (2, 3))
 def test_union_colours_determine_short_cycles_but_not_8_cycles(d):
-    colors, _, _ = _refine_multi(list(PAIR), "drfwl", d)
+    colorings = _refine_multi(list(PAIR), "drfwl", d)
     indexes = [build_index(g, d) for g in PAIR]
     short = [list(zip(*(counts.by_name(name) for name in CYCLES))) for counts in COUNTS]
-    assert undetermined(colors, short, indexes) == 0
-    assert undetermined(colors, HITS8, indexes) > 0
+    assert undetermined(colorings, short, indexes) == 0
+    assert undetermined(colorings, HITS8, indexes) > 0

@@ -34,8 +34,17 @@ def test_corpus_is_complete():
     expected = {(g, v) for g in GRAPHS for v in VARIANTS}
     assert set(CERTIFICATES) == set(COLORINGS) == expected
     assert len(GRAPHS) >= 6
-    for key in OUTPUTS:
-        assert (GOLDEN / "outputs" / f"{key}.json").is_file()
+    # exactly the tables' files: an entry dropped from a table leaves none behind
+    files = {p for p in GOLDEN.rglob("*") if p.is_file()}
+    tabled = {GOLDEN / "certificates.txt", GOLDEN / "colorings.txt"}
+    tabled |= {graph_file(g) for g in GRAPHS} | {GOLDEN / "outputs" / f"{k}.json" for k in OUTPUTS}
+    assert files == tabled
+    assert len(files) == 38
+
+
+@pytest.mark.parametrize("graph", GRAPHS)
+def test_generator_gives_the_stored_edge_list(graph):
+    assert GRAPHS[graph]().to_edge_list().encode() == graph_file(graph).read_bytes()
 
 
 @pytest.mark.parametrize("graph,variant", sorted(CERTIFICATES))

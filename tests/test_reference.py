@@ -65,6 +65,15 @@ def masks(draw, d: int):
     return sorted(draw(st.sets(st.sampled_from(reference.admissible_triples(d)))))
 
 
+def _lockstep(gs: list[Graph], method: str, d: int = 2, mask=None):
+    """``_refine_multi``'s colorings in the references' form: each graph's
+    colour list, the rounds and the class counts, which every coloring of
+    the run carries alike."""
+    colorings = _refine_multi(gs, method, d, mask)
+    (run,) = {(c.iterations, c.class_counts) for c in colorings}
+    return [list(c.colors) for c in colorings], *run
+
+
 def _check_single(g: Graph, d: int, mask) -> None:
     col = drfwl_refine(g, d, mask=mask)
     (colors,), iterations, history = reference.drfwl_multi([g], d, mask)
@@ -75,7 +84,7 @@ def _check_single(g: Graph, d: int, mask) -> None:
 
 def _check_pair(g1: Graph, g2: Graph, d: int, mask) -> None:
     expected = reference.drfwl_multi([g1, g2], d, mask)
-    assert _refine_multi([g1, g2], "drfwl", d, mask) == expected
+    assert _lockstep([g1, g2], "drfwl", d, mask) == expected
     verdict = refine_pair(g1, g2, "drfwl", d=d, mask=mask)
     (ca, cb), iterations, _ = expected
     assert verdict.iterations == iterations
@@ -113,7 +122,7 @@ def test_benchmark_shaped_pair_matches_reference():
 def _check_per_channel_partition(gs: list[Graph], d: int, mask) -> None:
     """The runtime's merged multisets and the paper's per-channel ones give
     one partition: their ids pair one to one, in every graph together."""
-    merged, iterations, history = _refine_multi(gs, "drfwl", d, mask)
+    merged, iterations, history = _lockstep(gs, "drfwl", d, mask)
     nested, want_iterations, want_history = reference.drfwl_multi(gs, d, mask, nested=True)
     ids = [c for colors in merged for c in colors]
     want = [c for colors in nested for c in colors]
@@ -163,7 +172,7 @@ def _check_dense(method: str, g1: Graph, g2: Graph) -> None:
     (colors,), iterations, history = reference_multi([g1])
     assert (list(col.colors), col.iterations, col.class_counts) == (colors, iterations, history)
     expected = reference_multi([g1, g2])
-    assert _refine_multi([g1, g2], method) == expected
+    assert _lockstep([g1, g2], method) == expected
     verdict = refine_pair(g1, g2, method)
     (ca, cb), iterations, _ = expected
     assert verdict.iterations == iterations
@@ -216,14 +225,13 @@ def test_empty_graphs_split_like_the_reference(method, gs):
     # a 0-node graph owns no unit, so the cut of the stable colors gives it [];
     # the path pair refines for about n rounds (29 under wl1, 28 under drfwl)
     # while most of its units are settled
-    d = 2 if method == "drfwl" else None
-    assert _refine_multi(gs, method, d) == REFERENCES[method](gs)
+    assert _lockstep(gs, method) == REFERENCES[method](gs)
 
 
 def test_empty_graph_next_to_a_triangle():
     c3 = gen_cycle(3)
-    assert _refine_multi([EMPTY, c3], "wl1") == ([[], [0, 0, 0]], 1, (1, 1))
-    assert _refine_multi([EMPTY, c3], "drfwl", 2) == ([[], [0, 1, 1, 0, 1, 1, 0, 1, 1]], 1, (2, 2))
+    assert _lockstep([EMPTY, c3], "wl1") == ([[], [0, 0, 0]], 1, (1, 1))
+    assert _lockstep([EMPTY, c3], "drfwl", 2) == ([[], [0, 1, 1, 0, 1, 1, 0, 1, 1]], 1, (2, 2))
 
 
 @settings(max_examples=60, deadline=None)

@@ -32,6 +32,13 @@ def random_permutation(n, seed):
     return perm
 
 
+def _groups(colorings) -> list[int]:
+    """Each graph's group in one lockstep run: the index of the first graph
+    with its colour histogram."""
+    first: dict = {}
+    return [first.setdefault(certificate(c).counts, i) for i, c in enumerate(colorings)]
+
+
 class TestWL1:
     def test_vertex_transitive_cycle(self):
         col = wl1_refine(gen_cycle(6))
@@ -177,16 +184,25 @@ class TestDRFWL:
     @pytest.mark.parametrize("d", [0, -5, "junk", 2.5, True], ids=repr)
     def test_d_refused_for_every_method(self, monkeypatch, method, d):
         # wl1 and fwl2 do not read d, but an invalid one is still refused,
-        # before any refinement runs
+        # before the first work: building a method's witness table or index
         def no_work(*args):
             raise AssertionError("refined with an invalid d")
 
-        monkeypatch.setattr(refine, "_refine_multi", no_work)
+        monkeypatch.setattr(refine, "witness_table", no_work)
+        monkeypatch.setattr(refine, "build_index", no_work)
         c6 = gen_cycle(6)
         with pytest.raises(ValueError, match="d must be an int >= 1"):
             refine_pair(c6, c6, method, d=d)
         with pytest.raises(ValueError, match="d must be an int >= 1"):
             distinguish(c6, c6, method, d=d)
+
+    @pytest.mark.parametrize("method", ["wl1", "fwl2", "drfwl"])
+    def test_one_coloring_per_graph_names_d_under_drfwl_only(self, method):
+        gs = [gen_cycle(6), double_cycle(3), gen_cycle(5)]
+        colorings = refine._refine_multi(gs, method, 3)
+        d = 3 if method == "drfwl" else None
+        assert [(c.method, c.d) for c in colorings] == [(method, d)] * 3
+        assert refine_pair(gs[0], gs[1], method, d=3).d == d
 
     @pytest.mark.parametrize("d", [0, "junk", 2.5, True], ids=repr)
     def test_drfwl_refine_refuses_invalid_d(self, d):
@@ -275,6 +291,32 @@ class TestDistinguishProperties:
                 if distinguish(g1, g2, "drfwl", d=d):
                     assert distinguish(g1, g2, "drfwl", d=d + 1)
                     assert distinguish(g1, g2, "fwl2")
+
+    def test_hierarchy_as_partitions_of_a_pool(self):
+        # the paper's chain wl1 -> drfwl d=1 -> d=2 -> d=3 -> fwl2, checked on
+        # whole groupings: one lockstep run per method groups 44 graphs by
+        # colour histogram, and each grouping refines the one before it
+        pool = [gen_random_regular(n, 3, s) for n in (10, 12) for s in range(12)]
+        pool += [gen_random_regular(12, 4, s) for s in range(12)]
+        separation = {}  # d -> the pool index of 2 x C(3d+1); C(6d+2) follows it
+        for d in (1, 2, 3):
+            separation[d] = len(pool)
+            pool += [double_cycle(3 * d + 1), gen_cycle(6 * d + 2)]
+        pool += [gen_rook44(), gen_shrikhande()]
+        chain = [("wl1", 2), ("drfwl", 1), ("drfwl", 2), ("drfwl", 3), ("fwl2", 2)]
+        groupings = [_groups(refine._refine_multi(pool, method, d)) for method, d in chain]
+        assert [len(set(g)) for g in groupings] == [7, 33, 36, 37, 38]
+        for coarse, fine in zip(groupings, groupings[1:]):
+            assert len(set(zip(fine, coarse))) == len(set(fine))
+        # a separation pair shares a group up to drfwl at its own d, and
+        # every later method splits it
+        for d, i in separation.items():
+            for step, ((method, at), grouping) in enumerate(zip(chain, groupings)):
+                split = grouping[i] != grouping[i + 1]
+                assert split == (step > d), (d, method, at)
+                assert refine_pair(pool[i], pool[i + 1], method, d=at).distinguished == split
+        # the rook's graph and the Shrikhande graph, under every method
+        assert all(g[-2] == g[-1] for g in groupings)
 
     def test_empty_graphs(self):
         from drfwl.graph import Graph
