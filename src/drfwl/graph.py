@@ -119,13 +119,15 @@ def parse_edge_list(text: str | bytes) -> Graph:
     become isolated nodes).  Duplicate edges collapse.  Self-loops and
     ids or counts that are not plain ASCII decimal digits are rejected
     with their line number: ``int()`` alone would also take ``1_0``,
-    ``+3``, ``٠`` and ``３``.
+    ``+3``, ``٠`` and ``３``.  One leading byte-order mark (U+FEFF) is
+    dropped; one anywhere else is refused like any other stray character.
     """
     if isinstance(text, bytes):
         try:
             text = text.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise GraphFormatError(f"input is not UTF-8 text: {exc}") from None
+    text = text.removeprefix("\ufeff")
     forced_n = 0
     seen_header = False
     edges: list[tuple[int, int]] = []

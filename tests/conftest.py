@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import hypothesis.strategies as st
@@ -17,6 +19,24 @@ def child_env(**extra: str) -> dict[str, str]:
     env = dict(os.environ, **extra)
     env["PYTHONPATH"] = SRC_DIR + os.pathsep + env.get("PYTHONPATH", "")
     return env
+
+
+def run_child(
+    *argv: str, exit_code: int | None = 0, env: dict[str, str] | None = None, preexec_fn=None
+) -> subprocess.CompletedProcess:
+    """Run ``python *argv`` to its end in ``env`` (default ``child_env()``),
+    with text stdout and stderr captured.  Raises RuntimeError, carrying
+    the child's stderr, unless it exits with ``exit_code`` (None takes any)."""
+    proc = subprocess.run(
+        [sys.executable, *argv],
+        capture_output=True,
+        text=True,
+        env=child_env() if env is None else env,
+        preexec_fn=preexec_fn,
+    )
+    if exit_code is not None and proc.returncode != exit_code:
+        raise RuntimeError(f"python {' '.join(argv)} exited {proc.returncode}:\n{proc.stderr}")
+    return proc
 
 
 @st.composite

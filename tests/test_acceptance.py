@@ -8,7 +8,7 @@ from __future__ import annotations
 import subprocess
 import sys
 
-from conftest import child_env
+from conftest import child_env, run_child
 from graph_helpers import diameter, double_cycle, gen_complete, gen_petersen, permute
 from drfwl import oracle
 from drfwl.counting import check_motifs, compute_node_counts
@@ -94,12 +94,8 @@ def test_criterion_5_negative_counting_capability(tmp_path):
     ok &= oracle.oracle_graph_count(h, "cycle7") == 0
     path = tmp_path / "g.el"
     path.write_text(g.to_edge_list())
-    proc = subprocess.run(
-        [sys.executable, "-m", "drfwl", "count", "--motifs", "cycle7", "--d", "2", str(path)],
-        capture_output=True,
-        env=child_env(),
-    )
-    ok &= proc.returncode == 3
+    argv = ["-m", "drfwl", "count", "--motifs", "cycle7", "--d", "2", str(path)]
+    ok &= run_child(*argv, exit_code=None).returncode == 3
     report(
         5,
         ok,

@@ -1,12 +1,9 @@
 from __future__ import annotations
 
-import subprocess
-import sys
-
 import pytest
 from hypothesis import given, settings
 
-from conftest import child_env, small_graphs
+from conftest import run_child, small_graphs
 from graph_helpers import gen_complete, gen_path, gen_petersen, gen_star
 from pair_oracle import oracle_pair_count, walk_matrix_power
 from reference import runtime_pair_fields
@@ -324,8 +321,4 @@ class TestInvariants:
             "except InvariantError:\n"
             "    print('raised')\n"
         )
-        proc = subprocess.run(
-            [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=child_env()
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == "raised\n"
+        assert run_child("-O", "-c", script).stdout == "raised\n"

@@ -62,6 +62,28 @@ class TestParse:
         g = parse_edge_list(b"# header\r\n\r\n0 1\r\n# mid\n1 2\n")
         assert (g.n, g.m) == (3, 2)
 
+    @pytest.mark.parametrize(
+        "plain",
+        [b"0 1\n1 2\n", "0 1\n1 2\n", b"# c\n0 1\n1 2\n", b"n 4\n0 1\n1 2\n"],
+        ids=["bytes", "str", "comment-first", "header-first"],
+    )
+    def test_one_leading_byte_order_mark_is_dropped(self, plain):
+        mark = "\ufeff".encode() if isinstance(plain, bytes) else "\ufeff"
+        marked, plain = parse_edge_list(mark + plain), parse_edge_list(plain)
+        assert (marked.n, marked.adjacency) == (plain.n, plain.adjacency)
+
+    @pytest.mark.parametrize(
+        "data, line",
+        [
+            (b"0 1\n\xef\xbb\xbf1 2\n", r"line 2: .* in '\\ufeff1 2'"),
+            (b"\xef\xbb\xbf\xef\xbb\xbf0 1\n", r"line 1: .* in '\\ufeff0 1'"),
+        ],
+        ids=["second-line", "second-mark"],
+    )
+    def test_byte_order_mark_elsewhere_rejected_with_line(self, data, line):
+        with pytest.raises(GraphFormatError, match=f"^{line}$"):
+            parse_edge_list(data)
+
     def test_self_loop_rejected_with_line(self):
         with pytest.raises(GraphFormatError, match="line 2"):
             parse_edge_list("0 1\n3 3\n")

@@ -7,12 +7,10 @@ interpreter's own start-up loads are left out.
 from __future__ import annotations
 
 import importlib
-import subprocess
-import sys
 
 import pytest
 
-from conftest import child_env
+from conftest import run_child
 from graph_helpers import gen_petersen
 import drfwl
 from drfwl.graph import gen_cycle
@@ -25,11 +23,7 @@ def loaded(body: str) -> set[str]:
 
     def modules(code: str) -> set[str]:
         script = f"{code}\nimport sys\nprint('\\n'.join(sys.modules))\n"
-        proc = subprocess.run(
-            [sys.executable, "-c", script], capture_output=True, text=True, env=child_env()
-        )
-        assert proc.returncode == 0, proc.stderr
-        return set(proc.stdout.split())
+        return set(run_child("-c", script).stdout.split())
 
     return modules(body) - modules("pass")
 

@@ -2,13 +2,11 @@
 from __future__ import annotations
 
 import json
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 
-from conftest import child_env
+from conftest import run_child
 from drfwl.graph import gen_random_regular
 from drfwl.tuples import build_index
 
@@ -18,14 +16,7 @@ ROOT = Path(__file__).resolve().parents[1]
 @pytest.mark.parametrize("n, r, d", [(60, 4, 2), (40, 4, 3)])
 def test_child_reports_one_point(n, r, d):
     script = ROOT / "scripts" / "scale_check.py"
-    proc = subprocess.run(
-        [sys.executable, str(script), "--child", str(n), str(r), str(d)],
-        capture_output=True,
-        text=True,
-        env=child_env(),
-    )
-    assert proc.returncode == 0, proc.stderr
-    res = json.loads(proc.stdout)
+    res = json.loads(run_child(str(script), "--child", str(n), str(r), str(d)).stdout)
     assert set(res) == {
         "tuples", "pair_stats_s", "node_counts_s", "node_counts_peak_mb", "maxrss_mb"
     }
