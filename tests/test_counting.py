@@ -10,14 +10,13 @@ from reference import runtime_pair_fields
 from drfwl import oracle
 from drfwl.counting import (
     GRAPH_LEVEL_FACTOR,
-    common_neighbours,
     compute_node_counts,
     compute_pair_stats,
     check_motifs,
     counts_to_report,
     graph_level,
+    index_depth,
     node_walks,
-    pairwise_p2,
 )
 from drfwl.errors import CapabilityError, InvariantError, exact_quotient
 from drfwl.graph import gen_cycle, gen_erdos_renyi, gen_random_regular
@@ -26,35 +25,97 @@ from drfwl.tuples import build_index
 ALL_MOTIFS = check_motifs(2)
 PAIR_KINDS = ("P2", "P3", "P4", "W3", "W4", "T", "CC2", "CCX", "C23", "C24", "TR2")
 
+# the graphs whose counts are known by hand, by the names the tables use
+PINNED_GRAPHS = {
+    **{f"C{n}": gen_cycle(n) for n in range(3, 8)},
+    "K4": gen_complete(4),
+    "star3": gen_star(3),
+    "path4": gen_path(4),
+    "path5": gen_path(5),
+    "petersen": gen_petersen(),
+    "er30": gen_erdos_renyi(30, 0.15, 1),
+}
+
+# (graph, motif, per-node counts, graph count); None where only the graph
+# count is known by hand, and the two legs must agree node by node
+NODE_TABLE = [
+    *((f"C{n}", f"cycle{k}", [int(k == n)] * n, int(k == n)) for n in range(3, 8) for k in range(3, 8)),
+    ("K4", "cycle3", [3] * 4, 4),
+    ("K4", "cycle4", [3] * 4, 3),
+    ("K4", "cycle5", [0] * 4, 0),
+    ("K4", "cycle6", [0] * 4, 0),
+    *(
+        ("C6", name, [0] * 6, 0)
+        for name in ("tailed_triangle", "chordal_cycle_cc1", "chordal_cycle_cc2", "tr1", "tr2", "tr3")
+    ),
+    ("star3", "path2", [0, 2, 2, 2], 3),
+    ("path5", "path4", [1, 0, 0, 0, 1], 1),
+    ("petersen", "cycle5", [6] * 10, 12),
+    ("petersen", "cycle6", [6] * 10, 10),
+    ("petersen", "cycle7", [0] * 10, 0),
+    ("er30", "cycle5", None, 211),
+]
+
+# (graph, pair kind, u, v, index depth, count)
+PAIR_TABLE = [
+    ("C5", "P2", 0, 1, 2, 0),  # girth 5
+    ("C5", "P4", 0, 1, 2, 1),
+    ("C4", "P2", 0, 2, 2, 2),
+    ("K4", "P2", 0, 1, 2, 2),
+    ("K4", "W4", 0, 1, 2, 20),
+    ("K4", "P4", 0, 1, 2, 0),
+    ("C6", "P3", 0, 1, 2, 0),
+    ("C6", "W4", 0, 2, 2, 5),
+    ("path4", "P3", 0, 3, 3, 1),
+]
+
+# the random graphs whose every count is checked against the oracle: (n, p, seed)
+ORACLE_GRAPHS = [
+    *((16, 0.28, 40 + seed) for seed in range(8)),
+    *((14, 0.33, 60 + seed) for seed in range(4)),
+    *((13, 0.3, 80 + seed) for seed in range(6)),
+]
+
+
+def check_against_oracle(g) -> None:
+    """Every motif of ``check_motifs(3)``, per node and in total, counted at
+    each d = 2, 3 that reaches it, against one oracle call per motif."""
+    counts = {d: compute_node_counts(build_index(g, d)) for d in (2, 3)}
+    for name in check_motifs(3):
+        per_node = oracle.oracle_node_counts(g, name)
+        total = oracle.graph_total(name, per_node)
+        for d in range(index_depth([name]), 4):
+            nc = counts[d]
+            assert (nc.by_name(name), graph_level(nc, name)) == (per_node, total), (name, d)
+
+
+@pytest.mark.parametrize(
+    "graph, motif, per_node, total", NODE_TABLE, ids=[f"{g}-{m}" for g, m, *_ in NODE_TABLE]
+)
+def test_pinned_node_counts_on_both_legs(graph, motif, per_node, total):
+    g = PINNED_GRAPHS[graph]
+    by_oracle = oracle.oracle_node_counts(g, motif)
+    if per_node is None:
+        per_node = by_oracle
+    assert (by_oracle, oracle.oracle_graph_count(g, motif)) == (per_node, total)
+    for d in range(index_depth([motif]), 4):
+        nc = compute_node_counts(build_index(g, d))
+        assert (nc.by_name(motif), graph_level(nc, motif)) == (per_node, total), d
+
+
+@pytest.mark.parametrize(
+    "graph, kind, u, v, d, value",
+    PAIR_TABLE,
+    ids=[f"{g}-{kind}({u},{v})" for g, kind, u, v, *_ in PAIR_TABLE],
+)
+def test_pinned_pair_counts_on_both_legs(graph, kind, u, v, d, value):
+    g = PINNED_GRAPHS[graph]
+    idx = build_index(g, d)
+    assert runtime_pair_fields(idx, compute_pair_stats(idx))[kind.lower()][idx.rows[u][v]] == value
+    assert oracle_pair_count(g, kind, u, v) == value
+
 
 class TestPairwise:
-    def test_p2_small_cases(self):
-        c5 = build_index(gen_cycle(5), 2)
-        s = pairwise_p2(c5, common_neighbours(c5, c5.graph.neighbor_sets()))
-        assert s[c5.rows[0][1]] == 0  # girth 5
-        c4 = build_index(gen_cycle(4), 2)
-        assert pairwise_p2(c4, common_neighbours(c4, c4.graph.neighbor_sets()))[c4.rows[0][2]] == 2
-        k4 = build_index(gen_complete(4), 2)
-        assert pairwise_p2(k4, common_neighbours(k4, k4.graph.neighbor_sets()))[k4.rows[0][1]] == 2
-
-    def test_frozen_path_and_walk_values(self):
-        idx = build_index(gen_cycle(6), 2)
-        s = compute_pair_stats(idx)
-        assert s.p3[idx.rows[0][1]] == 0
-        assert runtime_pair_fields(idx, s)["w4"][idx.rows[0][2]] == 5
-        k4 = build_index(gen_complete(4), 2)
-        sk = compute_pair_stats(k4)
-        assert runtime_pair_fields(k4, sk)["w4"][k4.rows[0][1]] == 20
-        assert sk.p4[k4.rows[0][1]] == 0
-        c5 = build_index(gen_cycle(5), 2)
-        sc = compute_pair_stats(c5)
-        assert sc.p4[c5.rows[0][1]] == 1
-
-    def test_path_graph_endpoints(self):
-        idx = build_index(gen_path(4), 3)
-        s = compute_pair_stats(idx)
-        assert s.p3[idx.rows[0][3]] == 1
-
     @pytest.mark.parametrize("seed", range(6))
     def test_all_pair_stats_match_oracle(self, seed):
         g = gen_erdos_renyi(14, 0.3, seed)
@@ -139,61 +200,14 @@ class TestPairwise:
 
 
 class TestNodeCounts:
-    def test_cycle_graphs(self):
-        for n in range(3, 8):
-            g = gen_cycle(n)
-            nc = compute_node_counts(build_index(g, 3))
-            for k in range(3, 8):
-                want = [1] * n if k == n else [0] * n
-                assert nc.by_name(f"cycle{k}") == want
-
-    def test_k4(self):
-        nc = compute_node_counts(build_index(gen_complete(4), 2))
-        assert nc.cycle3 == [3] * 4
-        assert nc.cycle4 == [3] * 4
-        assert nc.cycle5 == [0] * 4
-        assert nc.cycle6 == [0] * 4
-
-    def test_star_paths(self):
-        nc = compute_node_counts(build_index(gen_star(3), 2))
-        assert nc.path2 == [0, 2, 2, 2]
-
-    def test_path_graph_end(self):
-        nc = compute_node_counts(build_index(gen_path(5), 2))
-        assert nc.path4[0] == 1 and nc.path4[4] == 1
-
-    def test_triangle_free_motifs_vanish(self):
-        nc = compute_node_counts(build_index(gen_cycle(6), 2))
-        for name in ("cycle3", "tailed_triangle", "chordal_cycle_cc1",
-                     "chordal_cycle_cc2", "tr1", "tr2", "tr3"):
-            assert nc.by_name(name) == [0] * 6
-
-    @pytest.mark.parametrize("seed", range(8))
-    def test_node_counts_match_oracle_d2(self, seed):
-        g = gen_erdos_renyi(16, 0.28, 40 + seed)
-        nc = compute_node_counts(build_index(g, 2))
-        for name in ALL_MOTIFS:
-            assert nc.by_name(name) == oracle.oracle_node_counts(g, name), name
-
-    @pytest.mark.parametrize("seed", range(6))
-    def test_node_counts_match_oracle_d3(self, seed):
-        g = gen_erdos_renyi(13, 0.3, 80 + seed)
-        nc = compute_node_counts(build_index(g, 3))
-        for name in check_motifs(3):
-            assert nc.by_name(name) == oracle.oracle_node_counts(g, name), name
-
-    def test_petersen(self):
-        nc = compute_node_counts(build_index(gen_petersen(), 3))
-        assert nc.cycle5 == [6] * 10
-        assert nc.cycle6 == oracle.oracle_node_counts(gen_petersen(), "cycle6")
-        assert nc.cycle7 == oracle.oracle_node_counts(gen_petersen(), "cycle7")
+    @pytest.mark.parametrize("n, p, seed", ORACLE_GRAPHS, ids=repr)
+    def test_counts_match_oracle(self, n, p, seed):
+        check_against_oracle(gen_erdos_renyi(n, p, seed))
 
     @settings(max_examples=60, deadline=None)
     @given(small_graphs(max_n=8))
     def test_full_catalog_matches_oracle_on_arbitrary_graphs(self, g):
-        nc = compute_node_counts(build_index(g, 3))
-        for name in check_motifs(3):
-            assert nc.by_name(name) == oracle.oracle_node_counts(g, name), name
+        check_against_oracle(g)
 
     def test_cycle7_requires_d3(self):
         nc = compute_node_counts(build_index(gen_cycle(7), 2))
@@ -230,27 +244,6 @@ class TestNodeCounts:
 
 
 class TestGraphLevel:
-    def test_k4_triangles(self):
-        nc = compute_node_counts(build_index(gen_complete(4), 2))
-        assert graph_level(nc, "cycle3") == 4
-
-    def test_c6_hexagon(self):
-        nc = compute_node_counts(build_index(gen_cycle(6), 2))
-        assert graph_level(nc, "cycle6") == 1
-
-    def test_er_five_cycles(self):
-        g = gen_erdos_renyi(30, 0.15, 1)
-        nc = compute_node_counts(build_index(g, 2))
-        assert graph_level(nc, "cycle5") == 211
-        assert graph_level(nc, "cycle5") == oracle.oracle_graph_count(g, "cycle5")
-
-    @pytest.mark.parametrize("seed", range(4))
-    def test_factors_agree_with_oracle_everywhere(self, seed):
-        g = gen_erdos_renyi(14, 0.33, 60 + seed)
-        nc = compute_node_counts(build_index(g, 3))
-        for name in check_motifs(3):
-            assert graph_level(nc, name) == oracle.oracle_graph_count(g, name), name
-
     def test_factor_table_covers_catalog(self):
         # the factor table is the catalog: the same names in report order,
         # with cycle7, the one motif that needs d >= 3, last

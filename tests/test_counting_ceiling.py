@@ -5,7 +5,7 @@ not 8 (Fürer 2017; Arvind, Fuhlbrück, Köbler and Verbitsky 2020).  The 4x4
 rook's graph and the Shrikhande graph, both strongly regular with
 parameters (16, 6, 2, 2), show the whole ceiling at once.  No method
 separates them at any d (``test_refine.py``'s
-``test_strongly_regular_pair_defeats_every_method``).  Every node of both
+``test_hierarchy_as_partitions_of_a_pool``).  Every node of both
 has the same cycle3-cycle7 counts, by counting and by the oracle, but
 their 8-cycle counts differ (``test_networkx_cycles.py`` finds the same totals
 with networkx).  So on the pair's disjoint union the stable colours of the

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import small_graphs
-from graph_helpers import gen_complete, gen_path, gen_petersen, gen_star
+from graph_helpers import gen_complete, gen_petersen, gen_star
 from pair_oracle import oracle_pair_count, walk_matrix_power
 from drfwl import counting, oracle
 from drfwl.cli import main
@@ -98,19 +98,6 @@ class TestPatterns:
 
 
 class TestCycles:
-    def test_cycle_graphs_single_cycle(self):
-        for n in range(3, 8):
-            g = gen_cycle(n)
-            assert oracle_node_counts(g, f"cycle{n}") == [1] * n
-            for other in range(3, 8):
-                if other != n:
-                    assert oracle_node_counts(g, f"cycle{other}") == [0] * n
-
-    def test_petersen_pentagons(self):
-        g = gen_petersen()
-        assert oracle_node_counts(g, "cycle5") == [6] * 10
-        assert oracle_graph_count(g, "cycle5") == 12
-
     def test_cycles_match_itertools_brute_force(self):
         # a k-cycle is one vertex sequence with its smallest vertex first
         # and second < last whose steps, the closing one too, are edges
@@ -174,14 +161,6 @@ class TestPairCounts:
                             walk = (u, *interior, v)
                             want += all(b in nbr[a] for a, b in zip(walk, walk[1:]))
                     assert oracle_pair_count(g, f"P{k}", u, v) == want, (k, u, v)
-
-    def test_frozen_small_values(self):
-        c6 = gen_cycle(6)
-        assert oracle_pair_count(c6, "P3", 0, 1) == 0
-        assert oracle_pair_count(c6, "W4", 0, 2) == 5
-        assert oracle_pair_count(gen_complete(4), "W4", 0, 1) == 20
-        assert oracle_pair_count(gen_cycle(5), "P4", 0, 1) == 1
-        assert oracle_pair_count(gen_path(4), "P3", 0, 3) == 1
 
 
 class TestGuards:

@@ -275,62 +275,41 @@ class TestDistinguishProperties:
                 assert all(a < b for a, b in zip(h, h[1:-1]))
                 assert len(set(col.colors)) == h[-1]
 
-    def test_wl1_dominance_sampled(self):
-        pool = [gen_erdos_renyi(9, 0.35, s) for s in range(16)]
-        for i in range(0, len(pool) - 1, 2):
-            g1, g2 = pool[i], pool[i + 1]
-            if distinguish(g1, g2, "wl1"):
-                for d in (1, 2, 3):
-                    assert distinguish(g1, g2, "drfwl", d=d)
-
-    def test_hierarchy_sampled(self):
-        pool = [gen_erdos_renyi(9, 0.35, 100 + s) for s in range(16)]
-        for i in range(0, len(pool) - 1, 2):
-            g1, g2 = pool[i], pool[i + 1]
-            for d in (1, 2):
-                if distinguish(g1, g2, "drfwl", d=d):
-                    assert distinguish(g1, g2, "drfwl", d=d + 1)
-                    assert distinguish(g1, g2, "fwl2")
-
     def test_hierarchy_as_partitions_of_a_pool(self):
         # the paper's chain wl1 -> drfwl d=1 -> d=2 -> d=3 -> fwl2, checked on
-        # whole groupings: one lockstep run per method groups 44 graphs by
+        # whole groupings: one lockstep run per method groups 76 graphs by
         # colour histogram, and each grouping refines the one before it
         pool = [gen_random_regular(n, 3, s) for n in (10, 12) for s in range(12)]
         pool += [gen_random_regular(12, 4, s) for s in range(12)]
-        separation = {}  # d -> the pool index of 2 x C(3d+1); C(6d+2) follows it
-        for d in (1, 2, 3):
-            separation[d] = len(pool)
-            pool += [double_cycle(3 * d + 1), gen_cycle(6 * d + 2)]
-        pool += [gen_rook44(), gen_shrikhande()]
         chain = [("wl1", 2), ("drfwl", 1), ("drfwl", 2), ("drfwl", 3), ("fwl2", 2)]
+        first_split = {}  # the pool index of a pair's first graph -> its first splitting step
+        # 2 x C(3d+1) against C(6d+2) shares a group up to drfwl at its own d
+        for d in (1, 2, 3):
+            first_split[len(pool)] = d + 1
+            pool += [double_cycle(3 * d + 1), gen_cycle(6 * d + 2)]
+        # the rook's 4x4 graph against the Shrikhande graph: the same strongly
+        # regular parameters (16,6,2,2), which fwl2 provably cannot separate,
+        # so no weaker method may either
+        first_split[len(pool)] = len(chain)
+        pool += [gen_rook44(), gen_shrikhande()]
+        # sampled pairs of random graphs, split wherever their grouping says
+        sampled = len(pool)
+        pool += [gen_erdos_renyi(9, 0.35, s) for s in (*range(16), *range(100, 116))]
+        first_split.update(dict.fromkeys(range(sampled, len(pool), 2)))
         groupings = [_groups(refine._refine_multi(pool, method, d)) for method, d in chain]
-        assert [len(set(g)) for g in groupings] == [7, 33, 36, 37, 38]
+        assert [len(set(g)) for g in groupings] == [39, 65, 68, 69, 70]
         for coarse, fine in zip(groupings, groupings[1:]):
             assert len(set(zip(fine, coarse))) == len(set(fine))
-        # a separation pair shares a group up to drfwl at its own d, and
-        # every later method splits it
-        for d, i in separation.items():
+        # refine_pair agrees with the groupings on every pair
+        for i, first in first_split.items():
             for step, ((method, at), grouping) in enumerate(zip(chain, groupings)):
                 split = grouping[i] != grouping[i + 1]
-                assert split == (step > d), (d, method, at)
+                if first is not None:
+                    assert split == (step >= first), (i, method, at)
                 assert refine_pair(pool[i], pool[i + 1], method, d=at).distinguished == split
-        # the rook's graph and the Shrikhande graph, under every method
-        assert all(g[-2] == g[-1] for g in groupings)
 
     def test_empty_graphs(self):
         from drfwl.graph import Graph
 
         empty = Graph.from_edges(0, [])
         assert not distinguish(empty, empty, "wl1")
-
-    def test_strongly_regular_pair_defeats_every_method(self):
-        # rook's 4x4 graph vs the Shrikhande graph: non-isomorphic, same
-        # strongly-regular parameters (16,6,2,2).  The dense 2-tuple test
-        # provably cannot separate them, so the weaker tests must not
-        # either; a refinement that "distinguished" here would be broken.
-        r, s = gen_rook44(), gen_shrikhande()
-        assert not distinguish(r, s, "wl1")
-        for d in (1, 2, 3):
-            assert not distinguish(r, s, "drfwl", d=d)
-        assert not distinguish(r, s, "fwl2")
