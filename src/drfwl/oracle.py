@@ -12,7 +12,8 @@ counts: a node's count is the number of occurrences in which it sits in
 the orbit of the pattern's vertex 0, the marked position.  The orbit and
 its size (``GRAPH_FACTOR``) come from matching each pattern into itself,
 and a graph count is the per-node total over that size, with the division
-checked; there is no second enumerator.
+checked; there is no second enumerator.  Given roots, the same matcher
+counts the matches with the pattern's first vertices at fixed nodes.
 """
 from __future__ import annotations
 
@@ -75,22 +76,36 @@ def _graph(edges: tuple[tuple[int, int], ...]) -> Graph:
 
 
 @lru_cache(maxsize=None)
-def _steps(edges: tuple[tuple[int, int], ...], orbit: tuple[int, ...]) -> tuple:
-    """The search plan of a pattern: for each vertex i > 0 (entry 0 is
-    None), the smaller neighbour whose image's neighbours are its
-    candidates, its other smaller neighbours, and whether i is in
-    ``orbit``.  Vertex i goes to a common neighbour of its smaller
-    neighbours' images.  Built once per (edges, orbit)."""
+def _steps(edges: tuple[tuple[int, int], ...], orbit: tuple[int, ...], r: int) -> tuple:
+    """The search plan of a pattern whose vertices 0..r-1 are placed
+    first: for each vertex i >= r (entries below r are None), the smaller
+    neighbour whose image's neighbours are its candidates, its other
+    smaller neighbours, and whether i is in ``orbit``.  Vertex i goes to
+    a common neighbour of its smaller neighbours' images.  Built once per
+    (edges, orbit, r)."""
     pattern = _graph(edges).adjacency
     below = [[j for j in pattern[i] if j < i] for i in range(len(pattern))]
-    return (None, *((b[-1], b[:-1], i in orbit) for i, b in enumerate(below) if i))
+    return (*[None] * r, *((b[-1], b[:-1], i in orbit) for i, b in enumerate(below) if i >= r))
 
 
-def match_pattern(g: Graph, edges: tuple[tuple[int, int], ...], orbit: tuple[int, ...]) -> list[int]:
+def match_pattern(
+    g: Graph,
+    edges: tuple[tuple[int, int], ...],
+    orbit: tuple[int, ...],
+    roots: list[tuple[int, ...]] | None = None,
+) -> list[int]:
     """Per node, how often an ``orbit`` vertex lands on it, over all
     injective maps of the pattern into g that keep its edges and put every
-    ``orbit`` vertex but 0 above vertex 0's image."""
-    steps = _steps(edges, orbit)
+    ``orbit`` vertex but 0 above vertex 0's image.
+
+    With ``roots``, a batch of r-tuples of nodes (r = 1 or 2) and
+    ``orbit`` (0,), instead: per tuple, how many of those maps send
+    vertices 0..r-1 to its nodes, in order; none if the tuple repeats a
+    node or misses an edge among those vertices.  The batch shares one
+    search, so a root costs what its neighbourhood does, whatever g's
+    size."""
+    r = len(roots[0]) if roots else 1
+    steps = _steps(edges, orbit, r)
     k = len(steps)
     adj, nbr = g.adjacency, g.neighbor_sets()
     hits = [0] * g.n
@@ -115,12 +130,26 @@ def match_pattern(g: Graph, edges: tuple[tuple[int, int], ...], orbit: tuple[int
             extend(i + 1)
             used[x] = False
 
-    for v in range(g.n):
-        img[0] = v
-        used[v] = True
-        extend(1)
-        used[v] = False
-    return hits
+    if roots is None:
+        for v in range(g.n):
+            img[0] = v
+            used[v] = True
+            extend(1)
+            used[v] = False
+        return hits
+    pinned = [(a, b) for a, b in edges if a < r and b < r]
+    per_root = []
+    for root in roots:
+        before = hits[root[0]]
+        if len(set(root)) == r and all(root[b] in nbr[root[a]] for a, b in pinned):
+            img[:r] = root
+            for v in root:
+                used[v] = True
+            extend(r)
+            for v in root:
+                used[v] = False
+        per_root.append(hits[root[0]] - before)
+    return per_root
 
 
 def _symmetry(edges: tuple[tuple[int, int], ...]) -> tuple[tuple[int, ...], int]:

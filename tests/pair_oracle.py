@@ -2,15 +2,74 @@
 
 The closed forms count cycles from per-pair statistics (paths, walks,
 split cycles, tailed triangles, chordal cycles, triangle-rectangles).
-This module counts each of them for one pair (u, v) by exhaustive search
-over the adjacency structure, as ``drfwl.oracle`` does for node counts;
-the motifs follow that module's drawings with a second marked node.
-No runtime path needs pair-level counts, so they live with the tests.
+Each statistic but the walks is a row of edges in ``PAIR_PATTERNS``, with
+u at vertex 0 and v at vertex 1, and ``drfwl.oracle``'s one matcher
+counts it with those two vertices fixed: the node motifs' matcher and
+drawings, with a second marked node.  No runtime path needs pair-level
+counts, so they live with the tests.
 """
 from __future__ import annotations
 
+from functools import lru_cache
+
+from drfwl.errors import exact_quotient
 from drfwl.graph import Graph
-from drfwl.oracle import _check_cap
+from drfwl.oracle import match_pattern
+
+Edges = tuple[tuple[int, int], ...]
+
+
+def _uv_path(length: int, first: int = 2) -> Edges:
+    """A u-v path of ``length`` edges from vertex 0 to vertex 1, its
+    interior first, first + 1, ... in path order."""
+    walk = (0, *range(first, first + length - 1), 1)
+    return tuple(zip(walk, walk[1:]))
+
+
+# Each kind is a row of edges over vertices 0..k-1, with u = 0 and v = 1;
+# every later vertex has a smaller neighbour.  A kind reads 0 at u == v.
+PAIR_PATTERNS: dict[str, Edges] = {
+    # Pk: the simple u-v paths with k edges
+    **{f"P{k}": _uv_path(k) for k in range(1, 5)},
+    # Ckl: (k+l)-cycles through u and v split into a k-path and an
+    # l-path between them, each cycle once
+    **{
+        f"C{k}{l}": _uv_path(k) + _uv_path(l, k + 1)
+        for k, l in ((1, 3), (1, 4), (2, 3), (2, 4), (3, 4))
+    },
+    # tailed triangle: u the tip of the pendant edge 0-2 on the triangle
+    # 1-2-3, v a triangle vertex off that edge
+    "T": ((0, 2), (1, 2), (2, 3), (1, 3)),
+    # the 4-cycle 0-1-2-3 with the chord 0-2: u on the chord, v off it
+    "CC1": ((0, 1), (0, 2), (1, 2), (0, 3), (2, 3)),
+    # the 4-cycle 0-2-1-3 with the chord 0-1: u and v the chord
+    "CC2": ((0, 1), (0, 2), (1, 2), (0, 3), (1, 3)),
+    # the 4-cycle 0-2-1-3 with the chord 2-3: u and v off the chord
+    "CCX": ((0, 2), (1, 2), (0, 3), (1, 3), (2, 3)),
+    # triangle 0-1-2 and rectangle 1-2-3-4 sharing the edge 1-2: u the apex
+    "TR1": ((0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (1, 4)),
+    # triangle 0-2-4 and rectangle 0-2-1-3 sharing the edge 0-2: u on the
+    # shared edge, v the rectangle's corner opposite u
+    "TR2": ((0, 2), (1, 2), (0, 3), (1, 3), (0, 4), (2, 4)),
+}
+
+
+@lru_cache(maxsize=None)
+def _fixing(edges: Edges, r: int) -> int:
+    """How many of the pattern's automorphisms fix vertices 0..r-1: the
+    pattern matched into itself with those vertices in place."""
+    pattern = Graph.from_edges(1 + max(map(max, edges)), edges)
+    return match_pattern(pattern, edges, (0,), [tuple(range(r))])[0]
+
+
+def rooted_counts(g: Graph, edges: Edges, roots: list[tuple[int, ...]]) -> list[int]:
+    """Per r-tuple of ``roots`` (r = 1 or 2), the occurrences of the
+    pattern ``edges`` in g with vertices 0..r-1 at the tuple's nodes: the
+    rooted matches over the automorphisms that fix those vertices, with
+    the division checked.  At (u,) this is u's count of a node motif."""
+    fixing = _fixing(edges, len(roots[0]))
+    hits = match_pattern(g, edges, (0,), roots)
+    return [exact_quotient(h, fixing, "rooted matches") for h in hits]
 
 
 def count_walks_between(g: Graph, u: int, v: int, length: int) -> int:
@@ -48,23 +107,6 @@ def walk_matrix_power(g: Graph, k: int) -> list[list[int]]:
     return out
 
 
-def count_split_cycles(g: Graph, u: int, v: int, k: int, l: int) -> int:
-    """C_{k,l}(u, v): (k+l)-cycles through u and v that split into an
-    internally-disjoint k-path and l-path between them."""
-    if u == v:
-        return 0
-    k_paths = [frozenset(p) for p in interior_paths(g, u, v, k)]
-    l_paths = [frozenset(p) for p in interior_paths(g, u, v, l)]
-    total = 0
-    for a in k_paths:
-        for b in l_paths:
-            if not (a & b):
-                total += 1
-    if k == l:
-        total //= 2
-    return total
-
-
 def interior_paths(g: Graph, u: int, v: int, length: int) -> list[tuple[int, ...]]:
     """The interiors of the simple length-edge paths from u to v, each in
     path order from u's side.
@@ -91,65 +133,10 @@ def interior_paths(g: Graph, u: int, v: int, length: int) -> list[tuple[int, ...
 
 
 def oracle_pair_count(g: Graph, kind: str, u: int, v: int) -> int:
-    """Pair-level ground truth.
-
-    ``kind`` is one of "P2".."P4" (paths u->v), "W2".."W4" (walks),
-    "C23"/"C24"/"C34"/"C13"/"C14" (split cycles), "T" (tailed triangle,
-    u = tip, v = far triangle vertex), "CC1" (u on chord, v off-chord),
-    "CC2" (u, v both on the chord), "CCX" (u, v the two off-chord
-    vertices: the edges among N1(u) & N1(v)), "TR1" (u apex, v on shared
-    edge), "TR2" (u on shared edge, v the opposite rectangle corner).
-    """
-    _check_cap(g)
-    nbr = g.neighbor_sets()
-    if kind.startswith("P") and kind[1:].isdigit():
-        length = int(kind[1:])
-        return 0 if u == v or length < 1 else len(interior_paths(g, u, v, length))
-    if kind.startswith("W") and kind[1:].isdigit():
-        return count_walks_between(g, u, v, int(kind[1:]))
-    if kind.startswith("C") and len(kind) == 3 and kind[1:].isdigit():
-        return count_split_cycles(g, u, v, int(kind[1]), int(kind[2]))
-    if kind == "T":
-        total = 0
-        for w in nbr[u]:
-            if w == v or v not in nbr[w]:
-                continue
-            for x in nbr[w] & nbr[v]:
-                if x != u:
-                    total += 1
-        return total
-    if kind == "CC1":
-        total = 0
-        for x in nbr[u] & nbr[v]:  # other chord endpoint
-            for c in nbr[u] & nbr[x]:
-                if c != v:
-                    total += 1
-        return total
-    if kind == "CC2":
-        if not g.has_edge(u, v):
-            return 0
-        common = nbr[u] & nbr[v]
-        return len(common) * (len(common) - 1) // 2
-    if kind == "CCX":
-        common = nbr[u] & nbr[v]
-        return sum(1 for a in common for b in common if a < b and b in nbr[a])
-    if kind == "TR1":
-        if not g.has_edge(u, v):
-            return 0
-        total = 0
-        for z in nbr[u] & nbr[v]:
-            for interior in interior_paths(g, z, v, 3):
-                if u not in interior:
-                    total += 1
-        return total
-    if kind == "TR2":
-        total = 0
-        for b in nbr[u] & nbr[v]:
-            for c in nbr[u] & nbr[v]:
-                if c == b:
-                    continue
-                for a in nbr[u] & nbr[b]:
-                    if a != v and a != c:
-                        total += 1
-        return total
+    """Pair-level ground truth: a ``PAIR_PATTERNS`` kind counted with u and
+    v fixed, or "W2".."W4", the u-v walks of that length."""
+    if kind in PAIR_PATTERNS:
+        return rooted_counts(g, PAIR_PATTERNS[kind], [(u, v)])[0]
+    if kind in ("W2", "W3", "W4"):
+        return count_walks_between(g, u, v, int(kind[1]))
     raise ValueError(f"unknown pair kind {kind!r}")

@@ -282,6 +282,22 @@ class TestErrorMapping:
         assert (exc.value.code, out) == (2, "")
         assert re.fullmatch(line, err.splitlines()[-1])
 
+    @pytest.mark.parametrize(
+        "argv, n, line",
+        [
+            (["distinguish", "--method", "fwl2"], 97, "fwl2 is dense O(n^3); n=97 exceeds the cap of 96"),
+            (["oracle"], 513, "oracle supports at most 512 nodes, got 513"),
+        ],
+        ids=["fwl2", "oracle"],
+    )
+    def test_size_cap_exit_3(self, argv, n, line, tmp_path, capsys):
+        # a size cap is judged on the input read, one node past the cap
+        path = tmp_path / "big.el"
+        path.write_text(gen_cycle(n).to_edge_list())
+        inputs = [str(path)] * (2 if argv[0] == "distinguish" else 1)
+        assert main([argv[0], *inputs, *argv[1:]]) == 3
+        assert capsys.readouterr() == ("", f"error: {line}\n")
+
     def test_unwritable_output_exit_2(self, c6_file, tmp_path, capsys):
         target = tmp_path / "missing" / "x.json"
         assert main(["count", c6_file, "--output", str(target)]) == 2
@@ -378,12 +394,6 @@ class TestDistinguish:
             reports[d] = json.loads(out)
             assert reports[d].pop("d") == d
         assert reports[3] == reports[100000]
-
-    def test_fwl2_cap_exit_3(self, tmp_path):
-        a = tmp_path / "a.el"
-        a.write_text(gen_cycle(97).to_edge_list())
-        code, _, _ = run_cli("distinguish", "--method", "fwl2", str(a), str(a))
-        assert code == 3
 
     def test_mask_accepted(self, tmp_path):
         a = tmp_path / "a.el"

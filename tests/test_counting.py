@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 
 from conftest import run_child, small_graphs
 from graph_helpers import gen_complete, gen_path, gen_petersen, gen_star
-from pair_oracle import oracle_pair_count, walk_matrix_power
+from pair_oracle import oracle_pair_count, rooted_counts, walk_matrix_power
 from reference import runtime_pair_fields
 from drfwl import oracle
 from drfwl.counting import (
@@ -19,7 +21,7 @@ from drfwl.counting import (
     node_walks,
 )
 from drfwl.errors import CapabilityError, InvariantError, exact_quotient
-from drfwl.graph import gen_cycle, gen_erdos_renyi, gen_random_regular
+from drfwl.graph import gen_cycle, gen_disjoint_union, gen_erdos_renyi, gen_random_regular
 from drfwl.tuples import build_index
 
 ALL_MOTIFS = check_motifs(2)
@@ -67,6 +69,7 @@ PAIR_TABLE = [
     ("C6", "P3", 0, 1, 2, 0),
     ("C6", "W4", 0, 2, 2, 5),
     ("path4", "P3", 0, 3, 3, 1),
+    ("C5", "C23", 0, 2, 2, 1),
 ]
 
 # the random graphs whose every count is checked against the oracle: (n, p, seed)
@@ -126,10 +129,7 @@ class TestPairwise:
             if k == 0:
                 continue
             for kind in PAIR_KINDS:
-                want = oracle_pair_count(g, kind, u, v)
-                if kind == "CC2" and k == 2:
-                    want = 0  # positions are adjacent; off-range pairs hold 0
-                assert fields[kind.lower()][t] == want, (kind, u, v)
+                assert fields[kind.lower()][t] == oracle_pair_count(g, kind, u, v), (kind, u, v)
             if k == 1:
                 assert s.t[s.rev[t]] == oracle_pair_count(g, "CC1", u, v)
                 assert s.tr1[t] == oracle_pair_count(g, "TR1", u, v)
@@ -208,6 +208,22 @@ class TestNodeCounts:
     @given(small_graphs(max_n=8))
     def test_full_catalog_matches_oracle_on_arbitrary_graphs(self, g):
         check_against_oracle(g)
+
+    def test_counts_past_the_oracle_cap_match_rooted_matches(self):
+        # a node's count needs only the matches rooted at it, so the oracle
+        # checks sampled nodes of a graph past its cap: 30 nodes of a
+        # 4-regular part, which has few triangles, and every node of a
+        # dense patch, so that each motif is found somewhere
+        g = gen_disjoint_union([gen_random_regular(1000, 4, 2), gen_erdos_renyi(20, 0.3, 2)])
+        assert g.n > oracle.ORACLE_NODE_CAP
+        sample = [*random.Random(2).sample(range(1000), 30), *range(1000, 1020)]
+        for d in (2, 3):
+            nc = compute_node_counts(build_index(g, d))
+            for name in check_motifs(d):
+                per_node = nc.by_name(name)
+                want = rooted_counts(g, oracle.PATTERNS[name], [(u,) for u in sample])
+                assert [per_node[u] for u in sample] == want, (name, d)
+                assert any(want), (name, d)
 
     def test_cycle7_requires_d3(self):
         nc = compute_node_counts(build_index(gen_cycle(7), 2))

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 
 from conftest import small_graphs
 from graph_helpers import gen_complete, gen_petersen, gen_star
-from pair_oracle import oracle_pair_count, walk_matrix_power
+from pair_oracle import oracle_pair_count, rooted_counts, walk_matrix_power
 from drfwl import counting, oracle
 from drfwl.cli import main
 from drfwl.errors import InvariantError
@@ -36,7 +36,7 @@ MOTIF_SHAPES = {
 def reference_marked_count(g: Graph, name: str, u: int) -> int:
     """Occurrences of the motif with u at the marked slot, by exhaustive
     injection enumeration with edge-set deduplication.  Slow but obviously
-    correct; it validates the oracle's specialized enumerations."""
+    correct; it validates the oracle's matcher in both its forms."""
     size, edges, marked = MOTIF_SHAPES[name]
     nbr = g.neighbor_sets()
     seen: set[frozenset] = set()
@@ -62,10 +62,12 @@ CROSS_CHECK_GRAPHS = [
 
 @pytest.mark.parametrize("name", sorted(MOTIF_SHAPES))
 def test_oracle_matches_generic_injection_counter(name):
+    # the all-nodes matcher, with its orbit pruning, and the rooted one
     for g in CROSS_CHECK_GRAPHS:
         counts = oracle_node_counts(g, name)
+        rooted = rooted_counts(g, oracle.PATTERNS[name], [(u,) for u in range(g.n)])
         for u in range(g.n):
-            assert counts[u] == reference_marked_count(g, name, u), (name, u)
+            assert counts[u] == rooted[u] == reference_marked_count(g, name, u), (name, u)
 
 
 class TestPatterns:
@@ -126,9 +128,6 @@ class TestPairCounts:
                 if u != v:
                     assert oracle_pair_count(g, "W2", u, v) == oracle_pair_count(g, "P2", u, v)
 
-    def test_c23_on_c5(self):
-        assert oracle_pair_count(gen_cycle(5), "C23", 0, 2) == 1
-
     def test_walks_match_matrix_power(self):
         for seed in range(3):
             g = gen_erdos_renyi(10, 0.3, seed)
@@ -138,12 +137,16 @@ class TestPairCounts:
                     for v in range(g.n):
                         assert oracle_pair_count(g, f"W{k}", u, v) == mat[u][v]
 
-    def test_split_cycle_consistency_with_node_cycles(self):
-        # every 4-cycle through u splits once per incident edge into (1,3)
+    @pytest.mark.parametrize("k, l", [(1, 3), (1, 4), (2, 3), (2, 4), (3, 4)])
+    def test_split_cycle_consistency_with_node_cycles(self, k, l):
+        # a (k+l)-cycle through u splits into a k-path and an l-path at
+        # each of the two nodes k steps from u along it, as k != l
         g = gen_erdos_renyi(12, 0.35, 3)
+        cycles = oracle_node_counts(g, f"cycle{k + l}")
+        assert any(cycles)
         for u in range(g.n):
-            total = sum(oracle_pair_count(g, "C13", u, v) for v in g.adjacency[u])
-            assert total == 2 * oracle_node_counts(g, "cycle4")[u]
+            total = sum(oracle_pair_count(g, f"C{k}{l}", u, v) for v in range(g.n))
+            assert total == 2 * cycles[u], u
 
     @pytest.mark.parametrize("seed", range(6))
     def test_p_kinds_match_ordered_interior_tuples(self, seed):
