@@ -256,8 +256,8 @@ def check_request(
 ) -> frozenset:
     """The masked triples of a request, or ValueError for a d that is not an
     int >= 1 (a bool is not an int here; wl1 and fwl2 refuse it too), an
-    unknown method, any mask with wl1 or fwl2, or a mask triple (i, j, k)
-    outside 0..d or against the triangle inequality."""
+    unknown method, any mask with wl1 or fwl2, or a mask entry that is not
+    a triple (i, j, k) in 0..d that meets the triangle inequality."""
     check_d(d)
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
@@ -267,7 +267,10 @@ def check_request(
         raise ValueError(f"a mask applies to method 'drfwl' only, not {method!r}")
     out = set()
     for triple in mask:
-        t = tuple(triple)
+        try:
+            t = tuple(triple)
+        except TypeError:  # not iterable: no triple
+            t = ()
         ok = len(t) == 3 and all(type(x) is int and 0 <= x <= d for x in t)
         if not (ok and abs(t[0] - t[1]) <= t[2] <= t[0] + t[1]):
             raise ValueError(f"invalid mask triple {triple!r} for d={d}")

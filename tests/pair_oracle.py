@@ -5,8 +5,10 @@ split cycles, tailed triangles, chordal cycles, triangle-rectangles).
 Each statistic but the walks is a row of edges in ``PAIR_PATTERNS``, with
 u at vertex 0 and v at vertex 1, and ``drfwl.oracle``'s one matcher
 counts it with those two vertices fixed: the node motifs' matcher and
-drawings, with a second marked node.  No runtime path needs pair-level
-counts, so they live with the tests.
+drawings, with a second marked node.  The twelve families of overlapping
+(3-path, 4-path) pairs behind the cycle-7 count are rows too
+(``FAMILY_PATTERNS``), rooted at u alone.  No runtime path needs
+pair-level counts, so they live with the tests.
 """
 from __future__ import annotations
 
@@ -52,6 +54,36 @@ PAIR_PATTERNS: dict[str, Edges] = {
     # shared edge, v the rectangle's corner opposite u
     "TR2": ((0, 2), (1, 2), (0, 3), (1, 3), (0, 4), (2, 4)),
 }
+
+
+def _family_row(coincide: str) -> Edges:
+    """The 3-path u-p-q-v and the 4-path u-x-y-z-v with the interior
+    vertices that ``coincide`` pairs ("p=x q=y") merged, numbered from
+    u = 0 in the order u, p, q, v, x, y, z."""
+    merged = dict(pair.split("=")[::-1] for pair in coincide.split())
+    order = [c for c in "upqvxyz" if c not in merged]
+    walks = ("upqv", "".join(merged.get(c, c) for c in "uxyzv"))
+    return tuple(sorted({tuple(sorted(map(order.index, e))) for w in walks for e in zip(w, w[1:])}))
+
+
+# The cycle-7 correction families, named as ``cycle7_correction_terms``
+# names them: (3-path, 4-path) pairs from u to one v whose interiors
+# coincide exactly as stated.  Rooted at u = 0 with no division, a row's
+# matches are the family's path pairs, one each.
+FAMILY_PATTERNS: dict[str, Edges] = {
+    name: _family_row(coincide)
+    for name, coincide in zip(
+        "abcdefghijkl",
+        ("p=x", "q=x", "p=y", "q=y", "p=z", "q=z")
+        + ("p=x q=y", "p=x q=z", "p=y q=x", "p=z q=x", "p=y q=z", "p=z q=y"),
+    )
+}
+
+
+def family_counts(g: Graph, nodes: list[int]) -> dict[str, list[int]]:
+    """Per family letter, the family's path pairs from each of ``nodes``."""
+    roots = [(u,) for u in nodes]
+    return {name: match_pattern(g, row, (0,), roots) for name, row in FAMILY_PATTERNS.items()}
 
 
 @lru_cache(maxsize=None)
@@ -104,31 +136,6 @@ def walk_matrix_power(g: Graph, k: int) -> list[list[int]]:
                     for j in range(n):
                         ni[j] += c * ax[j]
         out = nxt
-    return out
-
-
-def interior_paths(g: Graph, u: int, v: int, length: int) -> list[tuple[int, ...]]:
-    """The interiors of the simple length-edge paths from u to v, each in
-    path order from u's side.
-
-    For u == v these are the closed cycles through u, so callers that
-    count u-v paths guard that case.
-    """
-    out: list[tuple[int, ...]] = []
-    adj = g.adjacency
-
-    def extend(here: int, visited: list[int]) -> None:
-        if len(visited) == length - 1:
-            if v in adj[here]:
-                out.append(tuple(visited))
-            return
-        for w in adj[here]:
-            if w != u and w != v and w not in visited:
-                visited.append(w)
-                extend(w, visited)
-                visited.pop()
-
-    extend(u, [])
     return out
 
 

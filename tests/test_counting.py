@@ -7,7 +7,7 @@ from hypothesis import given, settings
 
 from conftest import run_child, small_graphs
 from graph_helpers import gen_complete, gen_path, gen_petersen, gen_star
-from pair_oracle import oracle_pair_count, rooted_counts, walk_matrix_power
+from pair_oracle import family_counts, oracle_pair_count, rooted_counts, walk_matrix_power
 from reference import runtime_pair_fields
 from drfwl import oracle
 from drfwl.counting import (
@@ -16,6 +16,7 @@ from drfwl.counting import (
     compute_pair_stats,
     check_motifs,
     counts_to_report,
+    cycle7_correction_terms,
     graph_level,
     index_depth,
     node_walks,
@@ -218,12 +219,18 @@ class TestNodeCounts:
         assert g.n > oracle.ORACLE_NODE_CAP
         sample = [*random.Random(2).sample(range(1000), 30), *range(1000, 1020)]
         for d in (2, 3):
-            nc = compute_node_counts(build_index(g, d))
+            idx = build_index(g, d)
+            nc = compute_node_counts(idx)
             for name in check_motifs(d):
                 per_node = nc.by_name(name)
                 want = rooted_counts(g, oracle.PATTERNS[name], [(u,) for u in sample])
                 assert [per_node[u] for u in sample] == want, (name, d)
                 assert any(want), (name, d)
+        # and the twelve cycle-7 families, on the d = 3 index
+        _, letters = cycle7_correction_terms(idx, compute_pair_stats(idx), nc)
+        for name, want in family_counts(g, sample).items():
+            assert [letters[name][u] for u in sample] == want, name
+            assert any(want), name
 
     def test_cycle7_requires_d3(self):
         nc = compute_node_counts(build_index(gen_cycle(7), 2))

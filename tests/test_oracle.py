@@ -7,7 +7,13 @@ from hypothesis import given, settings
 
 from conftest import small_graphs
 from graph_helpers import gen_complete, gen_petersen, gen_star
-from pair_oracle import oracle_pair_count, rooted_counts, walk_matrix_power
+from pair_oracle import (
+    FAMILY_PATTERNS,
+    PAIR_PATTERNS,
+    oracle_pair_count,
+    rooted_counts,
+    walk_matrix_power,
+)
 from drfwl import counting, oracle
 from drfwl.cli import main
 from drfwl.errors import InvariantError
@@ -70,17 +76,25 @@ def test_oracle_matches_generic_injection_counter(name):
             assert counts[u] == rooted[u] == reference_marked_count(g, name, u), (name, u)
 
 
+# every row the tests hand the matcher, with its number r of roots
+MATCHER_ROWS = [
+    *(pytest.param(edges, 1, id=name) for name, edges in oracle.PATTERNS.items()),
+    *(pytest.param(edges, 2, id=f"pair-{name}") for name, edges in PAIR_PATTERNS.items()),
+    *(pytest.param(edges, 1, id=f"family-{name}") for name, edges in FAMILY_PATTERNS.items()),
+]
+
+
 class TestPatterns:
-    @pytest.mark.parametrize("name", list(oracle.PATTERNS))
-    def test_pattern_is_a_search_order(self, name):
-        # the matcher places each vertex next to an already placed one
-        edges = oracle.PATTERNS[name]
+    @pytest.mark.parametrize("edges, r", MATCHER_ROWS)
+    def test_pattern_is_a_search_order(self, edges, r):
+        # the matcher places vertices 0..r-1 at the roots and each later
+        # vertex next to an already placed one
         pairs = [frozenset(e) for e in edges]
         assert all(len(e) == 2 for e in pairs) and len(set(pairs)) == len(pairs)
         k = 1 + max(map(max, edges))
         assert {v for e in edges for v in e} == set(range(k))
-        for v in range(1, k):
-            assert any(min(e) < v == max(e) for e in edges), (name, v)
+        for v in range(r, k):
+            assert any(min(e) < v == max(e) for e in edges), v
 
     @pytest.mark.parametrize("name", list(oracle.PATTERNS))
     def test_pattern_contains_itself_once(self, name):

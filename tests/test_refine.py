@@ -96,13 +96,13 @@ class TestDRFWL:
         col = drfwl_refine(gen_cycle(12), 2)
         assert len(set(col.colors)) >= 3
 
-    def test_invalid_mask_rejected(self):
-        with pytest.raises(ValueError):
-            drfwl_refine(gen_cycle(6), 2, mask=[(0, 0, 2)])
-        with pytest.raises(ValueError):
-            drfwl_refine(gen_cycle(6), 2, mask=[(3, 0, 0)])
-        with pytest.raises(ValueError):  # a bool is not an int here, though True == 1
-            drfwl_refine(gen_cycle(6), 2, mask=[(True, 1, 0)])
+    # a bool is not an int here, though True == 1, and an entry that is
+    # not iterable is no triple
+    @pytest.mark.parametrize("entry", [(0, 0, 2), (3, 0, 0), (True, 1, 0), 5, None], ids=repr)
+    def test_invalid_mask_rejected(self, entry):
+        with pytest.raises(ValueError) as refused:
+            drfwl_refine(gen_cycle(6), 2, mask=[entry])
+        assert str(refused.value) == f"invalid mask triple {entry!r} for d=2"
 
     @pytest.mark.parametrize("method", ["wl1", "fwl2"])
     @pytest.mark.parametrize("mask", ["junk", [(1, 1, 1)], []])
