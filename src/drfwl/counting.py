@@ -10,7 +10,8 @@ binomial coefficient, C(P2, 2) in the chordal-cycle cross-check of
 
 The passes read three inputs, none of which re-intersects a shell:
 
-* ``rows[u][v]``, the index's per-node id map, for every id lookup;
+* ``rows[u][v]``, the index's per-node id map, for every id lookup, and
+  ``rev``, its column of reverse ids, for every read at (v, u);
 * a common-neighbour table (``common_neighbours``), built once per
   ``compute_pair_stats`` by ``tuples.index_witnesses`` from the rule N1(u)
   & N1(v), one ``intersect`` per tuple at distance 1 or 2, each witness w
@@ -19,7 +20,7 @@ The passes read three inputs, none of which re-intersects a shell:
   their linear sums as bulk segment sums over gathered columns; only CCX
   loops over witnesses.  It gives CC1(u, v) = T(v, u) on adjacent pairs,
   as P2 is symmetric and (v, u) has the witnesses of (u, v), so CC1 is not
-  stored: a pass reads it as T of the reversed pair;
+  stored: a pass reads it as T at ``rev[t]``;
 * walks over the wide channels (1,2), (2,1) and (2,2), which are never
   stored: only W3 and P22 walk u -> w -> v, reading the nodes near w as
   the slice of the index's ``vs`` column over w's ``TupleIndex.span`` at
@@ -95,18 +96,17 @@ Spans = list[tuple[int, int]]
 
 class PairStats(NamedTuple):
     """Per-pair statistics, one slot per TupleIndex tuple id, and what they
-    were computed from: the common-neighbour table, ``rev``, the id of
-    each tuple's reverse (v, u), every node's span of tuples at distance 1
-    or 2 (``near``) and at distance 1 (``edges``, one tuple per
-    neighbour), C3, the triangles at every node, and ``deg``, every node's
-    degree.  The per-pair fields are the passes' outputs, named as in the
-    module docstring, each fact stored once: CC1 is ``t[rev[t]]`` on an
-    adjacent tuple t, and W3, W4, CC2, C23 and TR2, functions of the
+    were computed from: the common-neighbour table, every node's span of
+    tuples at distance 1 or 2 (``near``) and at distance 1 (``edges``, one
+    tuple per neighbour), C3, the triangles at every node, and ``deg``,
+    every node's degree.  The per-pair fields are the passes' outputs,
+    named as in the module docstring, each fact stored once: CC1 is
+    ``t[rev[t]]`` on an adjacent tuple t, with ``rev`` the index's
+    reverse-id column, and W3, W4, CC2, C23 and TR2, functions of the
     stored fields and the degrees, have no field either; C23 and TR2 are
     built by their one reader each."""
 
     common: WitnessTable
-    rev: list[int]
     near: Spans
     edges: Spans
     c3: list[int]
@@ -243,7 +243,6 @@ def _pairwise_motifs(
 def _pairwise_split_cycles(
     idx: TupleIndex,
     cn: WitnessTable,
-    rev: list[int],
     p2: list[int],
     p3: list[int],
     p4: list[int],
@@ -266,7 +265,7 @@ def _pairwise_split_cycles(
     sums over x are one segment sum.  A tuple off distance 1..2 has no
     witnesses, so the count is 0 there with no distance test.
     """
-    ks = idx.ks
+    ks, rev = idx.ks, idx.rev
     linear = cn.sums(p3[a] + p3[b] + p2[a] * p2[b] for a, b in zip(cn.uw, cn.wv))
     # C24 = m * P4 - (num_b + num_c + num_d)
     return [
@@ -276,12 +275,7 @@ def _pairwise_split_cycles(
 
 
 def _pairwise_tr(
-    idx: TupleIndex,
-    cn: WitnessTable,
-    rev: list[int],
-    p2: list[int],
-    p3: list[int],
-    t_arr: list[int],
+    idx: TupleIndex, cn: WitnessTable, p2: list[int], p3: list[int], t_arr: list[int]
 ) -> list[int]:
     """TR1 (apex / shared-edge pairs), 0 off the adjacent tuples.  TR2
     (shared-edge / corner pairs) is built by its one reader, tr3 in
@@ -291,18 +285,17 @@ def _pairwise_tr(
     return [
         a - b - x * (x - 1) if k == 1 else 0
         for a, b, x, k in zip(
-            cn.sums(map(p3.__getitem__, cn.wv)), map(t_arr.__getitem__, rev), p2, idx.ks
+            cn.sums(map(p3.__getitem__, cn.wv)), map(t_arr.__getitem__, idx.rev), p2, idx.ks
         )
     ]
 
 
 def compute_pair_stats(idx: TupleIndex) -> PairStats:
-    """Build the common-neighbour table, the reverse ids and every node's
-    spans, then run every pairwise pass in dependency order (W3 feeds P3)."""
+    """Build the common-neighbour table and every node's spans, then run
+    every pairwise pass in dependency order (W3 feeds P3)."""
     check_motifs(idx.d)
-    rows, nbr = idx.rows, idx.graph.neighbor_sets()
+    nbr = idx.graph.neighbor_sets()
     cn = common_neighbours(idx, nbr)
-    rev = [rows[v][u] for u, v in zip(idx.us, idx.vs)]
     near = [idx.span(x, 1, 2) for x in range(idx.graph.n)]
     edges = [idx.span(x, 1, 1) for x in range(idx.graph.n)]
     deg = idx.graph.degrees()
@@ -312,9 +305,9 @@ def compute_pair_stats(idx: TupleIndex) -> PairStats:
     p22 = pairwise_p22(idx, p2, near)
     p4 = pairwise_p4(idx, cn, p2, p22, c3, deg)
     t_arr, ccx = _pairwise_motifs(idx, cn, nbr, p2)
-    c24 = _pairwise_split_cycles(idx, cn, rev, p2, p3, p4, t_arr, ccx)
-    tr1 = _pairwise_tr(idx, cn, rev, p2, p3, t_arr)
-    return PairStats(cn, rev, near, edges, c3, p2, p3, p22, p4, t_arr, ccx, tr1, c24, deg)
+    c24 = _pairwise_split_cycles(idx, cn, p2, p3, p4, t_arr, ccx)
+    tr1 = _pairwise_tr(idx, cn, p2, p3, t_arr)
+    return PairStats(cn, near, edges, c3, p2, p3, p22, p4, t_arr, ccx, tr1, c24, deg)
 
 
 def node_walks(g: Graph, k: int) -> list[int]:
@@ -378,9 +371,8 @@ def cycle7_correction_terms(
     """
     check_motifs(idx.d, ["cycle7"])
     n = idx.graph.n
-    vs, ks = idx.vs, idx.ks
+    vs, ks, rev = idx.vs, idx.ks, idx.rev
     starts, _, wv_ids = s.common
-    rev = s.rev
     p2, p3, p4, t_arr, tr1 = s.p2, s.p3, s.p4, s.t, s.tr1
     c23 = [m * x - a - t_arr[r] for m, x, a, r in zip(p2, p3, t_arr, rev)]
     near, edges, deg, c3 = s.near, s.edges, s.deg, s.c3
@@ -463,8 +455,7 @@ def compute_node_counts(idx: TupleIndex) -> NodeCounts:
     g = idx.graph
     n = g.n
     stats = compute_pair_stats(idx)
-    deg = stats.deg
-    rev = stats.rev
+    deg, rev = stats.deg, idx.rev
     edges, near = stats.edges, stats.near
 
     def toward(values: list[int], spans: Spans = edges) -> list[int]:

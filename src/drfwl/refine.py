@@ -256,8 +256,9 @@ def check_request(
 ) -> frozenset:
     """The masked triples of a request, or ValueError for a d that is not an
     int >= 1 (a bool is not an int here; wl1 and fwl2 refuse it too), an
-    unknown method, any mask with wl1 or fwl2, or a mask entry that is not
-    a triple (i, j, k) in 0..d that meets the triangle inequality."""
+    unknown method, any mask with wl1 or fwl2, a mask that is not iterable,
+    or a mask entry that is not a triple (i, j, k) in 0..d that meets the
+    triangle inequality."""
     check_d(d)
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
@@ -265,8 +266,12 @@ def check_request(
         return frozenset()
     if method != "drfwl":
         raise ValueError(f"a mask applies to method 'drfwl' only, not {method!r}")
+    try:
+        entries = iter(mask)
+    except TypeError:
+        raise ValueError(f"mask must be an iterable of (i, j, k) triples, not {mask!r}") from None
     out = set()
-    for triple in mask:
+    for triple in entries:
         try:
             t = tuple(triple)
         except TypeError:  # not iterable: no triple

@@ -1,7 +1,7 @@
 """Distance-restricted 2-tuple index.
 
 Materializes every ordered node pair (u, v) with shortest-path distance at
-most d, as three flat columns in id order and one id map per node.  This
+most d, as four flat columns in id order and one id map per node.  This
 is the shared substrate for distance-restricted refinement and for the
 closed-form counting passes.  ``index_witnesses`` writes each leg's rule
 for a tuple's witnesses into a ``WitnessTable`` through ``witness_table``,
@@ -27,9 +27,10 @@ class TupleIndex(NamedTuple):
     it the tuples at each distance k are contiguous, with v ascending.
     Tuple t is (``us[t]``, ``vs[t]``) at distance ``ks[t]``, and
     ``rows[u][v]`` is the id of (u, v): one dict per node, the map that
-    every runtime pass reads.  Outside ``build_index``, ``span`` is the one
-    reader of this run order: it turns a node and a distance range into
-    ids, so ``vs`` over a span lists the nodes at those distances.
+    every runtime pass reads; ``rev[t]`` is the id of (v, u).  Outside
+    ``build_index``, ``span`` is the one reader of this run order: it
+    turns a node and a distance range into ids, so ``vs`` over a span
+    lists the nodes at those distances.
     """
 
     graph: Graph
@@ -38,6 +39,7 @@ class TupleIndex(NamedTuple):
     vs: list[int]
     ks: list[int]
     rows: tuple[dict[int, int], ...]
+    rev: list[int]
 
     @property
     def tuple_count(self) -> int:
@@ -81,7 +83,8 @@ def build_index(g: Graph, d: int) -> TupleIndex:
             ks += repeat(k, len(shell))
         us += repeat(u, len(ks) - first)
         rows.append(dict(zip(vs[first:], count(first))))
-    return TupleIndex(graph=g, d=d, us=us, vs=vs, ks=ks, rows=tuple(rows))
+    rev = [rows[v][u] for u, v in zip(us, vs)]
+    return TupleIndex(graph=g, d=d, us=us, vs=vs, ks=ks, rows=tuple(rows), rev=rev)
 
 
 def intersect(a: AbstractSet[int], b: AbstractSet[int]) -> list[int]:
@@ -131,9 +134,9 @@ def index_witnesses(
 ) -> WitnessTable:
     """Witness table of the index under one leg's rule ``witnesses(u, v, k)``,
     called once per tuple at distance k: its ascending witnesses w, each
-    within d of u and v and written as ``rows[u][w]`` and ``rows[w][v]``."""
-    rows = idx.rows
+    within d of u and v, written as ``rows[u][w]`` and ``rev[rows[v][w]]``."""
+    rows, rev = idx.rows, idx.rev.__getitem__
     return witness_table(
-        (map(rows[u].__getitem__, ws), [rows[w][v] for w in ws]) if ws else ((), ())
+        (map(rows[u].__getitem__, ws), map(rev, map(rows[v].__getitem__, ws))) if ws else ((), ())
         for u, v, ws in zip(idx.us, idx.vs, map(witnesses, idx.us, idx.vs, idx.ks))
     )

@@ -46,7 +46,7 @@ def runtime_pair_fields(idx: TupleIndex, s: counting.PairStats) -> dict[str, lis
     runtime's readers of C23 and TR2 build, P2 * P3 - T - T(rev) and
     T(rev) * (P2 - 1) - 2 * CCX."""
     deg, adj = s.deg, [k == 1 for k in idx.ks]
-    t_rev = [s.t[r] for r in s.rev]
+    t_rev = [s.t[r] for r in idx.rev]
     derived = {
         "w3": [x + a * (deg[u] + deg[v] - 1) for x, a, u, v in zip(s.p3, adj, idx.us, idx.vs)],
         "w4": [a + (deg[u] + deg[v]) * x for a, x, u, v in zip(s.p22, s.p2, idx.us, idx.vs)],

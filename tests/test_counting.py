@@ -132,7 +132,7 @@ class TestPairwise:
             for kind in PAIR_KINDS:
                 assert fields[kind.lower()][t] == oracle_pair_count(g, kind, u, v), (kind, u, v)
             if k == 1:
-                assert s.t[s.rev[t]] == oracle_pair_count(g, "CC1", u, v)
+                assert s.t[idx.rev[t]] == oracle_pair_count(g, "CC1", u, v)
                 assert s.tr1[t] == oracle_pair_count(g, "TR1", u, v)
 
     @settings(max_examples=30)
@@ -166,7 +166,7 @@ class TestPairwise:
                 fields = {
                     name: value
                     for name, value in s._asdict().items()
-                    if name != "rev" and isinstance(value, list) and len(value) == idx.tuple_count
+                    if isinstance(value, list) and len(value) == idx.tuple_count
                 }
                 adjacent = [t for t, k in enumerate(idx.ks) if k == 1]
                 adj = [k == 1 for k in idx.ks]
@@ -178,10 +178,10 @@ class TestPairwise:
                     ],
                     "P22 + (deg u + deg v) * P2": [y + e * x for y, e, x in zip(s.p22, degs, s.p2)],
                     "P2 * P3 - T - T(rev)": [
-                        x * y - a - s.t[r] for x, y, a, r in zip(s.p2, s.p3, s.t, s.rev)
+                        x * y - a - s.t[r] for x, y, a, r in zip(s.p2, s.p3, s.t, idx.rev)
                     ],
                     "T(rev) * (P2 - 1) - 2 * CCX": [
-                        s.t[r] * (x - 1) - 2 * c for r, x, c in zip(s.rev, s.p2, s.ccx)
+                        s.t[r] * (x - 1) - 2 * c for r, x, c in zip(idx.rev, s.p2, s.ccx)
                     ],
                 }
                 copies.append({
@@ -189,7 +189,7 @@ class TestPairwise:
                     for a, xs in fields.items()
                     for b, ys in fields.items()
                     if a != b
-                    for via, ids in (("direct", range(idx.tuple_count)), ("rev", s.rev))
+                    for via, ids in (("direct", range(idx.tuple_count)), ("rev", idx.rev))
                     if all(xs[t] == ys[ids[t]] for t in adjacent)
                 } | {
                     (a, form, "derived")

@@ -268,7 +268,7 @@ def _check_counting(g: Graph, d: int) -> None:
     for field, values in reference.runtime_pair_fields(idx, stats).items():
         assert values == getattr(expected, field), field
     # the runtime keeps no CC1: it is T of the reversed pair on adjacent pairs
-    assert expected.cc1 == [stats.t[r] if k == 1 else 0 for r, k in zip(stats.rev, idx.ks)]
+    assert expected.cc1 == [stats.t[r] if k == 1 else 0 for r, k in zip(idx.rev, idx.ks)]
     counts = compute_node_counts(idx)
     if d < 3:
         with pytest.raises(CapabilityError, match="cycle7 counts need d >= 3"):

@@ -96,13 +96,24 @@ class TestDRFWL:
         col = drfwl_refine(gen_cycle(12), 2)
         assert len(set(col.colors)) >= 3
 
-    # a bool is not an int here, though True == 1, and an entry that is
-    # not iterable is no triple
-    @pytest.mark.parametrize("entry", [(0, 0, 2), (3, 0, 0), (True, 1, 0), 5, None], ids=repr)
-    def test_invalid_mask_rejected(self, entry):
+    # a bool is not an int here, though True == 1; an entry that is not
+    # iterable is no triple, and a mask that is not iterable holds none
+    @pytest.mark.parametrize(
+        "mask, line",
+        [
+            ([(0, 0, 2)], "invalid mask triple (0, 0, 2) for d=2"),
+            ([(3, 0, 0)], "invalid mask triple (3, 0, 0) for d=2"),
+            ([(True, 1, 0)], "invalid mask triple (True, 1, 0) for d=2"),
+            ([5], "invalid mask triple 5 for d=2"),
+            ([None], "invalid mask triple None for d=2"),
+            (5, "mask must be an iterable of (i, j, k) triples, not 5"),
+        ],
+        ids=["[(0, 0, 2)]", "[(3, 0, 0)]", "[(True, 1, 0)]", "[5]", "[None]", "5"],
+    )
+    def test_invalid_mask_rejected(self, mask, line):
         with pytest.raises(ValueError) as refused:
-            drfwl_refine(gen_cycle(6), 2, mask=[entry])
-        assert str(refused.value) == f"invalid mask triple {entry!r} for d=2"
+            drfwl_refine(gen_cycle(6), 2, mask=mask)
+        assert str(refused.value) == line
 
     @pytest.mark.parametrize("method", ["wl1", "fwl2"])
     @pytest.mark.parametrize("mask", ["junk", [(1, 1, 1)], []])

@@ -51,9 +51,10 @@ class TestBuildIndex:
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_index_memory_per_tuple(self, d):
-        # the index is the method's footprint: three id-order columns and
-        # one dict per node read about 100 B a tuple; storing each tuple
-        # again as a (u, v, k) triple and in per-node shells read 150-160 B
+        # the index is the method's footprint: four id-order columns and
+        # one dict per node read about 101 B a tuple at d = 2 and 105 B at
+        # d = 3; storing each tuple again as a (u, v, k) triple and in
+        # per-node shells read 150-160 B
         g = gen_random_regular(2000, 4, 0)
         tracemalloc.start()
         try:
@@ -66,7 +67,7 @@ class TestBuildIndex:
     @pytest.mark.parametrize("n, d, bound", [(1000, 2, 150), (500, 3, 135)])
     def test_counting_memory_per_tuple(self, n, d, bound):
         # what compute_node_counts allocates above the index, at its peak,
-        # reads about 130 B a tuple at d = 2 and 117 B at d = 3; storing
+        # reads about 122 B a tuple at d = 2 and 108 B at d = 3; storing
         # W3, W4, CC1, CC2, C23 and TR2 per tuple as well reads 178 and 161 B
         idx = build_index(gen_random_regular(n, 4, 0), d)
         tracemalloc.start()
@@ -89,8 +90,7 @@ class TestBuildIndex:
     @given(small_graphs())
     def test_symmetry_and_distances(self, g):
         idx = build_index(g, 2)
-        for u, v, k in zip(idx.us, idx.vs, idx.ks):
-            r = idx.rows[v][u]
+        for u, v, k, r in zip(idx.us, idx.vs, idx.ks, idx.rev):
             assert (idx.us[r], idx.vs[r], idx.ks[r]) == (v, u, k)
             dist = bfs_distances(g, u)
             assert dist[v] == k
@@ -99,12 +99,15 @@ class TestBuildIndex:
     @given(small_graphs(), st.integers(min_value=1, max_value=3))
     def test_columns(self, g, d):
         idx = build_index(g, d)
-        assert len(idx.us) == len(idx.vs) == len(idx.ks) == idx.tuple_count
+        assert len(idx.us) == len(idx.vs) == len(idx.ks) == len(idx.rev) == idx.tuple_count
         dist = [bfs_distances(g, u) for u in range(g.n)]
-        for t, (u, v, k) in enumerate(zip(idx.us, idx.vs, idx.ks)):
+        for t, (u, v, k, r) in enumerate(zip(idx.us, idx.vs, idx.ks, idx.rev)):
             assert idx.rows[u][v] == t
             assert k == dist[u][v]
-            assert idx.ks[idx.rows[v][u]] == k
+            # rev is the id of (v, u): an involution onto the reversed tuple
+            assert r == idx.rows[v][u]
+            assert idx.rev[r] == t
+            assert (idx.us[r], idx.vs[r], idx.ks[r]) == (v, u, k)
         keys = list(zip(idx.us, idx.ks, idx.vs))
         assert keys == sorted(keys)
         assert idx.tuple_count == sum(0 <= x <= d for row in dist for x in row)
