@@ -54,23 +54,11 @@ def test_certificate_and_coloring(graph, variant):
     assert coloring_line(col) == COLORINGS[(graph, variant)]
 
 
-# Each recorded output under its own name, and ``count --d 4`` on every
-# graph: count indexes only as far as its motifs read, so d=4 must print
-# the recorded d=3 bytes, which are not stored twice.
-CLI_CASES = {key: (argv, key) for key, argv in OUTPUTS.items()}
-for _graph in GRAPHS:
-    CLI_CASES[f"count-{_graph}-d4"] = (
-        ["count", "--d", "4", str(graph_file(_graph))],
-        f"count-{_graph}-d3",
-    )
-
-
-@pytest.mark.parametrize("key", sorted(CLI_CASES))
+@pytest.mark.parametrize("key", sorted(OUTPUTS))
 def test_cli_output(key, tmp_path):
-    argv, expected = CLI_CASES[key]
     out = tmp_path / "out.json"
-    assert main([*argv, "--output", str(out)]) == 0
-    assert out.read_bytes() == (GOLDEN / "outputs" / f"{expected}.json").read_bytes()
+    assert main([*OUTPUTS[key], "--output", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / "outputs" / f"{key}.json").read_bytes()
 
 
 @pytest.mark.parametrize("graph", GRAPHS)

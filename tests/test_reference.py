@@ -4,7 +4,9 @@ tests/reference.py.
 The witness-table refinements must reproduce the per-unit key references
 exactly: same colour ids, same number of rounds, same class count per
 round, for single graphs and for pairs refined in one id space (also of
-different sizes), for WL(1), dense FWL(2) and d-DRFWL(2), with and without masks.
+different sizes), for WL(1), dense FWL(2) and d-DRFWL(2), with and without
+masks.  One check, ``_check``, compares each method with its row of
+``REFERENCES``.
 The runtime d-DRFWL(2) merges a tuple's witnesses into one multiset; the
 paper's key, one multiset per channel (i, j), must give the same
 partition, rounds and class counts.  The counting passes, which read a
@@ -25,19 +27,13 @@ from hypothesis import given, settings
 
 import reference
 from conftest import small_graphs
-from graph_helpers import diameter, gen_path, gen_petersen
+from golden_corpus import VARIANTS
+from graph_helpers import diameter, double_cycle, gen_path, gen_petersen
 from drfwl import counting
 from drfwl.counting import compute_node_counts, compute_pair_stats, cycle7_correction_terms
-from drfwl.errors import CapabilityError
+from drfwl.errors import METHODS, CapabilityError
 from drfwl.graph import Graph, gen_cycle, gen_disjoint_union, gen_erdos_renyi, gen_random_regular
-from drfwl.refine import (
-    _drfwl_blocks,
-    _refine_multi,
-    drfwl_refine,
-    fwl2_refine,
-    refine_pair,
-    wl1_refine,
-)
+from drfwl.refine import _drfwl_blocks, _refine_multi, drfwl_refine, refine_pair
 from drfwl.tuples import TupleIndex, build_index, intersect
 
 DEPTHS = st.integers(min_value=1, max_value=3)
@@ -74,49 +70,80 @@ def _lockstep(gs: list[Graph], method: str, d: int = 2, mask=None):
     return [list(c.colors) for c in colorings], *run
 
 
-def _check_single(g: Graph, d: int, mask) -> None:
-    col = drfwl_refine(g, d, mask=mask)
-    (colors,), iterations, history = reference.drfwl_multi([g], d, mask)
-    assert list(col.colors) == colors
-    assert col.iterations == iterations
-    assert col.class_counts == history
+# method -> its per-unit key reference over (graphs, d, mask); only drfwl reads d and a mask
+REFERENCES = {
+    "wl1": lambda gs, d, mask: reference.wl1_multi(gs),
+    "fwl2": lambda gs, d, mask: reference.fwl2_multi(gs),
+    "drfwl": reference.drfwl_multi,
+}
 
 
-def _check_pair(g1: Graph, g2: Graph, d: int, mask) -> None:
-    expected = reference.drfwl_multi([g1, g2], d, mask)
-    assert _lockstep([g1, g2], "drfwl", d, mask) == expected
-    verdict = refine_pair(g1, g2, "drfwl", d=d, mask=mask)
-    (ca, cb), iterations, _ = expected
-    assert verdict.iterations == iterations
-    assert verdict.histogram_a == tuple(sorted(Counter(ca).items()))
-    assert verdict.histogram_b == tuple(sorted(Counter(cb).items()))
+def _check(method: str, gs: list[Graph], d: int = 2, mask=None) -> None:
+    """The lockstep run of the graphs equals the method's reference; on a
+    pair, so do ``refine_pair``'s verdict, rounds and both histograms."""
+    expected = REFERENCES[method](gs, d, mask)
+    assert _lockstep(gs, method, d, mask) == expected
+    if len(gs) == 2:
+        (ca, cb), iterations, _ = expected
+        ha, hb = (tuple(sorted(Counter(c).items())) for c in (ca, cb))
+        v = refine_pair(*gs, method, d=d, mask=mask)
+        assert (v.distinguished, v.iterations, v.histogram_a, v.histogram_b) == (
+            ha != hb, iterations, ha, hb
+        )
 
 
-@settings(max_examples=60, deadline=None)
-@given(graphs(), DEPTHS)
-def test_drfwl_refine_matches_reference(g, d):
-    _check_single(g, d, None)
-
-
-@settings(max_examples=40, deadline=None)
-@given(graphs(), graphs(), DEPTHS)
-def test_refine_pair_matches_reference(g1, g2, d):
-    _check_pair(g1, g2, d, None)
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.data(), graphs(), graphs(), DEPTHS)
-def test_masked_refinement_matches_reference(data, g1, g2, d):
-    mask = data.draw(masks(d))
-    _check_single(g1, d, mask)
-    _check_pair(g1, g2, d, mask)
+@pytest.mark.parametrize("method", METHODS)
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), g1=graphs(), g2=graphs())
+def test_refinement_matches_reference(method, data, g1, g2):
+    # one graph, then a pair in one id space; drfwl also draws d and a mask
+    d, mask = 2, None
+    if method == "drfwl":
+        d = data.draw(DEPTHS)
+        mask = data.draw(masks(d))
+    _check(method, [g1], d, mask)
+    _check(method, [g1, g2], d, mask)
 
 
 def test_benchmark_shaped_pair_matches_reference():
     # two random 4-regular graphs on 150 nodes at d=2, as in the benchmark
-    g1 = gen_random_regular(150, 4, 11)
-    g2 = gen_random_regular(150, 4, 12)
-    _check_pair(g1, g2, 2, None)
+    _check("drfwl", [gen_random_regular(150, 4, 11), gen_random_regular(150, 4, 12)])
+
+
+EMPTY = Graph.from_edges(0, [])
+# a 0-node graph owns no unit, so the cut of the stable colors gives it [];
+# the path pair refines for about n rounds (29 under wl1, 28 under drfwl)
+# while most of its units are settled; in a pair of different sizes the unit
+# count of a graph, its channel width and the total all differ
+FIXED = {
+    "E": [EMPTY],
+    "E-C3": [EMPTY, gen_cycle(3)],
+    "C3-E": [gen_cycle(3), EMPTY],
+    "E-E": [EMPTY, EMPTY],
+    "C3-E-Petersen": [gen_cycle(3), EMPTY, gen_petersen()],
+    "P30-P30chord": [gen_path(30), Graph.from_edges(30, gen_path(30).edges() + [(0, 2)])],
+    "Petersen-C7": [gen_petersen(), gen_cycle(7)],
+    "C7-C3+Petersen": [gen_cycle(7), gen_disjoint_union([gen_cycle(3), gen_petersen()])],
+    "ER30-ER25": [gen_erdos_renyi(30, 0.1, 3), gen_erdos_renyi(25, 0.1, 4)],
+    # the paper's pairs: 2 x C3 against C6 splits under every variant but
+    # WL(1), and 2 x C7 against C14 only under FWL(2) and at d = 3
+    "2C3-C6": [double_cycle(3), gen_cycle(6)],
+    "2C7-C14": [double_cycle(7), gen_cycle(14)],
+}
+
+
+# each fixed case under every variant of the golden corpus
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("gs", FIXED.values(), ids=FIXED)
+def test_fixed_cases_match_reference(variant, gs):
+    spec = VARIANTS[variant]
+    _check(spec["method"], gs, spec["d"] or 2, spec["mask"])
+
+
+def test_empty_graph_next_to_a_triangle():
+    c3 = gen_cycle(3)
+    assert _lockstep([EMPTY, c3], "wl1") == ([[], [0, 0, 0]], 1, (1, 1))
+    assert _lockstep([EMPTY, c3], "drfwl", 2) == ([[], [0, 1, 1, 0, 1, 1, 0, 1, 1]], 1, (2, 2))
 
 
 def _check_per_channel_partition(gs: list[Graph], d: int, mask) -> None:
@@ -160,78 +187,6 @@ def test_d_beyond_the_diameter_changes_no_color(g):
     assert at_top.colors == beyond.colors
     assert at_top.iterations == beyond.iterations
     assert at_top.class_counts == beyond.class_counts
-
-
-DENSE = {"wl1": (wl1_refine, reference.wl1_multi), "fwl2": (fwl2_refine, reference.fwl2_multi)}
-
-
-def _check_dense(method: str, g1: Graph, g2: Graph) -> None:
-    """WL(1) or FWL(2) on g1 alone, then on g1 and g2 together."""
-    refine_one, reference_multi = DENSE[method]
-    col = refine_one(g1)
-    (colors,), iterations, history = reference_multi([g1])
-    assert (list(col.colors), col.iterations, col.class_counts) == (colors, iterations, history)
-    expected = reference_multi([g1, g2])
-    assert _lockstep([g1, g2], method) == expected
-    verdict = refine_pair(g1, g2, method)
-    (ca, cb), iterations, _ = expected
-    assert verdict.iterations == iterations
-    assert verdict.histogram_a == tuple(sorted(Counter(ca).items()))
-    assert verdict.histogram_b == tuple(sorted(Counter(cb).items()))
-
-
-def _other_size(g1: Graph, g2: Graph) -> Graph:
-    """g2, with an isolated node appended if it is as large as g1."""
-    return Graph.from_edges(g2.n + 1, g2.edges()) if g2.n == g1.n else g2
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.sampled_from(sorted(DENSE)), graphs(), graphs())
-def test_dense_refinements_match_reference(method, g1, g2):
-    _check_dense(method, g1, _other_size(g1, g2))
-
-
-@pytest.mark.parametrize("method", sorted(DENSE))
-def test_dense_lockstep_of_different_sizes_matches_reference(method):
-    # the graphs' units share one id space; with graphs of different sizes
-    # the unit count of a graph, its channel width and the total all differ
-    _check_dense(method, gen_petersen(), gen_cycle(7))
-    _check_dense(method, gen_cycle(7), gen_disjoint_union([gen_cycle(3), gen_petersen()]))
-    _check_dense(method, gen_erdos_renyi(30, 0.1, 3), gen_erdos_renyi(25, 0.1, 4))
-
-
-EMPTY = Graph.from_edges(0, [])
-REFERENCES = {
-    "wl1": reference.wl1_multi,
-    "fwl2": reference.fwl2_multi,
-    "drfwl": lambda gs: reference.drfwl_multi(gs, 2),
-}
-
-
-@pytest.mark.parametrize("method", sorted(REFERENCES))
-@pytest.mark.parametrize(
-    "gs",
-    [
-        [EMPTY],
-        [EMPTY, gen_cycle(3)],
-        [gen_cycle(3), EMPTY],
-        [EMPTY, EMPTY],
-        [gen_cycle(3), EMPTY, gen_petersen()],
-        [gen_path(30), Graph.from_edges(30, gen_path(30).edges() + [(0, 2)])],
-    ],
-    ids=["E", "E-C3", "C3-E", "E-E", "C3-E-Petersen", "P30-P30chord"],
-)
-def test_empty_graphs_split_like_the_reference(method, gs):
-    # a 0-node graph owns no unit, so the cut of the stable colors gives it [];
-    # the path pair refines for about n rounds (29 under wl1, 28 under drfwl)
-    # while most of its units are settled
-    assert _lockstep(gs, method) == REFERENCES[method](gs)
-
-
-def test_empty_graph_next_to_a_triangle():
-    c3 = gen_cycle(3)
-    assert _lockstep([EMPTY, c3], "wl1") == ([[], [0, 0, 0]], 1, (1, 1))
-    assert _lockstep([EMPTY, c3], "drfwl", 2) == ([[], [0, 1, 1, 0, 1, 1, 0, 1, 1]], 1, (2, 2))
 
 
 @settings(max_examples=60, deadline=None)

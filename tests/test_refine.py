@@ -1,19 +1,12 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
 
-from conftest import small_graphs
 from reference import admissible_triples
 from graph_helpers import double_cycle, gen_complete, gen_rook44, gen_shrikhande, gen_star, permute
 from drfwl import refine
 from drfwl.errors import CapabilityError
-from drfwl.graph import (
-    SplitMix64,
-    gen_cycle,
-    gen_erdos_renyi,
-    gen_random_regular,
-)
+from drfwl.graph import SplitMix64, gen_cycle, gen_erdos_renyi, gen_random_regular
 from drfwl.refine import (
     certificate,
     distinguish,
@@ -39,33 +32,7 @@ def _groups(colorings) -> list[int]:
     return [first.setdefault(certificate(c).counts, i) for i, c in enumerate(colorings)]
 
 
-class TestWL1:
-    def test_vertex_transitive_cycle(self):
-        col = wl1_refine(gen_cycle(6))
-        assert len(set(col.colors)) == 1
-
-    def test_star_two_classes(self):
-        col = wl1_refine(gen_star(3))
-        assert len(set(col.colors)) == 2
-        assert col.colors[1] == col.colors[2] == col.colors[3] != col.colors[0]
-
-    def test_blind_to_triangle_pair(self):
-        assert not distinguish(double_cycle(3), gen_cycle(6), "wl1")
-
-    def test_path_graph_classes(self):
-        col = wl1_refine(gen_cycle(6))
-        assert col.iterations >= 1
-
-
 class TestFWL2:
-    def test_separates_cycle_pairs(self):
-        assert distinguish(double_cycle(7), gen_cycle(14), "fwl2")
-
-    def test_k4_off_diagonal_single_class(self):
-        col = fwl2_refine(gen_complete(4))
-        off = {col.colors[u * 4 + v] for u in range(4) for v in range(4) if u != v}
-        assert len(off) == 1
-
     def test_size_cap(self, monkeypatch):
         with pytest.raises(CapabilityError):
             fwl2_refine(gen_cycle(refine.FWL2_DENSE_CAP + 1))
@@ -74,28 +41,8 @@ class TestFWL2:
             fwl2_refine(gen_cycle(11))
         fwl2_refine(gen_cycle(10))
 
-    def test_permuted_copy_equal(self):
-        g = gen_erdos_renyi(10, 0.4, 3)
-        h = permute(g, random_permutation(10, 1))
-        assert not distinguish(g, h, "fwl2")
-
 
 class TestDRFWL:
-    def test_d1_sees_triangles(self):
-        assert distinguish(double_cycle(3), gen_cycle(6), "drfwl", d=1)
-
-    def test_d2_blind_at_its_horizon(self):
-        assert not distinguish(double_cycle(7), gen_cycle(14), "drfwl", d=2)
-
-    def test_d3_separates_same_pair(self):
-        assert distinguish(double_cycle(7), gen_cycle(14), "drfwl", d=3)
-
-    def test_initial_color_is_distance(self):
-        # one refinement class per distance at iteration zero implies the
-        # stable class count is at least d+1 on a long path
-        col = drfwl_refine(gen_cycle(12), 2)
-        assert len(set(col.colors)) >= 3
-
     # a bool is not an int here, though True == 1; an entry that is not
     # iterable is no triple, and a mask that is not iterable holds none
     @pytest.mark.parametrize(
@@ -206,6 +153,9 @@ class TestDRFWL:
             refine_pair(c6, c6, method, d=d)
         with pytest.raises(ValueError, match="d must be an int >= 1"):
             distinguish(c6, c6, method, d=d)
+        if method == "drfwl":
+            with pytest.raises(ValueError, match="d must be an int >= 1"):
+                drfwl_refine(c6, d)
 
     @pytest.mark.parametrize("method", ["wl1", "fwl2", "drfwl"])
     def test_one_coloring_per_graph_names_d_under_drfwl_only(self, method):
@@ -215,62 +165,32 @@ class TestDRFWL:
         assert [(c.method, c.d) for c in colorings] == [(method, d)] * 3
         assert refine_pair(gs[0], gs[1], method, d=3).d == d
 
-    @pytest.mark.parametrize("d", [0, "junk", 2.5, True], ids=repr)
-    def test_drfwl_refine_refuses_invalid_d(self, d):
-        with pytest.raises(ValueError, match="d must be an int >= 1"):
-            drfwl_refine(gen_cycle(6), d)
-
 
 class TestCertificates:
-    def test_serialization_shape(self):
-        cert = certificate(drfwl_refine(gen_cycle(6), 2))
-        text = cert.serialize()
-        assert text.startswith("certv2;drfwl;2;")
-        assert all(":" in part for part in text.split(";")[3].split(","))
-
-    def test_golden_serializations(self):
-        assert certificate(drfwl_refine(gen_cycle(6), 2)).serialize() == (
-            "certv2;drfwl;2;0:6,1:12,2:12"
-        )
-        assert certificate(wl1_refine(gen_star(3))).serialize() == "certv2;wl1;-;0:3,1:1"
-        assert certificate(fwl2_refine(gen_cycle(4))).serialize() == (
-            "certv2;fwl2;-;0:4,1:8,2:4"
-        )
-
-    def test_certificate_counts_total(self):
-        col = drfwl_refine(gen_cycle(6), 2)
-        cert = certificate(col)
-        assert sum(k for _, k in cert.counts) == len(col.colors)
-
-    def test_indistinguishable_family_equal_certs(self):
-        a = certificate(drfwl_refine(double_cycle(7), 2)).serialize()
-        b = certificate(drfwl_refine(gen_cycle(14), 2)).serialize()
-        assert a == b
-
-    @settings(max_examples=20)
-    @given(small_graphs(max_n=7))
-    def test_permutation_invariance_all_methods(self, g):
-        perm = list(reversed(range(g.n)))
-        h = permute(g, perm)
-        for make in (
-            wl1_refine,
-            fwl2_refine,
-            lambda x: drfwl_refine(x, 2),
-        ):
-            assert certificate(make(g)) == certificate(make(h))
+    # each row a colouring known by hand, as the certificate that states it
+    @pytest.mark.parametrize(
+        "make, g, line",
+        [
+            (lambda g: drfwl_refine(g, 2), gen_cycle(6), "certv2;drfwl;2;0:6,1:12,2:12"),
+            (wl1_refine, gen_cycle(6), "certv2;wl1;-;0:6"),
+            (wl1_refine, gen_star(3), "certv2;wl1;-;0:3,1:1"),
+            (fwl2_refine, gen_cycle(4), "certv2;fwl2;-;0:4,1:8,2:4"),
+            (fwl2_refine, gen_complete(4), "certv2;fwl2;-;0:4,1:12"),
+        ],
+        ids=["C6-drfwl-d2", "C6-wl1", "star3-wl1", "C4-fwl2", "K4-fwl2"],
+    )
+    def test_golden_serializations(self, make, g, line):
+        assert certificate(make(g)).serialize() == line
 
 
 class TestDistinguishProperties:
-    def test_identical_inputs(self):
+    @pytest.mark.parametrize("method", ["wl1", "fwl2", "drfwl"])
+    def test_identical_inputs(self, method):
+        # the graph against itself and against a relabelled copy
         g = gen_erdos_renyi(12, 0.3, 7)
-        for method, kw in (("wl1", {}), ("fwl2", {}), ("drfwl", {"d": 2})):
-            assert not distinguish(g, g, method, **kw)
-
-    def test_verdict_payload(self):
-        v = refine_pair(double_cycle(3), gen_cycle(6), "drfwl", d=1)
-        assert v.distinguished
-        assert v.iterations >= 1
-        assert v.histogram_a != v.histogram_b
+        h = permute(g, random_permutation(12, 1))
+        assert not distinguish(g, g, method)
+        assert not distinguish(g, h, method)
 
     def test_monotone_class_counts(self):
         # class counts strictly increase until the confirming round
@@ -318,9 +238,3 @@ class TestDistinguishProperties:
                 if first is not None:
                     assert split == (step >= first), (i, method, at)
                 assert refine_pair(pool[i], pool[i + 1], method, d=at).distinguished == split
-
-    def test_empty_graphs(self):
-        from drfwl.graph import Graph
-
-        empty = Graph.from_edges(0, [])
-        assert not distinguish(empty, empty, "wl1")
